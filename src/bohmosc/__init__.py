@@ -50,7 +50,6 @@ from .madelung import (
     mu_critical,
     mu_subcritical,
     numeric_construction,
-    phase,
     phase_field_critical,
     phase_field_numeric,
     phase_field_subcritical,
@@ -108,7 +107,6 @@ __all__ = [
     "mu_critical",
     "mu_subcritical",
     "numeric_construction",
-    "phase",
     "phase_field_critical",
     "phase_field_numeric",
     "phase_field_subcritical",

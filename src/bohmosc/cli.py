@@ -24,7 +24,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,17 +50,25 @@ EXIT_THRESHOLD = 3
 _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _write_csv(path: str, header, columns) -> None:
+    """Write columns, broadcast to one shape, as rows in C order.
 
-
-def _write_csv(path: str, header, rows) -> None:
+    Rows go out one slice of the leading axis at a time, so the text of
+    the whole table is never held in memory at once.
+    """
+    columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*columns)]
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        for i in range(columns[0].shape[0]):
+            rows = zip(*(column[i].tolist() for column in columns))
+            handle.writelines([line % row for row in rows])
+
+
+def _count(value: int, flag: str, minimum: int = 1) -> int:
+    if value < minimum:
+        raise ValueError(f"{flag} needs at least {minimum}, got {value}")
+    return value
 
 
 def _write_manifest(args, outputs) -> None:
@@ -92,13 +99,6 @@ def _write_manifest(args, outputs) -> None:
     with open(args.manifest, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _table_profile(path: str) -> FrequencyProfile:
@@ -134,7 +134,7 @@ def _branch_value(args) -> float:
 # ----------------------------------------------------------------- ermakov
 
 def _cmd_ermakov(args) -> int:
-    times = np.linspace(0.0, args.t_max, args.samples)
+    times = np.linspace(0.0, args.t_max, _count(args.samples, "--samples"))
     profile, generic = _profile_from_args(args)
 
     if generic:
@@ -155,56 +155,47 @@ def _cmd_ermakov(args) -> int:
                                      rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     scale = log_scale(solution, profile)
 
-    rows = zip(times, solution.rho(times), solution.rho_dot(times),
-               scale.nu(times), scale.nu_dot(times), scale.nu_ddot(times),
-               ermakov_residual(solution, profile, times))
     _write_csv(args.out, ["t", "rho", "rho_dot", "nu", "nu_dot",
-                          "nu_ddot", "residual"], rows)
+                          "nu_ddot", "residual"],
+               [times, solution.rho(times), solution.rho_dot(times),
+                scale.nu(times), scale.nu_dot(times), scale.nu_ddot(times),
+                ermakov_residual(solution, profile, times)])
     _write_manifest(args, [args.out])
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- bohm
 
-def _field_rows(args, emit):
-    """Common sweep for bohm/wavefunction: emit(construction, t, x) per time."""
+def _field_sweep(args):
+    """Construction, (n_t, 1) time column and (1, n_x) position row of a
+    bohm/wavefunction sweep."""
     if getattr(args, "omega_table", None):
         construction = numeric_construction(_table_profile(args.omega_table),
                                             (0.0, args.t_max))
     else:
         construction = rational_construction(_branch_value(args))
-    times = np.linspace(0.0, args.t_max, args.nt)
-    x = np.linspace(args.x_min, args.x_max, args.nx)
-
-    blocks = _parallel_map(lambda t: emit(construction, t, x), times, args.threads)
-    for t, block in zip(times, blocks):
-        for i in range(x.size):
-            yield (t, x[i], *[column[i] for column in block])
+    t = np.linspace(0.0, args.t_max, _count(args.nt, "--nt"))[:, None]
+    x = np.linspace(args.x_min, args.x_max, _count(args.nx, "--nx"))[None, :]
+    return construction, t, x
 
 
 def _cmd_bohm(args) -> int:
-    def emit(construction, t, x):
-        scale, field, profile = (construction.scale, construction.field,
-                                 construction.profile)
-        return (bohm_potential_gaussian(x, t, scale),
-                classical_potential(profile, x, t),
-                amplitude_gaussian(x, t, scale),
-                field.S(x, t))
-
+    construction, t, x = _field_sweep(args)
+    scale = construction.scale
     _write_csv(args.out, ["t", "x", "V_B", "V", "A", "S"],
-               _field_rows(args, emit))
+               [t, x, bohm_potential_gaussian(x, t, scale),
+                classical_potential(construction.profile, x, t),
+                amplitude_gaussian(x, t, scale), construction.field.S(x, t)])
     _write_manifest(args, [args.out])
     return EXIT_OK
 
 
 def _cmd_wavefunction(args) -> int:
-    def emit(construction, t, x):
-        amp = amplitude_gaussian(x, t, construction.scale)
-        psi = amp * np.exp(1j * construction.field.S(x, t))
-        return psi.real, psi.imag, np.abs(psi) ** 2
-
+    construction, t, x = _field_sweep(args)
+    amp = amplitude_gaussian(x, t, construction.scale)
+    psi = amp * np.exp(1j * construction.field.S(x, t))
     _write_csv(args.out, ["t", "x", "re_psi", "im_psi", "abs2_psi"],
-               _field_rows(args, emit))
+               [t, x, psi.real, psi.imag, np.abs(psi) ** 2])
     _write_manifest(args, [args.out])
     return EXIT_OK
 
@@ -217,9 +208,15 @@ def _cmd_verify(args) -> int:
     b_value = _branch_value(args)
     construction = rational_construction(b_value)
     span = args.x_max - args.x_min
-    probes = np.linspace(args.t_max / args.nt, args.t_max, args.nt)
+    n_probes = _count(args.nt, "--nt")
+    probes = np.linspace(args.t_max / n_probes, args.t_max, n_probes)
 
-    h0 = args.h if args.h is not None else span / (args.nx - 1)
+    if args.h is None:
+        h0 = span / (_count(args.nx, "--nx", 2) - 1)
+    elif args.h > 0:
+        h0 = args.h
+    else:
+        raise ValueError(f"--h must be positive, got {args.h}")
 
     def level_report(level: int) -> dict:
         h = h0 / 2**level
@@ -240,7 +237,7 @@ def _cmd_verify(args) -> int:
                     worst[key] = max(worst[key], entry[key])
         return worst
 
-    levels = _parallel_map(level_report, range(args.refine), args.threads)
+    levels = [level_report(level) for level in range(args.refine)]
     orders = {}
     for key in ("se_residual_max", "continuity_residual_max", "qhje_residual_max"):
         pairs = zip(levels, levels[1:])
@@ -292,20 +289,19 @@ def _cmd_tdse_check(args) -> int:
     grid = SpatialGrid(-half_width, half_width, args.n)
     config = PropagatorConfig(grid=grid, dt=args.dt, profile=construction.profile)
 
-    sample_times = np.linspace(0.0, args.t_max, args.samples)[1:]
+    times = np.linspace(0.0, args.t_max, args.samples)
     psi0 = construction.psi(grid, 0.0)
-    propagated = propagate(psi0, config, args.t_max, sample_times=sample_times)
-    reference = construction.psi(grid, sample_times)
-    fidelities = fidelity(reference, propagated)
-    norm_errors = np.abs(propagated.norms() - 1.0)
+    propagated = propagate(psi0, config, args.t_max, sample_times=times[1:])
+    reference = construction.psi(grid, times[1:])
+    fidelities = np.atleast_1d(fidelity(reference, propagated))
+    norms = np.concatenate([psi0.norms(), propagated.norms()])
 
-    rows = [(0.0, 1.0, abs(float(psi0.norms()[0]) - 1.0))]
-    rows += list(zip(sample_times, np.atleast_1d(fidelities), norm_errors))
-    _write_csv(args.out, ["t", "fidelity", "norm_error"], rows)
+    _write_csv(args.out, ["t", "fidelity", "norm_error"],
+               [times, np.concatenate([[1.0], fidelities]), np.abs(norms - 1.0)])
     _write_manifest(args, [args.out])
 
     if args.min_fidelity is not None:
-        worst = float(np.min(np.atleast_1d(fidelities)))
+        worst = float(np.min(fidelities))
         if worst < args.min_fidelity:
             print(f"tdse check failed: fidelity {worst:.12f} < "
                   f"{args.min_fidelity}", file=sys.stderr)
@@ -316,16 +312,9 @@ def _cmd_tdse_check(args) -> int:
 # ----------------------------------------------------------------- figures
 
 def _figure_surface(args, values_at) -> int:
-    times = np.linspace(0.0, 6.0, 121)
-    x = np.linspace(-5.0, 5.0, 201)
-    blocks = _parallel_map(lambda t: values_at(x, t), times, args.threads)
-
-    def rows():
-        for t, block in zip(times, blocks):
-            for i in range(x.size):
-                yield (t, x[i], block[i])
-
-    _write_csv(args.out, ["t", "x", "V_B"], rows())
+    t = np.linspace(0.0, 6.0, 121)[:, None]
+    x = np.linspace(-5.0, 5.0, 201)[None, :]
+    _write_csv(args.out, ["t", "x", "V_B"], [t, x, values_at(x, t)])
     _write_manifest(args, [args.out])
     return EXIT_OK
 
@@ -352,10 +341,10 @@ def _cmd_transition(args) -> int:
         if classify_rational(b) is not Regime.SUBCRITICAL:
             raise ValueError(f"transition scan needs subcritical b values, got {b}")
 
-    rows = [(b, float(bohm_potential_subcritical(b, args.x_probe, args.t_probe)))
-            for b in bs]
-    rows.append((2.0, float(bohm_potential_critical(args.x_probe, args.t_probe))))
-    _write_csv(args.out, ["b", "V_B"], rows)
+    values = [float(bohm_potential_subcritical(b, args.x_probe, args.t_probe))
+              for b in bs]
+    values.append(float(bohm_potential_critical(args.x_probe, args.t_probe)))
+    _write_csv(args.out, ["b", "V_B"], [bs + [2.0], values])
     _write_manifest(args, [args.out])
     return EXIT_OK
 
@@ -367,8 +356,6 @@ def _add_common(parser, out_required=True):
                         help="output file path")
     parser.add_argument("--manifest",
                         help="write a JSON run manifest (parameters + digests)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid sweeps (default 1)")
 
 
 def _add_branch(parser):

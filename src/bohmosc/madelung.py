@@ -57,7 +57,6 @@ __all__ = [
     "phase_field_subcritical",
     "phase_field_critical",
     "phase_field_numeric",
-    "phase",
     "wavefunction",
     "bohm_potential_gaussian",
     "bohm_potential_subcritical",
@@ -298,18 +297,11 @@ def phase_field_numeric(solution: ErmakovSolution, profile: FrequencyProfile) ->
     return PhaseField(mu=solution.mu, mu_dot=_mu_dot_from_scale(scale), scale=scale)
 
 
-def phase(x, t, field: PhaseField):
-    """S(x,t) = x^2 nu_dot/2 + mu."""
-    return field.S(x, t)
-
-
 def wavefunction(grid: SpatialGrid, times, scale: LogScale, field: PhaseField) -> WavefunctionGrid:
     """psi(x,t) = A(x,t) exp(i S(x,t)) sampled on the grid at the given times."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    psi = np.empty((times.size, grid.n), dtype=complex)
-    for j, t in enumerate(times):
-        amp = amplitude_gaussian(grid.x, t, scale)
-        psi[j] = amp * np.exp(1j * field.S(grid.x, t))
+    t = times[:, None]
+    psi = amplitude_gaussian(grid.x, t, scale) * np.exp(1j * field.S(grid.x, t))
     return WavefunctionGrid(grid=grid, times=times, psi=psi)
 
 

@@ -46,15 +46,12 @@ class PropagatorConfig:
     grid: SpatialGrid
     dt: float
     profile: FrequencyProfile
-    scheme: str = "strang"
 
     def __post_init__(self):
         if not self.grid.is_power_of_two:
             raise ValueError(f"grid size must be a power of two, got n={self.grid.n}")
         if not (np.isfinite(self.dt) and self.dt != 0):
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
-        if self.scheme != "strang":
-            raise ValueError(f"unknown splitting scheme '{self.scheme}'")
 
 
 def _momentum_width(psi: np.ndarray, k: np.ndarray) -> float:

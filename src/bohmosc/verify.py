@@ -236,10 +236,11 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
     scale, field, profile = construction.scale, construction.field, construction.profile
 
     psi = construction.psi(grid, times).psi
-    a = np.stack([amplitude_gaussian(x, tj, scale) for tj in times])
-    s = np.stack([field.S(x, tj) for tj in times])
-    v = np.stack([classical_potential(profile, x, tj) for tj in times])
-    v_b = np.stack([bohm_potential_gaussian(x, tj, scale) for tj in times])
+    column = times[:, None]
+    a = amplitude_gaussian(x, column, scale)
+    s = field.S(x, column)
+    v = classical_potential(profile, x, column)
+    v_b = bohm_potential_gaussian(x, column, scale)
 
     se_l2, se_max = schrodinger_residual(psi, v, x, dt, m=m, space_order=space_order)
     cont_max = continuity_residual(a, s, x, dt, m=m, space_order=space_order)

@@ -4,6 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from bohmosc import (
+    FrequencyProfile,
+    amplitude_gaussian,
+    bohm_potential_gaussian,
+    classical_potential,
+    numeric_construction,
+    rational_construction,
+)
 from bohmosc.cli import main
 
 
@@ -60,19 +68,45 @@ class TestErmakovCommand:
         assert main(["ermakov", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def assert_surface_matches_scalar(tmp_path, flags, construction):
+    """bohm over a 3x11 grid writes t-major rows whose every V_B, V, A, S
+    cell equals the library evaluated at that row's scalar (t, x)."""
+    out = tmp_path / "bohm.csv"
+    assert main(["bohm", *flags, "--x-min", "-5", "--x-max", "5",
+                 "--nx", "11", "--t-max", "2", "--nt", "3",
+                 "--out", str(out)]) == 0
+    assert header_of(out) == ["t", "x", "V_B", "V", "A", "S"]
+    data = read_csv(out)
+    assert data.shape == (33, 6)
+    np.testing.assert_array_equal(data[:, 0], np.repeat([0.0, 1.0, 2.0], 11))
+    np.testing.assert_array_equal(data[:, 1], np.tile(np.linspace(-5.0, 5.0, 11), 3))
+    scale, profile = construction.scale, construction.profile
+    expected = [[bohm_potential_gaussian(x, t, scale),
+                 classical_potential(profile, x, t),
+                 amplitude_gaussian(x, t, scale),
+                 construction.field.S(x, t)] for t, x in data[:, :2]]
+    np.testing.assert_array_equal(data[:, 2:], np.array(expected))
+    origin = data[(data[:, 0] == 0.0) & (data[:, 1] == 0.0)][0]
+    assert origin[2] == pytest.approx(0.5)            # V_B(0,0)
+    assert origin[4] == pytest.approx(np.pi**-0.25)   # A(0,0)
+    assert origin[5] == 0.0                           # S(0,0)
+
+
 class TestBohmCommand:
     def test_surface_values(self, tmp_path):
-        out = tmp_path / "bohm.csv"
-        assert main(["bohm", "--b", "1", "--x-min", "-5", "--x-max", "5",
-                     "--nx", "11", "--t-max", "2", "--nt", "3",
-                     "--out", str(out)]) == 0
-        assert header_of(out) == ["t", "x", "V_B", "V", "A", "S"]
-        data = read_csv(out)
-        assert data.shape == (33, 6)
-        origin = data[(data[:, 0] == 0.0) & (data[:, 1] == 0.0)][0]
-        assert origin[2] == pytest.approx(0.5)            # V_B(0,0)
-        assert origin[4] == pytest.approx(np.pi**-0.25)   # A(0,0)
-        assert origin[5] == 0.0                           # S(0,0)
+        assert_surface_matches_scalar(tmp_path, ["--b", "1"],
+                                      rational_construction(1.0))
+
+    def test_omega_table_surface_values(self, tmp_path):
+        # a 2-D time column goes through np.interp and the BPoly interpolant
+        table = tmp_path / "omega.csv"
+        t = np.linspace(0.0, 2.0, 21)
+        omega = 1.0 / (1.0 + 0.5 * t)
+        np.savetxt(table, np.column_stack([t, omega]), delimiter=",")
+        construction = numeric_construction(FrequencyProfile.from_table(t, omega),
+                                            (0.0, 2.0))
+        assert_surface_matches_scalar(tmp_path, ["--omega-table", str(table)],
+                                      construction)
 
     def test_critical_flag(self, tmp_path):
         out = tmp_path / "bohm.csv"
@@ -171,11 +205,10 @@ class TestFigureCommands:
         assert np.all(np.isfinite(data[:, 2]))
 
     def test_fig1_deterministic_and_thread_invariant(self, tmp_path):
-        a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["fig1", "--out", str(a)])
         main(["fig1", "--out", str(b)])
-        main(["fig1", "--out", str(c), "--threads", "4"])
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_manifest_digest(self, tmp_path):
         out = tmp_path / "fig1.csv"
@@ -189,7 +222,7 @@ class TestFigureCommands:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert entry["sha256"] == digest
         assert entry["bytes"] == out.stat().st_size
-        assert "threads" in manifest["parameters"]
+        assert manifest["parameters"] == {"out": str(out)}
 
 
 class TestTransitionCommand:
@@ -231,3 +264,23 @@ class TestCliPlumbing:
     def test_missing_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["bohm", "wavefunction"])
+    def test_failed_run_writes_no_file(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        assert main([command, "--b", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bohm", "--b", "1", "--nt", "0"],
+        ["wavefunction", "--b", "1", "--nx", "0"],
+        ["ermakov", "--b", "1", "--samples", "0"],
+        ["verify", "--b", "1", "--nt", "0"],
+        ["verify", "--b", "1", "--h", "0"],
+        ["verify", "--b", "1", "--nx", "1"],
+    ])
+    def test_empty_sweep_or_zero_spacing_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1

@@ -17,7 +17,6 @@ from bohmosc import (
     mu_subcritical,
     normalization,
     numeric_construction,
-    phase,
     rational_construction,
     wavefunction,
 )
@@ -167,10 +166,10 @@ class TestPhase:
         # S(x,0) = x^2/(2 sqrt(3)) since nu_dot(0) = 1/sqrt(3)
         x = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(
-            phase(x, 0.0, sub1.field), x * x / (2 * np.sqrt(3.0)), atol=1e-14)
+            sub1.field.S(x, 0.0), x * x / (2 * np.sqrt(3.0)), atol=1e-14)
 
     def test_phase_at_origin_starts_at_zero(self, sub1):
-        assert phase(0.0, 0.0, sub1.field) == 0.0
+        assert sub1.field.S(0.0, 0.0) == 0.0
 
 
 class TestWavefunction:

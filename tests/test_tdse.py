@@ -37,11 +37,6 @@ class TestPropagatorConfig:
         with pytest.raises(ValueError):
             PropagatorConfig(grid=SpatialGrid(), dt=0.0, profile=static.profile)
 
-    def test_scheme_is_pinned(self, static):
-        with pytest.raises(ValueError):
-            PropagatorConfig(grid=SpatialGrid(), dt=1e-3,
-                             profile=static.profile, scheme="yoshida4")
-
 
 class TestStationaryState:
     def test_ground_state_returns_with_pure_phase(self, static):
