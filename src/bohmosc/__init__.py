@@ -18,16 +18,15 @@ from .frequency import (
 )
 from .ermakov import (
     RHO_FLOOR,
-    ClosedFormCritical,
-    ClosedFormSubcritical,
     ErmakovSolution,
     LogScale,
-    Numeric,
     closed_form_critical,
     closed_form_subcritical,
     critical_solution,
     ermakov_residual,
     log_scale,
+    mu_critical,
+    mu_subcritical,
     solve_numeric,
     subcritical_parameters,
     subcritical_solution,
@@ -47,12 +46,7 @@ from .madelung import (
     bohm_potential_gaussian,
     bohm_potential_subcritical,
     classical_potential,
-    mu_critical,
-    mu_subcritical,
     numeric_construction,
-    phase_field_critical,
-    phase_field_numeric,
-    phase_field_subcritical,
     rational_construction,
     wavefunction,
 )
@@ -77,16 +71,15 @@ __all__ = [
     "Regime",
     "classify_rational",
     "RHO_FLOOR",
-    "ClosedFormCritical",
-    "ClosedFormSubcritical",
     "ErmakovSolution",
     "LogScale",
-    "Numeric",
     "closed_form_critical",
     "closed_form_subcritical",
     "critical_solution",
     "ermakov_residual",
     "log_scale",
+    "mu_critical",
+    "mu_subcritical",
     "solve_numeric",
     "subcritical_parameters",
     "subcritical_solution",
@@ -104,12 +97,7 @@ __all__ = [
     "bohm_potential_gaussian",
     "bohm_potential_subcritical",
     "classical_potential",
-    "mu_critical",
-    "mu_subcritical",
     "numeric_construction",
-    "phase_field_critical",
-    "phase_field_numeric",
-    "phase_field_subcritical",
     "rational_construction",
     "wavefunction",
     "ResidualReport",

@@ -138,21 +138,16 @@ def _cmd_ermakov(args) -> int:
     profile, generic = _profile_from_args(args)
 
     if generic:
-        rho_dot0 = args.rho_dot0 if args.rho_dot0 is not None else 0.0
-        solution = solve_numeric(profile, args.rho0, rho_dot0,
-                                 (0.0, args.t_max),
-                                 rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+        rho_dot0 = 0.0
     else:
         construction = rational_construction(args.b)
-        profile = construction.profile
-        solution = construction.solution
-        if args.numeric:
+        profile, solution = construction.profile, construction.solution
+        rho_dot0 = float(solution.rho_dot(0.0))
+    if generic or args.numeric:
+        if args.rho_dot0 is not None:
             rho_dot0 = args.rho_dot0
-            if rho_dot0 is None:
-                rho_dot0 = float(solution.rho_dot(0.0))
-            solution = solve_numeric(profile, args.rho0, rho_dot0,
-                                     (0.0, args.t_max),
-                                     rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+        solution = solve_numeric(profile, args.rho0, rho_dot0, (0.0, args.t_max),
+                                 rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     scale = log_scale(solution, profile)
 
     _write_csv(args.out, ["t", "rho", "rho_dot", "nu", "nu_dot",
@@ -284,8 +279,10 @@ def _cmd_tdse_check(args) -> int:
     if args.samples < 2:
         raise ValueError("--samples needs at least 2 (t=0 plus one probe)")
     construction = rational_construction(_branch_value(args))
-    half_width = args.x_max if args.x_max else _auto_half_width(construction,
-                                                                args.t_max)
+    if args.x_max is None:
+        half_width = _auto_half_width(construction, args.t_max)
+    else:
+        half_width = args.x_max
     grid = SpatialGrid(-half_width, half_width, args.n)
     config = PropagatorConfig(grid=grid, dt=args.dt, profile=construction.profile)
 
@@ -466,9 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args) -> None:
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not np.isfinite(value):
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)

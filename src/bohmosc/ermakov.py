@@ -18,15 +18,20 @@ derivatives, bundled here as a LogScale.  nu_ddot is always reconstructed
 through the ODE itself (rho'' = 1/rho^3 - Omega^2 rho) rather than by
 numerical differentiation, which would amplify interpolation noise.
 
+Each solution also carries the phase integral mu(t) = -int_0^t ds/(2 rho^2),
+in closed form on both rational branches:
+
+  subcritical:  mu(t) = -(a/2b) ln((a+bt)/a)     (mu = -t/2 at b = 0)
+  critical:     mu(t) = -arctan(ln(1+2t)/2)/2
+
 For arbitrary profiles an adaptive embedded Runge-Kutta 4(5) integration
-with dense output provides rho, rho', and the accumulated phase integral
--int dt/(2 rho^2) on a requested window.
+with dense output provides rho, rho' and mu on a requested window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -37,12 +42,11 @@ from .frequency import FrequencyProfile
 __all__ = [
     "ErmakovSolution",
     "LogScale",
-    "ClosedFormSubcritical",
-    "ClosedFormCritical",
-    "Numeric",
     "subcritical_parameters",
     "closed_form_subcritical",
     "closed_form_critical",
+    "mu_subcritical",
+    "mu_critical",
     "subcritical_solution",
     "critical_solution",
     "solve_numeric",
@@ -69,36 +73,15 @@ _NODE_SPACING_CAP = 0.05
 
 
 @dataclass(frozen=True)
-class ClosedFormSubcritical:
-    a: float
-    b: float
-    C: float
-
-
-@dataclass(frozen=True)
-class ClosedFormCritical:
-    pass
-
-
-@dataclass(frozen=True)
-class Numeric:
-    rel_tol: float
-    abs_tol: float
-
-
-SolutionSource = Union[ClosedFormSubcritical, ClosedFormCritical, Numeric]
-
-
-@dataclass(frozen=True)
 class ErmakovSolution:
     """A positive solution rho(t) of the Ermakov equation.
 
     rho_ddot is an independent second derivative (analytic for closed
     forms, the twice-differentiated dense interpolant for numeric
     solutions) so that ermakov_residual is a genuine consistency check
-    and not a tautology.  mu is the accumulated phase quadrature
-    -int_0^t ds/(2 rho^2), carried only by numeric solutions; closed-form
-    antiderivatives live in the madelung module.
+    and not a tautology.  mu is the phase integral -int_0^t ds/(2 rho^2),
+    with mu(0) = 0: closed form on the rational branches, the dense
+    quadrature for numeric solutions.
 
     Immutable value object; evaluation is reentrant and thread-safe.
     """
@@ -106,9 +89,7 @@ class ErmakovSolution:
     rho: Callable
     rho_dot: Callable
     rho_ddot: Callable
-    source: SolutionSource
-    window: tuple
-    mu: Optional[Callable] = None
+    mu: Callable
 
 
 @dataclass(frozen=True)
@@ -158,6 +139,20 @@ def _subcritical_rho_ddot(b: float, t):
     return -0.25 * C * b * b * (a + b * t) ** -1.5
 
 
+def mu_subcritical(b: float, t):
+    """Closed-form mu(t) = -(a/2b) ln((a+bt)/a) on the subcritical branch.
+
+    This is the antiderivative of -1/(2 rho^2) with mu(0) = 0; b = 0 is
+    the constant-frequency limit mu = -t/2, which also serves subnormal b,
+    where a/(2b) overflows.
+    """
+    a, _ = subcritical_parameters(b)
+    t = np.asarray(t, dtype=float)
+    if b < np.finfo(float).tiny:
+        return -0.5 * t
+    return -(a / (2.0 * b)) * np.log1p(b * t / a)
+
+
 def closed_form_critical(t):
     """rho(t) = sqrt(1+2t) sqrt(1 + ln^2(1+2t)/4) for the critical slope b=2."""
     t = np.asarray(t, dtype=float)
@@ -185,26 +180,36 @@ def _critical_rho_ddot(t):
     return (1.0 + ell) / (u * rho) - g * g / rho**3
 
 
-def subcritical_solution(b: float, window: tuple = (0.0, np.inf)) -> ErmakovSolution:
+def mu_critical(t):
+    """Closed-form mu(t) = -arctan(ln(1+2t)/2)/2 on the critical branch.
+
+    Monotone decreasing with limit -pi/4 as t -> infinity; mu(0) = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    u = 1.0 + 2.0 * t
+    if np.any(u <= 0):
+        raise ValueError("critical phase requires 1 + 2t > 0")
+    return -0.5 * np.arctan(0.5 * np.log(u))
+
+
+def subcritical_solution(b: float) -> ErmakovSolution:
     """Closed-form subcritical solution as an ErmakovSolution value object."""
-    a, C = subcritical_parameters(b)
+    subcritical_parameters(b)  # validate b now, not at the first evaluation
     return ErmakovSolution(
         rho=lambda t: closed_form_subcritical(b, t),
         rho_dot=lambda t: _subcritical_rho_dot(b, t),
         rho_ddot=lambda t: _subcritical_rho_ddot(b, t),
-        source=ClosedFormSubcritical(a=a, b=b, C=C),
-        window=window,
+        mu=lambda t: mu_subcritical(b, t),
     )
 
 
-def critical_solution(window: tuple = (0.0, np.inf)) -> ErmakovSolution:
+def critical_solution() -> ErmakovSolution:
     """Closed-form critical solution as an ErmakovSolution value object."""
     return ErmakovSolution(
         rho=closed_form_critical,
         rho_dot=_critical_rho_dot,
         rho_ddot=_critical_rho_ddot,
-        source=ClosedFormCritical(),
-        window=window,
+        mu=mu_critical,
     )
 
 
@@ -288,8 +293,6 @@ def solve_numeric(
         rho=rho_bp,
         rho_dot=rho_bp.derivative(),
         rho_ddot=rho_bp.derivative(2),
-        source=Numeric(rel_tol=rel_tol, abs_tol=abs_tol),
-        window=(t0, t1),
         mu=mu_bp,
     )
 

@@ -105,7 +105,10 @@ class FrequencyProfile:
         t = np.asarray(t, dtype=float)
         value = np.asarray(self.evaluator(t), dtype=float)
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"frequency profile '{self.label}' not finite at t={t}")
+            t, bad = np.broadcast_arrays(t, ~np.isfinite(value))
+            raise ValueError(
+                f"frequency profile '{self.label}' not finite at t={t[bad][0]:g}"
+            )
         return value
 
     __call__ = omega
@@ -125,8 +128,8 @@ class FrequencyProfile:
     def from_table(cls, t_samples, omega_samples) -> "FrequencyProfile":
         """Piecewise-linear profile through (t, Omega) samples.
 
-        Samples must be strictly increasing in t; evaluation clamps to the
-        end values outside the tabulated range.
+        Samples must be strictly increasing in t.  Outside the tabulated
+        range the profile is NaN, so omega raises there.
         """
         ts = np.asarray(t_samples, dtype=float)
         om = np.asarray(omega_samples, dtype=float)
@@ -138,4 +141,5 @@ class FrequencyProfile:
             raise ValueError("table entries must be finite")
         if np.any(om < 0):
             raise ValueError("tabulated frequencies must be >= 0")
-        return cls(lambda t: np.interp(t, ts, om), label="table")
+        return cls(lambda t: np.interp(t, ts, om, left=np.nan, right=np.nan),
+                   label=f"table on [{ts[0]:g}, {ts[-1]:g}]")

@@ -4,7 +4,8 @@ Writing psi = A exp(iS) with real amplitude and phase, a quadratic phase
 
     S(x,t) = x^2 nu_dot(t)/2 + mu(t),      mu_dot = -exp(-2 nu)/2,
 
-together with the dilated Gaussian amplitude
+with mu the phase integral carried by the ErmakovSolution, together with
+the dilated Gaussian amplitude
 
     A(x,t) = pi^(-1/4) exp(-x^2 exp(-2 nu)/2 - nu/2)
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -38,6 +39,8 @@ from .ermakov import (
     LogScale,
     critical_solution,
     log_scale,
+    mu_critical,
+    mu_subcritical,
     solve_numeric,
     subcritical_parameters,
     subcritical_solution,
@@ -54,9 +57,6 @@ __all__ = [
     "amplitude_general",
     "mu_subcritical",
     "mu_critical",
-    "phase_field_subcritical",
-    "phase_field_critical",
-    "phase_field_numeric",
     "wavefunction",
     "bohm_potential_gaussian",
     "bohm_potential_subcritical",
@@ -158,13 +158,13 @@ class WavefunctionGrid:
 class PhaseField:
     """Quadratic phase S(x,t) = x^2 nu_dot(t)/2 + mu(t), with mu(0) = 0.
 
-    mu is pinned by mu_dot = -exp(-2 nu)/2 = -1/(2 rho^2); the integration
-    constant mu(0) = 0 is a convention (a global phase is physically
-    irrelevant but must be fixed for reproducibility).
+    mu is the ErmakovSolution's phase integral, pinned by
+    mu_dot = -exp(-2 nu)/2 = -1/(2 rho^2); the integration constant
+    mu(0) = 0 is a convention (a global phase is physically irrelevant but
+    must be fixed for reproducibility).
     """
 
     mu: Callable
-    mu_dot: Callable
     scale: LogScale
 
     def S(self, x, t):
@@ -177,7 +177,8 @@ class PhaseField:
         return self.scale.nu_dot(t)
 
     def S_t(self, x, t):
-        return 0.5 * np.asarray(x, dtype=float) ** 2 * self.scale.nu_ddot(t) + self.mu_dot(t)
+        mu_dot = -0.5 * np.exp(-2.0 * self.scale.nu(t))
+        return 0.5 * np.asarray(x, dtype=float) ** 2 * self.scale.nu_ddot(t) + mu_dot
 
 
 def amplitude_gaussian(x, t, scale: LogScale):
@@ -241,60 +242,6 @@ def amplitude_general(a0, grid: SpatialGrid, t, scale: LogScale) -> np.ndarray:
                     stacklevel=2,
                 )
     return np.exp(-0.5 * nu) * values
-
-
-def mu_subcritical(b: float, t):
-    """Closed-form mu(t) = -(a/2b) ln((a+bt)/a) on the subcritical branch.
-
-    This is the antiderivative of -1/(2 rho^2) with mu(0) = 0; b = 0 is
-    the constant-frequency limit mu = -t/2.
-    """
-    a, _ = subcritical_parameters(b)
-    t = np.asarray(t, dtype=float)
-    if b == 0.0:
-        return -0.5 * t
-    return -(a / (2.0 * b)) * np.log1p(b * t / a)
-
-
-def mu_critical(t):
-    """Closed-form mu(t) = -arctan(ln(1+2t)/2)/2 on the critical branch.
-
-    Monotone decreasing with limit -pi/4 as t -> infinity; mu(0) = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    u = 1.0 + 2.0 * t
-    if np.any(u <= 0):
-        raise ValueError("critical phase requires 1 + 2t > 0")
-    return -0.5 * np.arctan(0.5 * np.log(u))
-
-
-def _mu_dot_from_scale(scale: LogScale) -> Callable:
-    return lambda t: -0.5 * np.exp(-2.0 * scale.nu(t))
-
-
-def phase_field_subcritical(b: float) -> PhaseField:
-    a, _ = subcritical_parameters(b)
-    profile = FrequencyProfile.rational(a, b)
-    scale = log_scale(subcritical_solution(b), profile)
-    return PhaseField(
-        mu=lambda t: mu_subcritical(b, t),
-        mu_dot=_mu_dot_from_scale(scale),
-        scale=scale,
-    )
-
-
-def phase_field_critical() -> PhaseField:
-    profile = FrequencyProfile.rational(1.0, 2.0)
-    scale = log_scale(critical_solution(), profile)
-    return PhaseField(mu=mu_critical, mu_dot=_mu_dot_from_scale(scale), scale=scale)
-
-
-def phase_field_numeric(solution: ErmakovSolution, profile: FrequencyProfile) -> PhaseField:
-    """Phase field for a numerically integrated Ermakov solution."""
-    if solution.mu is None:
-        raise ValueError("solution carries no phase quadrature; integrate numerically")
-    scale = log_scale(solution, profile)
-    return PhaseField(mu=solution.mu, mu_dot=_mu_dot_from_scale(scale), scale=scale)
 
 
 def wavefunction(grid: SpatialGrid, times, scale: LogScale, field: PhaseField) -> WavefunctionGrid:
@@ -383,6 +330,12 @@ class Construction:
         return wavefunction(grid, times, self.scale, self.field)
 
 
+def _construction(profile: FrequencyProfile, solution: ErmakovSolution) -> Construction:
+    scale = log_scale(solution, profile)
+    return Construction(profile=profile, solution=solution, scale=scale,
+                        field=PhaseField(mu=solution.mu, scale=scale))
+
+
 def rational_construction(b: float) -> Construction:
     """Full construction for the rational family at slope b.
 
@@ -394,16 +347,9 @@ def rational_construction(b: float) -> Construction:
     if regime is Regime.UNSUPPORTED:
         raise ValueError(f"b={b} > 2 is outside the supported regimes")
     if regime is Regime.CRITICAL:
-        profile = FrequencyProfile.rational(1.0, 2.0)
-        solution = critical_solution()
-        field = phase_field_critical()
-    else:
-        a, _ = subcritical_parameters(b)
-        profile = FrequencyProfile.rational(a, b)
-        solution = subcritical_solution(b)
-        field = phase_field_subcritical(b)
-    return Construction(profile=profile, solution=solution,
-                        scale=field.scale, field=field)
+        return _construction(FrequencyProfile.rational(1.0, 2.0), critical_solution())
+    a, _ = subcritical_parameters(b)
+    return _construction(FrequencyProfile.rational(a, b), subcritical_solution(b))
 
 
 def numeric_construction(
@@ -417,6 +363,4 @@ def numeric_construction(
     """Full construction for an arbitrary profile via numeric integration."""
     solution = solve_numeric(profile, rho0, rho_dot0, window,
                              rel_tol=rel_tol, abs_tol=abs_tol)
-    field = phase_field_numeric(solution, profile)
-    return Construction(profile=profile, solution=solution,
-                        scale=field.scale, field=field)
+    return _construction(profile, solution)

@@ -108,6 +108,16 @@ class TestBohmCommand:
         assert_surface_matches_scalar(tmp_path, ["--omega-table", str(table)],
                                       construction)
 
+    def test_omega_table_past_last_sample_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "omega.csv"
+        t = np.linspace(0.0, 2.0, 21)
+        np.savetxt(table, np.column_stack([t, 1.0 / (1.0 + 0.5 * t)]), delimiter=",")
+        out = tmp_path / "bohm.csv"
+        assert main(["bohm", "--omega-table", str(table), "--t-max", "3",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_critical_flag(self, tmp_path):
         out = tmp_path / "bohm.csv"
         assert main(["bohm", "--critical", "--nx", "5", "--nt", "2",
@@ -280,6 +290,21 @@ class TestCliPlumbing:
         ["verify", "--b", "1", "--nx", "1"],
     ])
     def test_empty_sweep_or_zero_spacing_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--critical", "--t-max", "inf"],
+        ["transition", "--t-probe", "nan"],
+        ["transition", "--x-probe", "nan"],
+        ["bohm", "--b", "1", "--t-max", "nan"],
+        ["verify", "--b", "1", "--dt", "nan"],
+        ["tdse-check", "--b", "1", "--t-max", "0.01", "--x-max", "0"],
+        ["tdse-check", "--b", "1", "--t-max", "0.01", "--x-max", "-4"],
+    ])
+    def test_non_finite_float_or_empty_domain_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()

@@ -90,6 +90,14 @@ class TestFrequencyProfile:
         assert profile.omega(0.5) == pytest.approx(0.75)
         assert profile.omega(1.5) == pytest.approx(0.375)
 
+    def test_from_table_raises_outside_its_range(self):
+        profile = FrequencyProfile.from_table([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
+        assert profile.omega(2.0) == 0.25
+        with pytest.raises(ValueError, match=r"table on \[0, 2\].* at t=2.5$"):
+            profile.omega(2.5)
+        with pytest.raises(ValueError, match="at t=-1$"):
+            profile.omega([0.5, -1.0, 3.0])
+
     def test_from_table_validation(self):
         with pytest.raises(ValueError):
             FrequencyProfile.from_table([0.0, 0.0], [1.0, 1.0])

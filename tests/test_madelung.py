@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bohmosc import (
     FrequencyProfile,
@@ -13,6 +14,7 @@ from bohmosc import (
     bohm_potential_gaussian,
     bohm_potential_subcritical,
     classical_potential,
+    ermakov_residual,
     mu_critical,
     mu_subcritical,
     normalization,
@@ -335,3 +337,37 @@ class TestConstructions:
         assert wf.amplitude().shape == (3, 512)
         single = wf.at(1)
         assert single.times.tolist() == [1.0]
+
+
+class TestConstructionProperties:
+    """Invariants of rational_construction over the whole supported range."""
+
+    @given(st.floats(0.0, 2.0, exclude_max=True))
+    @example(2.0)
+    def test_rational_construction_invariants(self, b):
+        c = rational_construction(b)
+        assert c.solution.rho(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert c.field.S(0.0, 0.0) == 0.0
+
+        # the Gaussian widens with rho, up to ~1e3 near b = 2, so size the
+        # grid per time
+        for t in (0.0, 1.0):
+            half_width = 12.0 * float(c.solution.rho(t))
+            grid = SpatialGrid(-half_width, half_width, 1024)
+            assert c.psi(grid, t).norms()[0] == pytest.approx(1.0, abs=1e-12)
+
+        # the residual's terms grow like (2-b)^-3/2 near b = 2, so bound it
+        # against their size: 1e-10 where they are of order one
+        t = np.linspace(0.0, 5.0, 101)
+        rho = c.solution.rho(t)
+        terms = (np.abs(c.solution.rho_ddot(t)) + c.profile.omega(t) ** 2 * rho
+                 + rho**-3)
+        residual = ermakov_residual(c.solution, c.profile, t)
+        assert np.all(np.abs(residual) <= 1e-10 * terms)
+
+        # from t = 0.1: at t = 0 the truncation error grows like 1/a^2
+        t = np.linspace(0.1, 5.0, 50)
+        h = 1e-5
+        fd = (c.field.mu(t + h) - c.field.mu(t - h)) / (2 * h)
+        expected = -0.5 / c.solution.rho(t) ** 2
+        np.testing.assert_allclose(fd, expected, rtol=1e-8)
