@@ -49,6 +49,10 @@ EXIT_THRESHOLD = 3
 
 _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 
+# Start and tolerances of the ermakov numeric solve, which the closed-form
+# family path does not use: there, other values are refused.
+_NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": 1e-10, "abs_tol": 1e-12}
+
 
 def _write_csv(path: str, header, columns) -> None:
     """Write columns, broadcast to one shape, as rows in C order.
@@ -137,9 +141,11 @@ def _cmd_ermakov(args) -> int:
     times = np.linspace(0.0, args.t_max, _count(args.samples, "--samples"))
     profile, generic = _profile_from_args(args)
 
-    if generic:
-        rho_dot0 = 0.0
-    else:
+    rho_dot0 = 0.0
+    if not generic:
+        for key, default in _NUMERIC_DEFAULTS.items():
+            if not args.numeric and getattr(args, key) != default:
+                raise ValueError(f"--{key.replace('_', '-')} needs --numeric")
         construction = rational_construction(args.b)
         profile, solution = construction.profile, construction.solution
         rho_dot0 = float(solution.rho_dot(0.0))
@@ -386,10 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1001)
     p.add_argument("--numeric", action="store_true",
                    help="force the ODE integrator over the closed form")
-    p.add_argument("--rho0", type=float, default=1.0)
-    p.add_argument("--rho-dot0", type=float, default=None)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    for key, default in _NUMERIC_DEFAULTS.items():
+        p.add_argument(f"--{key.replace('_', '-')}", type=float, default=default)
     _add_common(p)
     p.set_defaults(func=_cmd_ermakov)
 

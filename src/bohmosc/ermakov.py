@@ -16,7 +16,7 @@ there are two closed forms:
 Everything downstream consumes rho through nu = ln(rho) and its first two
 derivatives, bundled here as a LogScale.  nu_ddot is always reconstructed
 through the ODE itself (rho'' = 1/rho^3 - Omega^2 rho) rather than by
-numerical differentiation, which would amplify interpolation noise.
+numerical differentiation.
 
 Each solution also carries the phase integral mu(t) = -int_0^t ds/(2 rho^2),
 in closed form on both rational branches:
@@ -24,8 +24,10 @@ in closed form on both rational branches:
   subcritical:  mu(t) = -(a/2b) ln((a+bt)/a)     (mu = -t/2 at b = 0)
   critical:     mu(t) = -arctan(ln(1+2t)/2)/2
 
-For arbitrary profiles an adaptive embedded Runge-Kutta 4(5) integration
-with dense output provides rho, rho' and mu on a requested window.
+For arbitrary profiles solve_numeric takes Pinney's linear route: rho and
+mu come from two solutions of the linear oscillator u'' + Omega^2 u = 0
+(Pinney, Proc. AMS 1, 681, 1950; Lewis & Riesenfeld, J. Math. Phys. 10,
+1458, 1969).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BPoly
 
 from .frequency import FrequencyProfile
 
@@ -62,26 +63,21 @@ RHO_FLOOR = 1e-8
 # once 1-b^2/4 is at rounding level and point callers at the critical branch.
 _NEAR_CRITICAL_MARGIN = 1e-14
 
-# Dense-output samples carry local error ~rel_tol; differentiating the
-# rebuilt interpolant twice amplifies that error by the squared node
-# spacing, so the sampled residual self-check can only enforce a multiple
-# of the requested tolerance (measured amplification is ~1e3..1e4).
-_RESIDUAL_CHECK_AMPLIFICATION = 1e5
-
-# Cap on node spacing when rebuilding the dense interpolant.
-_NODE_SPACING_CAP = 0.05
+# The numeric residual is the Wronskian drift (W^2 - 1)/rho^3: it reached
+# 25*(rel_tol + abs_tol) on the rational family (rho >= 1, T <= 50), but
+# 1/rho^3 magnifies it where Omega squeezes rho (1.6e4 at Omega = 6, T = 30).
+_RESIDUAL_CHECK_FACTOR = 1e5
 
 
 @dataclass(frozen=True)
 class ErmakovSolution:
     """A positive solution rho(t) of the Ermakov equation.
 
-    rho_ddot is an independent second derivative (analytic for closed
-    forms, the twice-differentiated dense interpolant for numeric
-    solutions) so that ermakov_residual is a genuine consistency check
-    and not a tautology.  mu is the phase integral -int_0^t ds/(2 rho^2),
-    with mu(0) = 0: closed form on the rational branches, the dense
-    quadrature for numeric solutions.
+    rho_ddot is an independent second derivative, so that
+    ermakov_residual is a genuine consistency check and not a tautology:
+    analytic for closed forms, and for numeric solutions W^2/rho^3 -
+    Omega^2 rho, with W the Wronskian of solve_numeric's linear solutions.
+    mu is the phase integral -int_0^t ds/(2 rho^2), with mu(0) = 0.
 
     Immutable value object; evaluation is reentrant and thread-safe.
     """
@@ -221,21 +217,20 @@ def solve_numeric(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
 ) -> ErmakovSolution:
-    """Integrate the Ermakov equation with an adaptive RK4(5) scheme.
+    """Solve the Ermakov equation by Pinney's linear route.
 
-    Returns a dense solution: the accepted solver steps (subdivided to at
-    most 0.05 apart) become interpolation nodes, and the solution is
-    rebuilt as a quintic Hermite interpolant from (rho, rho', rho'') per
-    node, with rho'' supplied by the ODE.  The phase quadrature
-    mu(t) = -int_0^t ds/(2 rho^2) rides along as a third state component,
-    with mu(window start) = 0.
+    Integrates u'' + Omega^2 u = 0 with an adaptive RK4(5) scheme for
+    u1 = rho0, u1' = rho_dot0 and u2 = 0, u2' = 1/rho0 at the window start,
+    so that the Wronskian W = u1 u2' - u2 u1' is 1; rel_tol and abs_tol
+    apply to (u1, u1', u2, u2').  The dense output gives, at any t,
+    rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
+    rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
+    mu(window start) = 0.  rho.x holds the step ends.
 
-    Raises RuntimeError if rho falls below RHO_FLOOR (a singular or
-    invalid configuration) or if the returned interpolant fails a sampled
-    residual self-check at 1e5*(rel_tol + abs_tol).  A bound of order
-    rel_tol itself is unreachable: the node data carry local error
-    ~rel_tol, and differentiating the interpolant twice amplifies that
-    error by the squared node spacing.
+    Raises RuntimeError if 1/|u'|, which bounds rho from below and equals
+    it at its minima, falls below RHO_FLOOR at a step end (a singular or
+    invalid configuration), or if the residual, the Wronskian drift
+    (W^2 - 1)/rho^3, fails a sampled self-check at 1e5*(rel_tol + abs_tol).
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(rho0) and rho0 > 0):
@@ -246,62 +241,61 @@ def solve_numeric(
         raise ValueError("tolerances must be positive")
 
     def rhs(t, y):
-        rho = y[0]
-        inv2 = 1.0 / (rho * rho)
-        return (y[1], inv2 * inv2 * rho - profile.omega(t) ** 2 * rho, -0.5 * inv2)
+        omega2 = profile.omega(t) ** 2
+        return (y[1], -omega2 * y[0], y[3], -omega2 * y[2])
 
-    def floor_event(t, y):
-        return y[0] - RHO_FLOOR
-
-    floor_event.terminal = True
-    floor_event.direction = -1
-
-    result = solve_ivp(
-        rhs,
-        (t0, t1),
-        (float(rho0), float(rho_dot0), 0.0),
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        dense_output=True,
-        events=floor_event,
-    )
-    if result.status == 1:
-        t_hit = result.t_events[0][0]
-        raise RuntimeError(
-            f"Ermakov integration failed: rho reached the floor {RHO_FLOOR:g} "
-            f"at t={t_hit:.6g} (singular or invalid configuration)"
-        )
+    result = solve_ivp(rhs, (t0, t1), (float(rho0), float(rho_dot0), 0.0, 1.0 / rho0),
+                       method="RK45", rtol=rel_tol, atol=abs_tol, dense_output=True)
     if not result.success:
         raise RuntimeError(f"Ermakov integration failed: {result.message}")
 
-    pieces = [np.array([result.t[0]])]
-    for lo, hi in zip(result.t[:-1], result.t[1:]):
-        splits = max(1, int(np.ceil((hi - lo) / _NODE_SPACING_CAP)))
-        pieces.append(np.linspace(lo, hi, splits + 1)[1:])
-    nodes = np.concatenate(pieces)
-    rho_n, rho_dot_n, mu_n = result.sol(nodes)
-    rho_ddot_n = rho_n**-3 - profile.omega(nodes) ** 2 * rho_n
-    rho_bp = BPoly.from_derivatives(
-        nodes, np.stack([rho_n, rho_dot_n, rho_ddot_n], axis=1)
-    )
-    mu_bp = BPoly.from_derivatives(
-        nodes, np.stack([mu_n, -0.5 / rho_n**2, rho_dot_n / rho_n**3], axis=1)
-    )
+    # rho can dip below the floor between step ends, where it is not sampled.
+    # Since |u'|^2 = rho'^2 + 1/rho^2, 1/|u'| is at most rho and equals it at
+    # each minimum of rho: the step ends read such a dip from |u'|.
+    u1, v1, u2, v2 = result.y
+    low = np.flatnonzero(np.hypot(v1, v2) > 1.0 / RHO_FLOOR)
+    if low.size:
+        raise RuntimeError(f"Ermakov integration failed: rho reached the floor "
+                           f"{RHO_FLOOR:g} near t={result.t[low[0]]:.6g} "
+                           "(singular or invalid configuration)")
 
-    solution = ErmakovSolution(
-        rho=rho_bp,
-        rho_dot=rho_bp.derivative(),
-        rho_ddot=rho_bp.derivative(2),
-        mu=mu_bp,
-    )
+    # The angle of (u1, u2) rises at the rate W/rho^2 and turns by less
+    # than pi within a step, so its unwrapped step-end values, interpolated,
+    # pick the branch at any t.
+    angle_ends = np.unwrap(np.arctan2(u2, u1))
+
+    def states(t):
+        t = np.asarray(t, dtype=float)
+        return result.sol(t.ravel()).reshape(4, *t.shape)
+
+    def rho(t):
+        u1, _, u2, _ = states(t)
+        return np.hypot(u1, u2)
+
+    def rho_dot(t):
+        u1, v1, u2, v2 = states(t)
+        return (u1 * v1 + u2 * v2) / np.hypot(u1, u2)
+
+    def rho_ddot(t):
+        u1, v1, u2, v2 = states(t)
+        r = np.hypot(u1, u2)
+        return (u1 * v2 - u2 * v1) ** 2 / r**3 - profile.omega(t) ** 2 * r
+
+    def mu(t):
+        u1, _, u2, _ = states(t)
+        angle = np.arctan2(u2, u1)
+        turns = np.round((np.interp(t, result.t, angle_ends) - angle) / (2.0 * np.pi))
+        return -0.5 * (angle + 2.0 * np.pi * turns)
+
+    rho.x = result.t
+    solution = ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
 
     probes = t0 + (t1 - t0) * (np.arange(512) + 0.5) / 512
     residual = np.max(np.abs(ermakov_residual(solution, profile, probes)))
-    tolerance = _RESIDUAL_CHECK_AMPLIFICATION * (rel_tol + abs_tol)
+    tolerance = _RESIDUAL_CHECK_FACTOR * (rel_tol + abs_tol)
     if residual > tolerance:
         raise RuntimeError(
-            f"dense interpolant failed the residual self-check: "
+            f"numeric solution failed the residual self-check: "
             f"{residual:.3e} > {tolerance:.3e}"
         )
     return solution
@@ -310,8 +304,9 @@ def solve_numeric(
 def ermakov_residual(solution: ErmakovSolution, profile: FrequencyProfile, t):
     """rho'' + Omega^2 rho - 1/rho^3, with rho'' independent of the ODE.
 
-    For closed forms rho'' is analytic; for numeric solutions it is the
-    second derivative of the dense interpolant.
+    For closed forms rho'' is analytic; for numeric solutions it is
+    W^2/rho^3 - Omega^2 rho, so the residual is the Wronskian drift
+    (W^2 - 1)/rho^3.
     """
     t = np.asarray(t, dtype=float)
     rho = solution.rho(t)

@@ -98,7 +98,7 @@ class TestBohmCommand:
                                       rational_construction(1.0))
 
     def test_omega_table_surface_values(self, tmp_path):
-        # a 2-D time column goes through np.interp and the BPoly interpolant
+        # a 2-D time column goes through np.interp and the dense ODE output
         table = tmp_path / "omega.csv"
         t = np.linspace(0.0, 2.0, 21)
         omega = 1.0 / (1.0 + 0.5 * t)
@@ -288,6 +288,11 @@ class TestCliPlumbing:
         ["verify", "--b", "1", "--nt", "0"],
         ["verify", "--b", "1", "--h", "0"],
         ["verify", "--b", "1", "--nx", "1"],
+        # numeric-solve flags that the closed-form family path would ignore
+        ["ermakov", "--b", "1", "--rho0", "2", "--rel-tol", "1e-3"],
+        ["ermakov", "--b", "1", "--rho-dot0", "0.5"],
+        ["ermakov", "--b", "1", "--rel-tol", "1e-3"],
+        ["ermakov", "--b", "2", "--abs-tol", "1e-6"],
     ])
     def test_empty_sweep_or_zero_spacing_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.out"

@@ -8,6 +8,8 @@ from bohmosc import (
     critical_solution,
     ermakov_residual,
     log_scale,
+    mu_subcritical,
+    numeric_construction,
     solve_numeric,
     subcritical_parameters,
     subcritical_solution,
@@ -127,6 +129,27 @@ class TestNumericSolver:
         solution = solve_numeric(family_profile(2.0), 1.0, 1.0, (0.0, 10.0))
         t = np.linspace(0.0, 10.0, 1001)
         assert np.max(np.abs(solution.rho(t) - closed_form_critical(t))) < 1e-8
+
+    @pytest.mark.parametrize("b", [1.999, 1.9999])
+    def test_matches_near_critical_closed_form(self, b):
+        a, _ = subcritical_parameters(b)
+        solution = solve_numeric(family_profile(b), 1.0, b / (2 * a), (0.0, 10.0))
+        t = np.linspace(0.0, 10.0, 1001)
+        rho = closed_form_subcritical(b, t)
+        assert np.max(np.abs(solution.rho(t) - rho) / rho) < 1e-8
+        assert np.max(np.abs(solution.mu(t) - mu_subcritical(b, t))) < 1e-9
+
+    def test_tabulated_rational_profile(self):
+        # Omega = 1/(a + b t) sampled every 0.04 on [0, 12], at a slope
+        # where the table's kinks used to fail the self-check
+        b = 0.6056646784075957
+        a = np.sqrt(1.0 - b * b / 4.0)
+        samples = np.arange(0.0, 12.02, 0.04)
+        table = FrequencyProfile.from_table(samples, 1.0 / (a + b * samples))
+        construction = numeric_construction(table, (0.0, 6.0))
+        exact = solve_numeric(FrequencyProfile.rational(a, b), 1.0, 0.0, (0.0, 6.0))
+        t = np.linspace(0.0, 6.0, 601)
+        assert np.max(np.abs(construction.solution.rho(t) - exact.rho(t))) < 1e-3
 
     def test_tightening_tolerances_is_monotone(self):
         b = 1.0
