@@ -482,6 +482,10 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as error:
+        print(f"bohmosc {args.command}: {str(error) or 'out of memory'}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

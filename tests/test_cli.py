@@ -1,11 +1,13 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from bohmosc import (
     FrequencyProfile,
+    SpatialGrid,
     amplitude_gaussian,
     bohm_potential_gaussian,
     classical_potential,
@@ -187,6 +189,29 @@ class TestTdseCheckCommand:
         assert main(base + ["--min-fidelity", "0.5"]) == 0
         # an unreachable bar must trip the threshold exit code
         assert main(base + ["--min-fidelity", "1.1"]) == 3
+
+    def test_debug_log_leaves_csv_unchanged(self, tmp_path, caplog):
+        argv = ["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", "1e-3",
+                "--samples", "3"]
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert main(argv + ["--out", str(quiet)]) == 0
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="bohmosc")
+        assert main(argv + ["--out", str(loud)]) == 0
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert loud.read_bytes() == quiet.read_bytes()
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(_grid):
+            raise MemoryError()
+
+        monkeypatch.setattr(SpatialGrid, "x", property(no_memory))
+        out = tmp_path / "t.csv"
+        assert main(["tdse-check", "--b", "1", "--t-max", "0.1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "bohmosc tdse-check: out of memory"]
 
 
 class TestFigureCommands:

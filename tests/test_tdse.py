@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from bohmosc import (
     propagate,
     rational_construction,
 )
+from bohmosc.tdse import _COEFF_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +163,11 @@ class TestGuards:
         psi0 = ground_state(grid)
         doubled = WavefunctionGrid(grid, psi0.times, 2.0 * psi0.psi)
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
-        with pytest.raises(ValueError, match="normalized"):
+        with pytest.raises(ValueError, match="normalized") as raised:
             propagate(doubled, config, 1.0)
+        message = str(raised.value)
+        assert "np.float64" not in message
+        assert float(message.rsplit("= ", 1)[1]) == pytest.approx(4.0)
 
     def test_direction_mismatch_rejected(self, static):
         grid = SpatialGrid()
@@ -189,3 +195,109 @@ class TestGuards:
                         sample_times=[0.1, 0.3, 0.5])
         np.testing.assert_allclose(out.times, [0.1, 0.3, 0.5])
         assert out.psi.shape == (3, 512)
+
+    def test_boundary_mass_guard(self):
+        # a free packet moving at speed 3 reaches x = 7.5 of [-8, 8] at t = 2.5
+        grid = SpatialGrid()
+        psi = ground_state(grid).psi * np.exp(3j * grid.x)
+        psi0 = WavefunctionGrid(grid, np.array([0.0]), psi)
+        config = PropagatorConfig(grid=grid, dt=1e-3,
+                                  profile=FrequencyProfile.constant(0.0))
+        with pytest.raises(RuntimeError, match="outer eighth") as raised:
+            propagate(psi0, config, 2.5)
+        assert len(str(raised.value).splitlines()) == 1
+
+    def test_phase_wrap_names_first_offending_time(self):
+        calls = []
+
+        def stepped(t):
+            calls.append(np.size(t))
+            return np.where(t < 0.3, 1.0, 10.0)
+
+        grid = SpatialGrid(-16.0, 16.0, 512)
+        config = PropagatorConfig(grid=grid, dt=1e-3,
+                                  profile=FrequencyProfile(stepped))
+        with pytest.raises(ValueError, match=r"at t=0\.3005;"):
+            propagate(ground_state(grid), config, 1.0)
+        assert calls == [1000]  # one block of midpoints, no step taken
+
+    def test_table_ending_early_raises_before_any_step(self):
+        table = FrequencyProfile.from_table([0.0, 0.5], [1.0, 1.0])
+        calls = []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return table.evaluator(t)
+
+        grid = SpatialGrid()
+        config = PropagatorConfig(grid=grid, dt=1e-3,
+                                  profile=FrequencyProfile(counted, table.label))
+        with pytest.raises(ValueError, match=r"not finite at t=0\.5005"):
+            propagate(ground_state(grid), config, 1.0)
+        assert calls == [1000]
+
+
+def strang_reference(psi0, config, t_end, sample_steps):
+    """The unfused Strang loop: two half-kicks and one FFT pair per step."""
+    grid, x = config.grid, config.grid.x
+    t0 = float(psi0.times[0])
+    n_steps = int(round((t_end - t0) / config.dt))
+    dt = (t_end - t0) / n_steps
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+    psi = psi0.psi[0].astype(complex)
+    out = []
+    for step in range(1, n_steps + 1):
+        t_mid = t0 + (step - 0.5) * dt
+        coeff = 0.5 * float(config.profile.omega(t_mid)) ** 2
+        half_v = np.exp(-0.5j * dt * coeff * x * x)
+        psi = half_v * np.fft.ifft(np.exp(-0.5j * k * k * dt)
+                                   * np.fft.fft(half_v * psi))
+        if step in sample_steps:
+            out.append(psi.copy())
+    return np.array(out)
+
+
+class TestFusedLoop:
+    @pytest.mark.parametrize("t_start, dt, t_end, sample_steps", [
+        (0.0, 1e-3, 0.05, [2, 3, 50]),            # consecutive and last
+        (0.5, -1e-3, 0.45, [10, 50]),             # backward
+        (0.0, 1e-3, 1e-3, [1]),                   # a single step
+        (0.0, 1e-3, (_COEFF_BLOCK + 3) * 1e-3,    # more than one block
+         [_COEFF_BLOCK, _COEFF_BLOCK + 1, _COEFF_BLOCK + 3]),
+    ])
+    def test_matches_unfused_strang(self, sub1, t_start, dt, t_end, sample_steps):
+        grid = SpatialGrid(-16.0, 16.0, 128)
+        psi0 = sub1.psi(grid, t_start)
+        before = psi0.psi.copy()
+        config = PropagatorConfig(grid=grid, dt=dt, profile=sub1.profile)
+        sample_times = [t_start + j * dt for j in sample_steps]
+        out = propagate(psi0, config, t_end, sample_times=sample_times)
+        expected = strang_reference(psi0, config, t_end, sample_steps)
+        assert np.max(np.abs(out.psi - expected)) <= 1e-12
+        np.testing.assert_array_equal(psi0.psi, before)
+
+    def test_final_slice_without_samples(self, sub1):
+        grid = SpatialGrid(-16.0, 16.0, 128)
+        psi0 = sub1.psi(grid, 0.0)
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=sub1.profile)
+        out = propagate(psi0, config, 0.2)
+        np.testing.assert_array_equal(out.times, [0.2])
+        expected = strang_reference(psi0, config, 0.2, [200])
+        assert np.max(np.abs(out.psi - expected)) <= 1e-12
+
+
+class TestStatistics:
+    def test_one_debug_record_per_call(self, sub1, caplog):
+        grid = SpatialGrid(-16.0, 16.0, 512)
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=sub1.profile)
+        caplog.set_level(logging.DEBUG, logger="bohmosc")
+        propagate(sub1.psi(grid, 0.0), config, 0.5, sample_times=[0.25, 0.5])
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.name.split(".")[0] == "bohmosc"
+        steps, drift, wrap, momentum, edge_mass = record.args
+        assert steps == 500
+        assert 0 <= drift <= 1e-10
+        assert 0 < wrap < 1 and 0 < momentum < 1
+        assert 0 <= edge_mass <= 1e-8
+        assert "500 steps" in record.getMessage()
