@@ -27,16 +27,18 @@ in closed form on both rational branches:
 For arbitrary profiles solve_numeric takes Pinney's linear route: rho and
 mu come from two solutions of the linear oscillator u'' + Omega^2 u = 0
 (Pinney, Proc. AMS 1, 681, 1950; Lewis & Riesenfeld, J. Math. Phys. 10,
-1458, 1969).
+1458, 1969).  scipy.integrate is imported by solve_numeric on its first
+call, not with this module, so the closed forms never load it; each call
+logs one DEBUG record on the ``bohmosc.ermakov`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .frequency import FrequencyProfile
 
@@ -55,6 +57,8 @@ __all__ = [
     "log_scale",
     "RHO_FLOOR",
 ]
+
+_log = logging.getLogger(__name__)
 
 # Below this the configuration is treated as singular and integration aborts.
 RHO_FLOOR = 1e-8
@@ -231,7 +235,12 @@ def solve_numeric(
     it at its minima, falls below RHO_FLOOR at a step end (a singular or
     invalid configuration), or if the residual, the Wronskian drift
     (W^2 - 1)/rho^3, fails a sampled self-check at 1e5*(rel_tol + abs_tol).
+    Before that check, logs one DEBUG record with the RK steps, the RHS
+    evaluations and the residual against its bound on the
+    ``bohmosc.ermakov`` logger.
     """
+    from scipy.integrate import solve_ivp
+
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(rho0) and rho0 > 0):
         raise ValueError(f"rho0 must be positive, got {rho0}")
@@ -293,6 +302,9 @@ def solve_numeric(
     probes = t0 + (t1 - t0) * (np.arange(512) + 0.5) / 512
     residual = np.max(np.abs(ermakov_residual(solution, profile, probes)))
     tolerance = _RESIDUAL_CHECK_FACTOR * (rel_tol + abs_tol)
+    _log.debug("solve_numeric: %d steps, %d RHS evaluations, residual %.3e "
+               "against bound %.3e", result.t.size - 1, result.nfev,
+               residual, tolerance)
     if residual > tolerance:
         raise RuntimeError(
             f"numeric solution failed the residual self-check: "

@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .frequency import FrequencyProfile, Regime, classify_rational
 from .ermakov import (
@@ -217,6 +216,8 @@ def amplitude_general(a0, grid: SpatialGrid, t, scale: LogScale) -> np.ndarray:
     outside the shrunken evaluation window (expansion, nu > 0), a warning
     reports the lost fraction.
     """
+    from scipy.interpolate import CubicSpline
+
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (grid.n,):
         raise ValueError(f"a0 must be sampled on the grid, shape {(grid.n,)}")

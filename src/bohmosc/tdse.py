@@ -22,6 +22,8 @@ the periodic boundary cannot pass silently.
 
 The discrete Fourier transform uses the standard wavenumber layout
 k in [-pi/h, pi/h); no transform convention leaks into the API.
+scipy.fft is imported on the first propagation, not with this module, so
+the subcommands that never propagate do not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .frequency import FrequencyProfile
 from .madelung import SpatialGrid, WavefunctionGrid
@@ -78,6 +79,8 @@ class PropagatorConfig:
 
 
 def _momentum_width(psi: np.ndarray, k: np.ndarray) -> float:
+    import scipy.fft
+
     spectrum = np.abs(scipy.fft.fft(psi)) ** 2
     total = spectrum.sum()
     if total == 0:
@@ -97,6 +100,8 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     eighth of the domain (its outer sixteenth at each end).  Logs one DEBUG
     record with the run's statistics on the ``bohmosc`` logger.
     """
+    import scipy.fft
+
     if psi0.times.size != 1:
         raise ValueError("psi0 must be a single-time slice")
     if psi0.grid != config.grid:

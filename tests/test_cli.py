@@ -69,6 +69,20 @@ class TestErmakovCommand:
     def test_missing_profile_exits_2(self, tmp_path):
         assert main(["ermakov", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_debug_log_leaves_csv_unchanged(self, tmp_path, caplog):
+        argv = ["ermakov", "--numeric", "--b", "1"]
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert main(argv + ["--out", str(quiet)]) == 0
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="bohmosc")
+        assert main(argv + ["--out", str(loud)]) == 0
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("bohmosc.ermakov", logging.DEBUG)
+        steps, rhs_evaluations, residual, bound = record.args
+        assert 0 < steps < rhs_evaluations
+        assert residual <= bound
+        assert loud.read_bytes() == quiet.read_bytes()
+
 
 def assert_surface_matches_scalar(tmp_path, flags, construction):
     """bohm over a 3x11 grid writes t-major rows whose every V_B, V, A, S

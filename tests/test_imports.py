@@ -1,0 +1,66 @@
+"""Which scipy subpackages each CLI path loads, checked in fresh processes.
+
+The closed-form subcommands only evaluate formulas, so importing the
+package and running them must load no scipy module at all; tdse-check
+loads scipy.fft on its first propagation and ermakov --numeric loads
+scipy.integrate on its first solve.  Each case needs a fresh interpreter,
+because the test process has long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from bohmosc.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Imports the package, then runs each argv (a JSON list of lists) through
+# cli.main in turn, printing its exit code and the scipy modules loaded so far.
+_RUNS = """
+import json, sys
+import bohmosc, bohmosc.cli
+for argv in json.loads(sys.argv[1]):
+    code = bohmosc.cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps([code, loaded]))
+"""
+
+
+def _python(args, cwd):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def _loaded_after_each(runs, cwd):
+    """[(exit code, scipy modules loaded by then)] per argv, in one fresh process."""
+    done = _python(["-c", _RUNS, json.dumps(runs)], cwd)
+    assert done.returncode == 0, done.stderr
+    return [(code, set(loaded)) for code, loaded in map(json.loads, done.stdout.splitlines())]
+
+
+def test_closed_form_subcommands_load_no_scipy(tmp_path):
+    runs = [["fig1"], ["fig2"], ["bohm", "--b", "1"], ["wavefunction", "--critical"],
+            ["verify", "--b", "1"], ["transition"], ["ermakov", "--b", "1"]]
+    runs = [argv + ["--out", f"{argv[0]}.out"] for argv in runs]
+    assert _loaded_after_each(runs, tmp_path) == [(0, set())] * len(runs)
+
+
+def test_solver_and_propagator_load_their_subpackage_on_first_use(tmp_path):
+    (tdse_code, after_tdse), (ermakov_code, after_ermakov) = _loaded_after_each(
+        [["tdse-check", "--b", "1", "--t-max", "0.01", "--out", "tdse.csv"],
+         ["ermakov", "--numeric", "--b", "1", "--out", "ermakov.csv"]], tmp_path)
+    assert (tdse_code, ermakov_code) == (0, 0)
+    assert "scipy.fft" in after_tdse
+    assert "scipy.integrate" not in after_tdse
+    assert "scipy.integrate" in after_ermakov
+
+
+def test_python_m_bohmosc_writes_what_main_writes(tmp_path):
+    done = _python(["-m", "bohmosc", "fig1", "--out", "module.csv"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert main(["fig1", "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
