@@ -27,9 +27,14 @@ in closed form on both rational branches:
 For arbitrary profiles solve_numeric takes Pinney's linear route: rho and
 mu come from two solutions of the linear oscillator u'' + Omega^2 u = 0
 (Pinney, Proc. AMS 1, 681, 1950; Lewis & Riesenfeld, J. Math. Phys. 10,
-1458, 1969).  scipy.integrate is imported by solve_numeric on its first
-call, not with this module, so the closed forms never load it; each call
-logs one DEBUG record on the ``bohmosc.ermakov`` logger.
+1458, 1969), integrated by the eighth-order Dormand-Prince scheme DOP853
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10).  The integration
+restarts at the knots of a tabulated profile, where Omega has kinks.  A
+numeric solution evaluates its dense output once per times array, so
+sampling rho, rho', rho'' and mu on one array costs one evaluation.
+scipy.integrate is imported by solve_numeric on its first call, not with
+this module, so the closed forms never load it; each call logs one DEBUG
+record on the ``bohmosc.ermakov`` logger.
 """
 
 from __future__ import annotations
@@ -68,8 +73,9 @@ RHO_FLOOR = 1e-8
 _NEAR_CRITICAL_MARGIN = 1e-14
 
 # The numeric residual is the Wronskian drift (W^2 - 1)/rho^3: it reached
-# 25*(rel_tol + abs_tol) on the rational family (rho >= 1, T <= 50), but
-# 1/rho^3 magnifies it where Omega squeezes rho (1.6e4 at Omega = 6, T = 30).
+# 13*(rel_tol + abs_tol) on the rational family (rho >= 1, T <= 50), but
+# 1/rho^3 magnifies it where Omega squeezes rho, and the drift grows with
+# the window (at Omega = 6 from rho = 1: 1.8e3 over T = 30, 1.2e4 over 300).
 _RESIDUAL_CHECK_FACTOR = 1e5
 
 
@@ -83,7 +89,8 @@ class ErmakovSolution:
     Omega^2 rho, with W the Wronskian of solve_numeric's linear solutions.
     mu is the phase integral -int_0^t ds/(2 rho^2), with mu(0) = 0.
 
-    Immutable value object; evaluation is reentrant and thread-safe.
+    Immutable value object; evaluation is reentrant and thread-safe (a
+    numeric solution replaces its memo of the last times array whole).
     """
 
     rho: Callable
@@ -223,23 +230,29 @@ def solve_numeric(
 ) -> ErmakovSolution:
     """Solve the Ermakov equation by Pinney's linear route.
 
-    Integrates u'' + Omega^2 u = 0 with an adaptive RK4(5) scheme for
-    u1 = rho0, u1' = rho_dot0 and u2 = 0, u2' = 1/rho0 at the window start,
-    so that the Wronskian W = u1 u2' - u2 u1' is 1; rel_tol and abs_tol
-    apply to (u1, u1', u2, u2').  The dense output gives, at any t,
-    rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
-    rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
-    mu(window start) = 0.  rho.x holds the step ends.
+    Integrates u'' + Omega^2 u = 0 with the eighth-order Dormand-Prince
+    scheme DOP853 for u1 = rho0, u1' = rho_dot0 and u2 = 0, u2' = 1/rho0
+    at the window start, so that the Wronskian W = u1 u2' - u2 u1' is 1;
+    rel_tol and abs_tol apply to (u1, u1', u2, u2').  The integration
+    restarts at every knot of the profile inside the window (the sample
+    times of a table, where Omega has a kink), and the pieces are joined
+    into one dense output.  It gives, at any t, rho = sqrt(u1^2 + u2^2),
+    rho' = (u1 u1' + u2 u2')/rho, rho'' = W^2/rho^3 - Omega^2 rho and
+    mu = -angle(u1, u2)/2, with mu(window start) = 0.  rho.x holds the
+    step ends, knots included.  The dense output is evaluated once per
+    times array: the solution remembers the last array it was given and
+    its states, so rho, rho', rho'' and mu on one array cost one
+    evaluation.
 
     Raises RuntimeError if 1/|u'|, which bounds rho from below and equals
     it at its minima, falls below RHO_FLOOR at a step end (a singular or
     invalid configuration), or if the residual, the Wronskian drift
     (W^2 - 1)/rho^3, fails a sampled self-check at 1e5*(rel_tol + abs_tol).
-    Before that check, logs one DEBUG record with the RK steps, the RHS
-    evaluations and the residual against its bound on the
-    ``bohmosc.ermakov`` logger.
+    Before that check, logs one DEBUG record with the knot segments, the
+    RK steps, the RHS evaluations and the residual against its bound on
+    the ``bohmosc.ermakov`` logger.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import OdeSolution, solve_ivp
 
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(rho0) and rho0 > 0):
@@ -253,29 +266,57 @@ def solve_numeric(
         omega2 = profile.omega(t) ** 2
         return (y[1], -omega2 * y[0], y[3], -omega2 * y[2])
 
-    result = solve_ivp(rhs, (t0, t1), (float(rho0), float(rho_dot0), 0.0, 1.0 / rho0),
-                       method="RK45", rtol=rel_tol, atol=abs_tol, dense_output=True)
-    if not result.success:
-        raise RuntimeError(f"Ermakov integration failed: {result.message}")
+    # At a kink of Omega the high-order steps are rejected again and again;
+    # restarting there costs a fresh initial step instead.
+    knots = np.asarray(profile.knots, dtype=float)
+    bounds = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
+    ts = [bounds[:1]]
+    ys = [np.array([[float(rho0)], [float(rho_dot0)], [0.0], [1.0 / rho0]])]
+    interpolants, nfev = [], 0
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        piece = solve_ivp(rhs, (start, stop), ys[-1][:, -1], method="DOP853",
+                          rtol=rel_tol, atol=abs_tol, dense_output=True)
+        if not piece.success:
+            raise RuntimeError(f"Ermakov integration failed: {piece.message}")
+        ts.append(piece.t[1:])
+        ys.append(piece.y[:, 1:])
+        interpolants += piece.sol.interpolants
+        nfev += piece.nfev
+    ts = np.concatenate(ts)
+    dense = OdeSolution(ts, interpolants)
 
     # rho can dip below the floor between step ends, where it is not sampled.
     # Since |u'|^2 = rho'^2 + 1/rho^2, 1/|u'| is at most rho and equals it at
     # each minimum of rho: the step ends read such a dip from |u'|.
-    u1, v1, u2, v2 = result.y
+    u1, v1, u2, v2 = np.concatenate(ys, axis=1)
     low = np.flatnonzero(np.hypot(v1, v2) > 1.0 / RHO_FLOOR)
     if low.size:
         raise RuntimeError(f"Ermakov integration failed: rho reached the floor "
-                           f"{RHO_FLOOR:g} near t={result.t[low[0]]:.6g} "
+                           f"{RHO_FLOOR:g} near t={ts[low[0]]:.6g} "
                            "(singular or invalid configuration)")
 
     # The angle of (u1, u2) rises at the rate W/rho^2 and turns by less
     # than pi within a step, so its unwrapped step-end values, interpolated,
-    # pick the branch at any t.
+    # pick the branch at any t.  It turns by pi only over a step that holds
+    # two zeros of one linear solution, half an oscillation (pi/Omega at
+    # constant Omega).  DOP853 steps reached 0.11 of that at rel_tol 1e-10
+    # and 0.35 at 1e-6 (constant Omega up to 1024, rho0 up to 1024).  The
+    # turn itself can come close to pi on a shorter step where rho is
+    # squeezed: 3.13 rad (99.6% of pi) at Omega = 16 from rho = 8, rho' = 0.
     angle_ends = np.unwrap(np.arctan2(u2, u1))
+
+    # The last times array and its states, kept read-only in one tuple so
+    # that concurrent callers replace it whole.
+    last = [(None, None)]
 
     def states(t):
         t = np.asarray(t, dtype=float)
-        return result.sol(t.ravel()).reshape(4, *t.shape)
+        key, value = last[0]
+        if key is None or not np.array_equal(key, t):
+            value = dense(t.ravel()).reshape(4, *t.shape)
+            value.flags.writeable = False
+            last[0] = t.copy(), value
+        return value
 
     def rho(t):
         u1, _, u2, _ = states(t)
@@ -293,18 +334,20 @@ def solve_numeric(
     def mu(t):
         u1, _, u2, _ = states(t)
         angle = np.arctan2(u2, u1)
-        turns = np.round((np.interp(t, result.t, angle_ends) - angle) / (2.0 * np.pi))
+        turns = np.round((np.interp(t, ts, angle_ends) - angle) / (2.0 * np.pi))
         return -0.5 * (angle + 2.0 * np.pi * turns)
 
-    rho.x = result.t
+    rho.x = ts
     solution = ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
 
     probes = t0 + (t1 - t0) * (np.arange(512) + 0.5) / 512
     residual = np.max(np.abs(ermakov_residual(solution, profile, probes)))
     tolerance = _RESIDUAL_CHECK_FACTOR * (rel_tol + abs_tol)
-    _log.debug("solve_numeric: %d steps, %d RHS evaluations, residual %.3e "
-               "against bound %.3e", result.t.size - 1, result.nfev,
-               residual, tolerance)
+    # The segment count is formatted in place, so that record.args stays
+    # (steps, RHS evaluations, residual, bound).
+    _log.debug(f"solve_numeric: {bounds.size - 1} knot segments, "
+               "%d steps, %d RHS evaluations, residual %.3e against bound %.3e",
+               ts.size - 1, nfev, residual, tolerance)
     if residual > tolerance:
         raise RuntimeError(
             f"numeric solution failed the residual self-check: "

@@ -95,11 +95,14 @@ class FrequencyProfile:
 
     Immutable after construction; safe to share across threads.  The
     evaluator must accept scalars and numpy arrays and be finite on the
-    time window it will be used on.
+    time window it will be used on.  knots holds the times where Omega
+    has a kink, the sample times of a table; it is empty for every other
+    profile, and the Ermakov solver restarts its integration there.
     """
 
     evaluator: Callable
     label: str = field(default="custom", compare=False)
+    knots: tuple = field(default=(), repr=False, compare=False)
 
     def omega(self, t):
         t = np.asarray(t, dtype=float)
@@ -128,8 +131,9 @@ class FrequencyProfile:
     def from_table(cls, t_samples, omega_samples) -> "FrequencyProfile":
         """Piecewise-linear profile through (t, Omega) samples.
 
-        Samples must be strictly increasing in t.  Outside the tabulated
-        range the profile is NaN, so omega raises there.
+        Samples must be strictly increasing in t; they become the knots.
+        Outside the tabulated range the profile is NaN, so omega raises
+        there.
         """
         ts = np.asarray(t_samples, dtype=float)
         om = np.asarray(omega_samples, dtype=float)
@@ -142,4 +146,5 @@ class FrequencyProfile:
         if np.any(om < 0):
             raise ValueError("tabulated frequencies must be >= 0")
         return cls(lambda t: np.interp(t, ts, om, left=np.nan, right=np.nan),
-                   label=f"table on [{ts[0]:g}, {ts[-1]:g}]")
+                   label=f"table on [{ts[0]:g}, {ts[-1]:g}]",
+                   knots=tuple(ts.tolist()))

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,15 @@ from bohmosc import (
     subcritical_parameters,
     subcritical_solution,
 )
+
+
+def tabulated_rational_profile():
+    """Omega = 1/(a + b t) sampled every 0.04 on [0, 12], the table of
+    test_tabulated_rational_profile."""
+    b = 0.6056646784075957
+    a = np.sqrt(1.0 - b * b / 4.0)
+    samples = np.arange(0.0, 12.02, 0.04)
+    return FrequencyProfile.from_table(samples, 1.0 / (a + b * samples))
 
 
 def family_profile(b):
@@ -151,6 +163,57 @@ class TestNumericSolver:
         t = np.linspace(0.0, 6.0, 601)
         assert np.max(np.abs(construction.solution.rho(t) - exact.rho(t))) < 1e-3
 
+    def test_near_critical_matches_closed_form_over_long_window(self):
+        # RK45 missed by 4.1e-8 here; rho grows to about 40 by t = 50
+        b = 2.0 - 10.0 ** -2.5
+        a, _ = subcritical_parameters(b)
+        solution = solve_numeric(family_profile(b), 1.0, b / (2 * a), (0.0, 50.0))
+        t = np.linspace(0.0, 50.0, 5001)
+        assert np.max(np.abs(solution.rho(t) - closed_form_subcritical(b, t))) < 1e-8
+
+    def test_equilibrium_is_preserved_over_long_window(self):
+        # u1 and u2 oscillate although rho = 1 is stationary; RK45 drifted
+        # to 2.4e-9 by t = 200
+        solution = solve_numeric(FrequencyProfile.constant(1.0), 1.0, 0.0, (0.0, 200.0))
+        t = np.linspace(0.0, 200.0, 4001)
+        assert np.max(np.abs(solution.rho(t) - 1.0)) < 1e-9
+
+    def test_table_step_ends_contain_every_knot_in_the_window(self):
+        table = tabulated_rational_profile()
+        solution = solve_numeric(table, 1.0, 0.0, (0.1, 6.02))
+        knots = np.asarray(table.knots)
+        inside = knots[(knots > 0.1) & (knots < 6.02)]
+        assert inside.size == 148
+        assert np.all(np.isin(inside, solution.rho.x))
+        assert solution.rho.x[0] == 0.1 and solution.rho.x[-1] == 6.02
+
+    def test_table_solve_restarts_at_knots(self, caplog):
+        # One DOP853 run over the whole window takes 28583 RHS evaluations,
+        # rejecting steps at every kink
+        table = tabulated_rational_profile()
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        solve_numeric(table, 1.0, 0.0, (0.0, 10.0))
+        (record,) = caplog.records
+        _, rhs_evaluations, _, _ = record.args
+        assert rhs_evaluations < 10000
+        assert re.search(r"\b250 knot segments\b", record.getMessage())
+
+    def test_smooth_profile_is_one_segment(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        solve_numeric(family_profile(1.0), 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
+        (record,) = caplog.records
+        assert re.search(r"\b1 knot segments\b", record.getMessage())
+
+    def test_phase_branch_with_long_steps(self):
+        # u1 = 8 cos 16t, u2 = sin(16t)/128: the angle of (u1, u2) turns by
+        # up to 3.13 rad within one step here, just under the pi at which
+        # the step-end unwrap would pick the wrong branch; a wrong branch
+        # puts mu off by pi
+        solution = solve_numeric(FrequencyProfile.constant(16.0), 8.0, 0.0, (0.0, 3.0))
+        t = np.linspace(0.0, 3.0, 3001)
+        expected = -0.5 * np.unwrap(np.arctan2(np.sin(16 * t) / 128, 8 * np.cos(16 * t)))
+        assert np.max(np.abs(solution.mu(t) - expected)) < 1e-6
+
     def test_tightening_tolerances_is_monotone(self):
         b = 1.0
         a, _ = subcritical_parameters(b)
@@ -191,6 +254,66 @@ class TestNumericSolver:
             solve_numeric(profile, 1.0, 0.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             solve_numeric(profile, 1.0, 0.0, (0.0, 1.0), rel_tol=0.0)
+
+
+class TestNumericSampling:
+    """A numeric solution evaluates its dense output once per times array."""
+
+    @staticmethod
+    def solve():
+        return solve_numeric(family_profile(2.0), 1.0, 1.0, (0.0, 10.0))
+
+    @staticmethod
+    def sample(solution, t):
+        return [solution.rho(t), solution.rho_dot(t), solution.rho_ddot(t),
+                solution.mu(t)]
+
+    def test_mutated_times_give_new_values(self):
+        solution, reference = self.solve(), self.solve()
+        t = np.linspace(0.0, 10.0, 101)
+        self.sample(solution, t)
+        t *= 0.5
+        for got, want in zip(self.sample(solution, t), self.sample(reference, t.copy())):
+            np.testing.assert_array_equal(got, want)
+
+    def test_writing_into_a_result_leaves_the_next_call_unchanged(self):
+        solution = self.solve()
+        t = np.linspace(0.0, 10.0, 101)
+        first = [f.copy() for f in self.sample(solution, t)]
+        for values in self.sample(solution, t):
+            values[:] = -1.0
+        for got, want in zip(self.sample(solution, t), first):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 1), (3, 4)])
+    def test_matches_a_fresh_solution_on_a_copy(self, shape):
+        solution, reference = self.solve(), self.solve()
+        t = np.linspace(0.5, 9.5, int(np.prod(shape))).reshape(shape)
+        self.sample(solution, np.linspace(0.0, 10.0, 11))
+        got = self.sample(solution, t)
+        got_again = self.sample(solution, t)
+        for a, b, c in zip(got, got_again, self.sample(reference, t.copy())):
+            assert np.shape(a) == shape
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, c)
+
+    def test_one_dense_output_call_per_times_array(self, monkeypatch):
+        from scipy.integrate import OdeSolution
+
+        solution = self.solve()
+        calls = []
+        evaluate = OdeSolution.__call__
+        monkeypatch.setattr(OdeSolution, "__call__",
+                            lambda self, t: calls.append(1) or evaluate(self, t))
+        profile, t = family_profile(2.0), np.linspace(0.0, 10.0, 101)
+        scale = log_scale(solution, profile)
+        self.sample(solution, t)
+        for field in (scale.nu, scale.nu_dot, scale.nu_ddot):
+            field(t)
+        ermakov_residual(solution, profile, t)
+        assert len(calls) == 1
+        self.sample(solution, t[::2])
+        assert len(calls) == 2
 
 
 class TestLogScale:

@@ -98,6 +98,13 @@ class TestFrequencyProfile:
         with pytest.raises(ValueError, match="at t=-1$"):
             profile.omega([0.5, -1.0, 3.0])
 
+    def test_from_table_keeps_sample_times_as_knots(self):
+        profile = FrequencyProfile.from_table(np.array([0.0, 0.3, 2.0]), [1.0, 0.5, 0.25])
+        assert profile.knots == (0.0, 0.3, 2.0)
+        assert FrequencyProfile.constant(1.0).knots == ()
+        assert FrequencyProfile.rational(1.0, 2.0).knots == ()
+        assert FrequencyProfile(lambda t: 1.0 + 0.0 * t).knots == ()
+
     def test_from_table_validation(self):
         with pytest.raises(ValueError):
             FrequencyProfile.from_table([0.0, 0.0], [1.0, 1.0])
