@@ -57,15 +57,40 @@ _NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": 1e-10, "abs_tol":
 def _write_csv(path: str, header, columns) -> None:
     """Write columns, broadcast to one shape, as rows in C order.
 
-    Rows go out one slice of the leading axis at a time, so the text of
-    the whole table is never held in memory at once.
+    Every value is printed as "%.17g", and a value that the broadcast
+    repeats is formatted once.  Repeats show as zero strides: a column
+    constant along the trailing axis (the (n_t, 1) time column of a
+    sweep) is formatted once per leading index, and one constant along
+    the leading axis (the (1, n_x) position row) once per file.  The
+    other cells, and every cell of a 1-d table, are formatted one by one.  Rows go out one slice of the
+    leading axis at a time, so the text of the whole table is never held
+    in memory at once.
     """
     columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*columns)]
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    n_rows, width = columns[0].shape
+    per_slice, per_file = {}, {}
+    for j, column in enumerate(columns):
+        if width > 1 and column.strides[1] == 0:
+            per_slice[j] = ["%.17g" % v for v in column[:, 0].tolist()]
+        elif n_rows > 1 and column.strides[0] == 0:
+            per_file[j] = ["%.17g" % v for v in column[0].tolist()]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for i in range(columns[0].shape[0]):
-            rows = zip(*(column[i].tolist() for column in columns))
+        for i in range(n_rows):
+            # Formatted numbers hold no "%", so a slice's constant text can
+            # go into its line template as it is.
+            fields, values = [], []
+            for j, column in enumerate(columns):
+                if j in per_slice:
+                    fields.append(per_slice[j][i])
+                elif j in per_file:
+                    fields.append("%s")
+                    values.append(per_file[j])
+                else:
+                    fields.append("%.17g")
+                    values.append(column[i].tolist())
+            line = ",".join(fields) + "\n"
+            rows = zip(*values) if values else [()] * width
             handle.writelines([line % row for row in rows])
 
 
@@ -209,6 +234,8 @@ def _cmd_verify(args) -> int:
     b_value = _branch_value(args)
     construction = rational_construction(b_value)
     span = args.x_max - args.x_min
+    if not span > 0:
+        raise ValueError(f"need --x-max > --x-min, got [{args.x_min}, {args.x_max}]")
     n_probes = _count(args.nt, "--nt")
     probes = np.linspace(args.t_max / n_probes, args.t_max, n_probes)
 

@@ -238,8 +238,10 @@ def solve_numeric(
     times of a table, where Omega has a kink), and the pieces are joined
     into one dense output.  It gives, at any t, rho = sqrt(u1^2 + u2^2),
     rho' = (u1 u1' + u2 u2')/rho, rho'' = W^2/rho^3 - Omega^2 rho and
-    mu = -angle(u1, u2)/2, with mu(window start) = 0.  rho.x holds the
-    step ends, knots included.  The dense output is evaluated once per
+    mu = -angle(u1, u2)/2, with mu(window start) = 0 and its branch read
+    from the angle unwrapped at the step ends, and at the midpoints of
+    steps that may turn by pi/2 or more.  rho.x holds
+    the step ends, knots included.  The dense output is evaluated once per
     times array: the solution remembers the last array it was given and
     its states, so rho, rho', rho'' and mu on one array cost one
     evaluation.
@@ -263,7 +265,10 @@ def solve_numeric(
         raise ValueError("tolerances must be positive")
 
     def rhs(t, y):
-        omega2 = profile.omega(t) ** 2
+        # t is a float here, so omega is an np.float64, on which ** 2 would
+        # call pow; omega * omega keeps the bits of squaring an array.
+        omega = profile.omega(t)
+        omega2 = omega * omega
         return (y[1], -omega2 * y[0], y[3], -omega2 * y[2])
 
     # At a kink of Omega the high-order steps are rejected again and again;
@@ -295,15 +300,23 @@ def solve_numeric(
                            f"{RHO_FLOOR:g} near t={ts[low[0]]:.6g} "
                            "(singular or invalid configuration)")
 
-    # The angle of (u1, u2) rises at the rate W/rho^2 and turns by less
-    # than pi within a step, so its unwrapped step-end values, interpolated,
-    # pick the branch at any t.  It turns by pi only over a step that holds
-    # two zeros of one linear solution, half an oscillation (pi/Omega at
-    # constant Omega).  DOP853 steps reached 0.11 of that at rel_tol 1e-10
-    # and 0.35 at 1e-6 (constant Omega up to 1024, rho0 up to 1024).  The
-    # turn itself can come close to pi on a shorter step where rho is
-    # squeezed: 3.13 rad (99.6% of pi) at Omega = 16 from rho = 8, rho' = 0.
-    angle_ends = np.unwrap(np.arctan2(u2, u1))
+    # The angle of (u1, u2) rises at the rate W/rho^2.  Unwrapped at the
+    # sample times and interpolated, it picks the branch at any t, as long
+    # as it turns by less than pi from one sample to the next.  A step can
+    # turn by more: 1.07 pi at constant Omega = 1 with rel_tol = abs_tol =
+    # 1e-2, where the step ends alone put mu off by 18.9.  So a step whose
+    # ends do not read a turn below pi/2 is also sampled at its midpoint;
+    # that holds while a step turns by less than 2 pi and each half by less
+    # than pi.  At the default tolerances a step seldom needs a midpoint.
+    angle_ends = np.arctan2(u2, u1)
+    split = np.flatnonzero(np.diff(angle_ends) % (2.0 * np.pi) >= 0.5 * np.pi)
+    nodes, angle_nodes = ts, angle_ends
+    if split.size:
+        mids = 0.5 * (ts[split] + ts[split + 1])
+        w1, _, w2, _ = dense(mids)
+        nodes = np.insert(ts, split + 1, mids)
+        angle_nodes = np.insert(angle_ends, split + 1, np.arctan2(w2, w1))
+    angle_nodes = np.unwrap(angle_nodes)
 
     # The last times array and its states, kept read-only in one tuple so
     # that concurrent callers replace it whole.
@@ -329,12 +342,12 @@ def solve_numeric(
     def rho_ddot(t):
         u1, v1, u2, v2 = states(t)
         r = np.hypot(u1, u2)
-        return (u1 * v2 - u2 * v1) ** 2 / r**3 - profile.omega(t) ** 2 * r
+        return (u1 * v2 - u2 * v1) ** 2 / r**3 - np.square(profile.omega(t)) * r
 
     def mu(t):
         u1, _, u2, _ = states(t)
         angle = np.arctan2(u2, u1)
-        turns = np.round((np.interp(t, ts, angle_ends) - angle) / (2.0 * np.pi))
+        turns = np.round((np.interp(t, nodes, angle_nodes) - angle) / (2.0 * np.pi))
         return -0.5 * (angle + 2.0 * np.pi * turns)
 
     rho.x = ts
@@ -380,7 +393,7 @@ def log_scale(solution: ErmakovSolution, profile: FrequencyProfile) -> LogScale:
     def nu_ddot(t):
         rho = solution.rho(t)
         rho_dot = solution.rho_dot(t)
-        rho_ddot = rho**-3 - profile.omega(t) ** 2 * rho
+        rho_ddot = rho**-3 - np.square(profile.omega(t)) * rho
         return (rho * rho_ddot - rho_dot * rho_dot) / (rho * rho)
 
     return LogScale(nu=nu, nu_dot=nu_dot, nu_ddot=nu_ddot)

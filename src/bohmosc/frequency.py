@@ -16,6 +16,7 @@ are supported through plain callables or tabulated samples.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,10 +78,19 @@ class RationalFrequency:
         return classify_rational(self.b)
 
     def omega(self, t):
-        """Evaluate Omega(t); raises if the denominator a + b t is not positive."""
-        t = np.asarray(t, dtype=float)
-        denom = self.a + self.b * t
-        if np.any(denom <= 0):
+        """Evaluate Omega(t); raises if the denominator a + b t is not positive.
+
+        A float t, np.float64 included, gives an np.float64 without
+        building an array; the arithmetic, and so every bit, is that of
+        the array path.
+        """
+        if isinstance(t, float):
+            denom = self.a + self.b * np.float64(t)
+            undefined = denom <= 0
+        else:
+            denom = self.a + self.b * np.asarray(t, dtype=float)
+            undefined = np.any(denom <= 0)
+        if undefined:
             raise ValueError(
                 f"Omega undefined: a + b*t <= 0 for a={self.a}, b={self.b}"
             )
@@ -105,6 +115,20 @@ class FrequencyProfile:
     knots: tuple = field(default=(), repr=False, compare=False)
 
     def omega(self, t):
+        """Evaluate Omega(t); raises ValueError where it is not finite.
+
+        A float t, np.float64 included, as the Ermakov solver passes it,
+        takes a scalar path: the evaluator gets np.float64(t), so numpy's
+        semantics hold (1/0 is inf, and then an error), and the result is
+        an np.float64 with the bits of the array path.  Any other t is
+        evaluated as an array.
+        """
+        if isinstance(t, float):
+            value = self.evaluator(np.float64(t))
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"frequency profile '{self.label}' not finite at t={t:g}")
+            return np.float64(value)
         t = np.asarray(t, dtype=float)
         value = np.asarray(self.evaluator(t), dtype=float)
         if not np.all(np.isfinite(value)):

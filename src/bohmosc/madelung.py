@@ -315,7 +315,7 @@ def bohm_potential_from_amplitude(a, grid: SpatialGrid, m: float = 1.0) -> np.ma
 def classical_potential(profile: FrequencyProfile, x, t):
     """V(x,t) = Omega^2(t) x^2 / 2."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * profile.omega(t) ** 2 * x * x
+    return 0.5 * np.square(profile.omega(t)) * x * x
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
 
     psi = psi0.psi[0].astype(complex)
     norm0 = np.trapezoid(np.abs(psi) ** 2, x)
-    if abs(norm0 - 1.0) > 1e-8:
+    if not abs(norm0 - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError(f"psi0 is not normalized: int |psi|^2 dx = {float(norm0)}")
 
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=h)

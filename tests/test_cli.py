@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import logging
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bohmosc import (
     FrequencyProfile,
@@ -14,7 +20,7 @@ from bohmosc import (
     numeric_construction,
     rational_construction,
 )
-from bohmosc.cli import main
+from bohmosc.cli import _write_csv, main
 
 
 def read_csv(path):
@@ -332,6 +338,7 @@ class TestCliPlumbing:
         ["ermakov", "--b", "1", "--rho-dot0", "0.5"],
         ["ermakov", "--b", "1", "--rel-tol", "1e-3"],
         ["ermakov", "--b", "2", "--abs-tol", "1e-6"],
+        ["verify", "--b", "1", "--x-min", "0", "--x-max", "0"],
     ])
     def test_empty_sweep_or_zero_spacing_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.out"
@@ -347,9 +354,192 @@ class TestCliPlumbing:
         ["verify", "--b", "1", "--dt", "nan"],
         ["tdse-check", "--b", "1", "--t-max", "0.01", "--x-max", "0"],
         ["tdse-check", "--b", "1", "--t-max", "0.01", "--x-max", "-4"],
+        # psi0 is NaN on so coarse a grid
+        ["tdse-check", "--critical", "--t-max", "0.01", "--x-max", "1e300"],
     ])
     def test_non_finite_float_or_empty_domain_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.out"
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def naive_csv(header, columns):
+    """Reference writer: every cell formatted on its own with "%.17g"."""
+    columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*columns)]
+    n_rows, width = columns[0].shape
+    lines = [",".join(header)]
+    for i in range(n_rows):
+        for k in range(width):
+            lines.append(",".join("%.17g" % column[i, k] for column in columns))
+    return ("\n".join(lines) + "\n").encode()
+
+
+CSV_VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.5e-310,
+                     1e300, -1e-300, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one table: 1-d ones, or an (n, m) table built from time
+    columns (n, 1), position rows (1, m), cells (n, m) and constants."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        shapes = [(m,), (1,), ()]
+    else:
+        shapes = [(n, 1), (1, m), (n, m), (1, 1), ()]
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from(shapes))
+        if len(shape) == 2 and 1 in shape and draw(st.booleans()):
+            # t[:, None] and x[None, :] have stride 0 along their new axis
+            column = draw(arrays(np.float64, max(shape), elements=CSV_VALUES))
+            columns.append(column[:, None] if shape[1] == 1 else column[None, :])
+        else:
+            columns.append(draw(arrays(np.float64, shape, elements=CSV_VALUES)))
+    return columns
+
+
+class TestWriteCsv:
+    @given(csv_columns())
+    @example([np.linspace(0.0, 1.0, 3)[:, None], np.linspace(-1.0, 1.0, 4)[None, :],
+              np.full((3, 4), -0.0), np.full((1, 4), 5e-324)])
+    @example([np.array([[np.nan]]), np.array([[np.inf], [-np.inf]])])
+    @example([np.linspace(0.0, 1.0, 3)[:, None], np.float64(-0.0)])
+    def test_matches_a_writer_that_formats_every_cell(self, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "table.csv")
+            _write_csv(path, header, columns)
+            with open(path, "rb") as handle:
+                written = handle.read()
+        assert written == naive_csv(header, columns)
+
+
+# The CLI contract: any argv the flag grammar allows ends in exit 0, 2 or 3
+# with at most one line on stderr, never in an exception.  Grid sizes,
+# refinement levels and the tdse-check window are bounded so that no run
+# allocates a large grid or takes long; so are the ermakov window and --a,
+# since Omega = 1/a needs about t-max/a steps.
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, -1e-300,
+                                  1e300, -1e300, np.nan, np.inf, -np.inf])
+
+
+def floats(low=-10.0, high=10.0):
+    return st.one_of(st.floats(low, high), SPECIAL_FLOATS)
+
+
+def sizes(high=64, usual=()):
+    return st.one_of(st.integers(-1, high), st.sampled_from(usual or [high]))
+
+
+def value(flag, values):
+    """One --flag=value token; = keeps values such as -inf off the option list."""
+    return values.map(lambda v: [f"{flag}={v!r}" if isinstance(v, float)
+                                 else f"{flag}={v}"])
+
+
+def switch(flag):
+    return st.just([flag])
+
+
+SLOPES = st.one_of(st.floats(0.0, 2.5), SPECIAL_FLOATS)
+TABLES = st.sampled_from(["table.csv"] * 4 + ["one_column.csv", "decreasing.csv",
+                                              "text.csv", "missing.csv"])
+TABLE_FILES = {
+    "table.csv": "\n".join(f"{t:g},{1.0 / (1.0 + t):g}"
+                           for t in np.arange(0.0, 2.05, 0.1)),
+    "one_column.csv": "0\n1\n2",
+    "decreasing.csv": "1,1\n0,1",
+    "text.csv": "t,omega\nzero,one",
+}
+
+# Each entry of a grammar is a strategy for its tokens; an entry named in
+# REQUIRED is always drawn, any other a third of the time.
+OUT = {"out": value("--out", st.sampled_from(["out.csv"] * 5 + ["missing/out.csv"])),
+       "manifest": value("--manifest", st.just("manifest.json"))}
+# One branch flag is drawn four times as often as none or both.
+BRANCH = {"branch": st.one_of(value("--b", SLOPES), switch("--critical"),
+                              value("--b", SLOPES), switch("--critical"), st.just([]),
+                              value("--b", SLOPES).map(["--critical"].__add__))}
+FIELD_GRID = {"x-min": value("--x-min", floats()), "x-max": value("--x-max", floats()),
+              "nx": value("--nx", sizes(usual=[2, 11])),
+              "t-max": value("--t-max", st.one_of(floats(), st.floats(0.0, 2.0))),
+              "nt": value("--nt", sizes(usual=[1, 5]))}
+GRAMMAR = {
+    "ermakov": {"b": value("--b", SLOPES),
+                "a": value("--a", st.one_of(SPECIAL_FLOATS, st.floats(0.05, 4.0))),
+                "omega-table": value("--omega-table", TABLES),
+                "t-max": value("--t-max", st.floats(-1.0, 20.0)),
+                "samples": value("--samples", sizes()), "numeric": switch("--numeric"),
+                "rho0": value("--rho0", floats()),
+                "rho-dot0": value("--rho-dot0", floats()),
+                "rel-tol": value("--rel-tol", floats()),
+                "abs-tol": value("--abs-tol", floats()), **OUT},
+    "bohm": {**BRANCH, "omega-table": value("--omega-table", TABLES),
+             **FIELD_GRID, **OUT},
+    "wavefunction": {**BRANCH, "omega-table": value("--omega-table", TABLES),
+                     **FIELD_GRID, **OUT},
+    "verify": {**BRANCH,
+               "x-min": value("--x-min", st.floats(-20.0, 20.0)),
+               "x-max": value("--x-max", st.floats(-20.0, 20.0)),
+               "t-max": value("--t-max", floats()),
+               "nt": value("--nt", sizes(usual=[1, 3])),
+               "nx": value("--nx", sizes(usual=[2, 17])),
+               "h": value("--h", st.one_of(st.sampled_from([0.0, -1.0, np.nan]),
+                                           st.floats(0.25, 10.0))),
+               "dt": value("--dt", floats()), "refine": value("--refine", sizes(2)),
+               "order": value("--order", st.sampled_from([2, 4])),
+               "threshold": value("--threshold", floats()), **OUT},
+    "tdse-check": {**BRANCH,
+                   "t-max": value("--t-max", st.one_of(st.floats(-0.01, 0.01),
+                                                       st.sampled_from([0.01, 0.005]))),
+                   "dt": value("--dt", st.one_of(st.sampled_from([0.0, -1e-3, np.nan]),
+                                                 st.sampled_from([1e-4, 1e-3, 2.5e-3]),
+                                                 st.floats(1e-4, 1.0))),
+                   "n": value("--n", sizes(usual=[16, 32, 64])),
+                   "x-max": value("--x-max", floats(-10.0, 50.0)),
+                   "samples": value("--samples", sizes(usual=[2, 3])),
+                   "min-fidelity": value("--min-fidelity", floats()), **OUT},
+    "fig1": OUT,
+    "fig2": OUT,
+    "transition": {"t-probe": value("--t-probe", floats()),
+                   "x-probe": value("--x-probe", floats()),
+                   "b-values": value("--b-values", st.one_of(
+                       st.lists(floats(-1.0, 3.0), min_size=1, max_size=4).map(
+                           lambda bs: ",".join(map(repr, bs))),
+                       st.sampled_from(["", "one", "1,,2"]))),
+                   **OUT},
+}
+REQUIRED = {"out", "branch", "tdse-check t-max"}
+PATH_FLAGS = ("--out=", "--manifest=", "--omega-table=")
+
+
+@st.composite
+def cli_argv(draw, command):
+    argv = [command]
+    for name, tokens in GRAMMAR[command].items():
+        if {name, f"{command} {name}"} & REQUIRED or draw(st.integers(0, 2)) == 0:
+            argv += draw(tokens)
+    return argv
+
+
+class TestCliContract:
+    @settings(max_examples=150)
+    @given(st.sampled_from(sorted(GRAMMAR)).flatmap(cli_argv))
+    def test_random_argv_exits_with_at_most_one_line(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            for name, text in TABLE_FILES.items():
+                with open(os.path.join(directory, name), "w") as handle:
+                    handle.write(text + "\n")
+            argv = [arg.replace("=", "=" + directory + os.sep, 1)
+                    if arg.startswith(PATH_FLAGS) else arg for arg in argv]
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()

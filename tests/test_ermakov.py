@@ -1,5 +1,6 @@
 import logging
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ class TestNumericSolver:
         assert rhs_evaluations < 10000
         assert re.search(r"\b250 knot segments\b", record.getMessage())
 
+    def test_scalar_omega_leaves_the_solve_unchanged(self, caplog):
+        # The right-hand side calls omega with a float t; a stand-in that
+        # passes t as an array takes the array path (8000 RHS evaluations)
+        table = tabulated_rational_profile()
+        as_array = SimpleNamespace(omega=lambda t: table.omega(np.asarray(t)),
+                                   knots=table.knots)
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        scalar = solve_numeric(table, 1.0, 0.0, (0.0, 10.0))
+        array = solve_numeric(as_array, 1.0, 0.0, (0.0, 10.0))
+        first, second = caplog.records
+        assert first.args == second.args
+        t = np.linspace(0.0, 10.0, 101)
+        for name in ("rho", "rho_dot", "rho_ddot", "mu"):
+            assert (getattr(scalar, name)(t).tobytes()
+                    == getattr(array, name)(t).tobytes())
+
     def test_smooth_profile_is_one_segment(self, caplog):
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
         solve_numeric(family_profile(1.0), 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
@@ -206,13 +223,22 @@ class TestNumericSolver:
 
     def test_phase_branch_with_long_steps(self):
         # u1 = 8 cos 16t, u2 = sin(16t)/128: the angle of (u1, u2) turns by
-        # up to 3.13 rad within one step here, just under the pi at which
-        # the step-end unwrap would pick the wrong branch; a wrong branch
-        # puts mu off by pi
+        # up to 3.13 rad within one step here, where rho is squeezed; a
+        # wrong branch puts mu off by pi
         solution = solve_numeric(FrequencyProfile.constant(16.0), 8.0, 0.0, (0.0, 3.0))
         t = np.linspace(0.0, 3.0, 3001)
         expected = -0.5 * np.unwrap(np.arctan2(np.sin(16 * t) / 128, 8 * np.cos(16 * t)))
         assert np.max(np.abs(solution.mu(t) - expected)) < 1e-6
+
+    @pytest.mark.parametrize("omega", [1.0, 4.0, 16.0])
+    def test_phase_branch_at_loose_tolerances(self, omega):
+        # From the equilibrium rho = omega^(-1/2), mu = -omega t/2.  A step
+        # turns (u1, u2) by up to 1.15 pi here; the step ends alone put mu
+        # off by 18.9 at omega = 1
+        solution = solve_numeric(FrequencyProfile.constant(omega), omega**-0.5, 0.0,
+                                 (0.0, 20.0), rel_tol=1e-2, abs_tol=1e-2)
+        t = np.linspace(0.0, 20.0, 2001)
+        assert np.max(np.abs(solution.mu(t) + 0.5 * omega * t)) < 0.1
 
     def test_tightening_tolerances_is_monotone(self):
         b = 1.0

@@ -122,3 +122,57 @@ class TestFrequencyProfile:
         with np.errstate(divide="ignore"):
             with pytest.raises(ValueError):
                 profile.omega(0.0)
+
+
+def _table_profile():
+    t = np.linspace(0.0, 12.0, 301)
+    return FrequencyProfile.from_table(t, 1.0 / (1.0 + 0.6 * t))
+
+
+SCALAR_CASES = {
+    "table": _table_profile(),
+    "rational": FrequencyProfile.rational(0.8, 1.2),
+    "rational-bare": RationalFrequency(0.8, 1.2),
+    "constant": FrequencyProfile.constant(2.5),
+    "custom": FrequencyProfile(lambda t: 1.0 / (1.0 + t * t)),
+}
+
+
+class TestScalarPath:
+    """A float t skips the array checks; its value must not change."""
+
+    @pytest.mark.parametrize("name", SCALAR_CASES)
+    def test_bits_equal_the_array_path(self, name):
+        profile = SCALAR_CASES[name]
+        times = np.concatenate([np.linspace(0.0, 12.0, 1201),
+                                np.random.default_rng(5).uniform(0.0, 12.0, 200)])
+        expected = np.asarray(profile.omega(times)).tobytes()
+        as_float = np.array([profile.omega(float(t)) for t in times])
+        as_float64 = np.array([profile.omega(t) for t in times])
+        assert as_float.tobytes() == expected
+        assert as_float64.tobytes() == expected
+
+    @pytest.mark.parametrize("name", SCALAR_CASES)
+    def test_returns_a_float64(self, name):
+        profile = SCALAR_CASES[name]
+        assert type(profile.omega(0.5)) is np.float64
+        assert type(profile.omega(np.float64(0.5))) is np.float64
+
+    def test_raises_past_the_table(self):
+        profile = _table_profile()
+        for t in (12.5, np.float64(-0.5)):
+            with pytest.raises(ValueError, match=r"table on \[0, 12\].* not finite"):
+                profile.omega(t)
+
+    @pytest.mark.parametrize("t", [-1.0, -2.0, np.float64(-1.0)])
+    def test_raises_where_the_denominator_is_not_positive(self, t):
+        with pytest.raises(ValueError, match="a \\+ b\\*t <= 0"):
+            RationalFrequency(1.0, 1.0).omega(t)
+        with pytest.raises(ValueError, match="a \\+ b\\*t <= 0"):
+            FrequencyProfile.rational(1.0, 1.0).omega(t)
+
+    def test_division_by_zero_raises(self):
+        profile = FrequencyProfile(lambda t: 1.0 / t)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match="not finite at t=0$"):
+                profile.omega(0.0)
