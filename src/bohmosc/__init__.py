@@ -9,17 +9,12 @@ propagator.
 """
 
 from .frequency import (
-    CRITICAL_SLOPE,
-    CRITICAL_SLOPE_TOL,
     FrequencyProfile,
     RationalFrequency,
     Regime,
     classify_rational,
 )
 from .ermakov import (
-    RHO_FLOOR,
-    ErmakovSolution,
-    LogScale,
     closed_form_critical,
     closed_form_subcritical,
     critical_solution,
@@ -32,15 +27,11 @@ from .ermakov import (
     subcritical_solution,
 )
 from .madelung import (
-    AMPLITUDE_FLOOR,
-    Construction,
-    PhaseField,
     SpatialGrid,
     WavefunctionGrid,
     amplitude_gaussian,
     amplitude_gaussian_dt,
     amplitude_gaussian_dx,
-    amplitude_general,
     bohm_potential_critical,
     bohm_potential_from_amplitude,
     bohm_potential_gaussian,
@@ -64,15 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "CRITICAL_SLOPE",
-    "CRITICAL_SLOPE_TOL",
     "FrequencyProfile",
     "RationalFrequency",
     "Regime",
     "classify_rational",
-    "RHO_FLOOR",
-    "ErmakovSolution",
-    "LogScale",
     "closed_form_critical",
     "closed_form_subcritical",
     "critical_solution",
@@ -83,15 +69,11 @@ __all__ = [
     "solve_numeric",
     "subcritical_parameters",
     "subcritical_solution",
-    "AMPLITUDE_FLOOR",
-    "Construction",
-    "PhaseField",
     "SpatialGrid",
     "WavefunctionGrid",
     "amplitude_gaussian",
     "amplitude_gaussian_dt",
     "amplitude_gaussian_dx",
-    "amplitude_general",
     "bohm_potential_critical",
     "bohm_potential_from_amplitude",
     "bohm_potential_gaussian",

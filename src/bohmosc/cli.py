@@ -39,6 +39,7 @@ from .madelung import (
     classical_potential,
     numeric_construction,
     rational_construction,
+    wavefunction,
 )
 from .verify import build_residual_report
 from .tdse import PropagatorConfig, fidelity, propagate
@@ -218,8 +219,7 @@ def _cmd_bohm(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     construction, t, x = _field_sweep(args)
-    amp = amplitude_gaussian(x, t, construction.scale)
-    psi = amp * np.exp(1j * construction.field.S(x, t))
+    psi = wavefunction(x, t, construction.scale, construction.field)
     _write_csv(args.out, ["t", "x", "re_psi", "im_psi", "abs2_psi"],
                [t, x, psi.real, psi.imag, np.abs(psi) ** 2])
     _write_manifest(args, [args.out])
@@ -505,8 +505,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_finite(args)
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError) as error:
+        # An overflow or a NaN would otherwise go on into the output as
+        # inf/nan cells; underflow is left alone, since Gaussian tails
+        # underflow to 0 by design.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (ValueError, RuntimeError, OSError, FloatingPointError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)
         return EXIT_DOMAIN
     except MemoryError as error:

@@ -324,6 +324,9 @@ def solve_numeric(
 
     def states(t):
         t = np.asarray(t, dtype=float)
+        if t.size == 0:
+            # The dense output cannot evaluate an empty array.
+            return np.empty((4, *t.shape))
         key, value = last[0]
         if key is None or not np.array_equal(key, t):
             value = dense(t.ravel()).reshape(4, *t.shape)

@@ -25,7 +25,6 @@ All field evaluations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -38,8 +37,6 @@ from .ermakov import (
     LogScale,
     critical_solution,
     log_scale,
-    mu_critical,
-    mu_subcritical,
     solve_numeric,
     subcritical_parameters,
     subcritical_solution,
@@ -53,9 +50,6 @@ __all__ = [
     "amplitude_gaussian",
     "amplitude_gaussian_dx",
     "amplitude_gaussian_dt",
-    "amplitude_general",
-    "mu_subcritical",
-    "mu_critical",
     "wavefunction",
     "bohm_potential_gaussian",
     "bohm_potential_subcritical",
@@ -72,10 +66,6 @@ _PI_MQUARTER = np.pi**-0.25
 # |A| below this is treated as a node: the Bohm potential genuinely diverges
 # there and fabricated values would poison residual tests, so mask instead.
 AMPLITUDE_FLOOR = 1e-12
-
-# Tolerable fraction of L2 mass allowed to leave the grid under dilation
-# before amplitude_general emits a warning.
-_DILATION_LEAK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,9 +129,6 @@ class WavefunctionGrid:
 
     def amplitude(self) -> np.ndarray:
         return np.abs(self.psi)
-
-    def phase_angle(self) -> np.ndarray:
-        return np.angle(self.psi)
 
     def at(self, index: int) -> "WavefunctionGrid":
         """Single-time slice."""
@@ -208,49 +195,9 @@ def amplitude_gaussian_dt(x, t, scale: LogScale):
     )
 
 
-def amplitude_general(a0, grid: SpatialGrid, t, scale: LogScale) -> np.ndarray:
-    """Dilate an arbitrary sampled initial amplitude: A(x,t) = e^(-nu/2) A0(x e^(-nu)).
-
-    Off-grid arguments are evaluated by cubic interpolation and zero
-    outside the grid.  If more than 1e-6 of the L2 mass of A0 falls
-    outside the shrunken evaluation window (expansion, nu > 0), a warning
-    reports the lost fraction.
-    """
-    from scipy.interpolate import CubicSpline
-
-    a0 = np.asarray(a0, dtype=float)
-    if a0.shape != (grid.n,):
-        raise ValueError(f"a0 must be sampled on the grid, shape {(grid.n,)}")
-    nu = float(scale.nu(t))
-    stretch = np.exp(-nu)
-    x = grid.x
-    y = x * stretch
-
-    spline = CubicSpline(x, a0, extrapolate=False)
-    values = spline(y)
-    values = np.where(np.isnan(values), 0.0, values)
-
-    if stretch < 1.0:
-        mass_total = np.trapezoid(a0 * a0, x)
-        inside = (x >= grid.x_min * stretch) & (x <= grid.x_max * stretch)
-        mass_inside = np.trapezoid(np.where(inside, a0 * a0, 0.0), x)
-        if mass_total > 0:
-            leak = 1.0 - mass_inside / mass_total
-            if leak > _DILATION_LEAK_TOL:
-                warnings.warn(
-                    f"dilation pushed {leak:.3e} of the L2 mass off the grid "
-                    f"(nu={nu:.4g}); enlarge the domain",
-                    stacklevel=2,
-                )
-    return np.exp(-0.5 * nu) * values
-
-
-def wavefunction(grid: SpatialGrid, times, scale: LogScale, field: PhaseField) -> WavefunctionGrid:
-    """psi(x,t) = A(x,t) exp(i S(x,t)) sampled on the grid at the given times."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    t = times[:, None]
-    psi = amplitude_gaussian(grid.x, t, scale) * np.exp(1j * field.S(grid.x, t))
-    return WavefunctionGrid(grid=grid, times=times, psi=psi)
+def wavefunction(x, t, scale: LogScale, field: PhaseField) -> np.ndarray:
+    """psi(x,t) = A(x,t) exp(i S(x,t)) on the broadcast of x and t."""
+    return amplitude_gaussian(x, t, scale) * np.exp(1j * field.S(x, t))
 
 
 def bohm_potential_gaussian(x, t, scale: LogScale):
@@ -328,7 +275,11 @@ class Construction:
     field: PhaseField
 
     def psi(self, grid: SpatialGrid, times) -> WavefunctionGrid:
-        return wavefunction(grid, times, self.scale, self.field)
+        """psi sampled on the grid at the given times, one row per time."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return WavefunctionGrid(grid=grid, times=times,
+                                psi=wavefunction(grid.x, times[:, None],
+                                                 self.scale, self.field))
 
 
 def _construction(profile: FrequencyProfile, solution: ErmakovSolution) -> Construction:

@@ -235,10 +235,10 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
     x = grid.x
     scale, field, profile = construction.scale, construction.field, construction.profile
 
-    psi = construction.psi(grid, times).psi
     column = times[:, None]
     a = amplitude_gaussian(x, column, scale)
     s = field.S(x, column)
+    psi = a * np.exp(1j * s)
     v = classical_potential(profile, x, column)
     v_b = bohm_potential_gaussian(x, column, scale)
 

@@ -166,6 +166,17 @@ class TestWavefunctionCommand:
         norm = np.trapezoid(slice0[:, 4], slice0[:, 1])
         assert norm == pytest.approx(1.0, abs=1e-9)
 
+    def test_psi_columns_equal_the_construction(self, tmp_path):
+        # "%.17g" round-trips doubles, so the columns read back exactly.
+        out = tmp_path / "psi.csv"
+        assert main(["wavefunction", "--b", "1", "--x-min", "-8", "--x-max", "8",
+                     "--nx", "512", "--nt", "3", "--out", str(out)]) == 0
+        data = read_csv(out)
+        times = np.linspace(0.0, 6.0, 3)
+        psi = rational_construction(1.0).psi(SpatialGrid(), times).psi
+        np.testing.assert_array_equal(data[:, 2], psi.real.ravel())
+        np.testing.assert_array_equal(data[:, 3], psi.imag.ravel())
+
 
 class TestVerifyCommand:
     def test_report_structure(self, tmp_path):
@@ -356,6 +367,9 @@ class TestCliPlumbing:
         ["tdse-check", "--b", "1", "--t-max", "0.01", "--x-max", "-4"],
         # psi0 is NaN on so coarse a grid
         ["tdse-check", "--critical", "--t-max", "0.01", "--x-max", "1e300"],
+        # x^2 overflows
+        ["bohm", "--b", "1", "--x-max", "1e300", "--nx", "3", "--nt", "2"],
+        ["wavefunction", "--b", "1", "--x-max", "1e300", "--nx", "3", "--nt", "2"],
     ])
     def test_non_finite_float_or_empty_domain_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.out"

@@ -311,7 +311,7 @@ class TestNumericSampling:
         for got, want in zip(self.sample(solution, t), first):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("shape", [(), (7,), (5, 1), (3, 4)])
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 1), (3, 4), (0,)])
     def test_matches_a_fresh_solution_on_a_copy(self, shape):
         solution, reference = self.solve(), self.solve()
         t = np.linspace(0.5, 9.5, int(np.prod(shape))).reshape(shape)

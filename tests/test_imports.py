@@ -4,7 +4,9 @@ The closed-form subcommands only evaluate formulas, so importing the
 package and running them must load no scipy module at all; tdse-check
 loads scipy.fft on its first propagation and ermakov --numeric loads
 scipy.integrate on its first solve.  Each case needs a fresh interpreter,
-because the test process has long since imported scipy.
+because the test process has long since imported scipy.  So does the
+stderr of a failing run: under pytest, numpy warnings are recorded, not
+printed.
 """
 
 import json
@@ -64,3 +66,11 @@ def test_python_m_bohmosc_writes_what_main_writes(tmp_path):
     assert done.returncode == 0, done.stderr
     assert main(["fig1", "--out", str(tmp_path / "main.csv")]) == 0
     assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_floating_point_error_prints_one_line(tmp_path):
+    done = _python(["-m", "bohmosc", "tdse-check", "--critical", "--t-max", "0.01",
+                    "--x-max", "1e300", "--out", "tdse.csv"], tmp_path)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert not (tmp_path / "tdse.csv").exists()

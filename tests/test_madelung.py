@@ -8,7 +8,6 @@ from bohmosc import (
     amplitude_gaussian,
     amplitude_gaussian_dt,
     amplitude_gaussian_dx,
-    amplitude_general,
     bohm_potential_critical,
     bohm_potential_from_amplitude,
     bohm_potential_gaussian,
@@ -20,7 +19,6 @@ from bohmosc import (
     normalization,
     numeric_construction,
     rational_construction,
-    wavefunction,
 )
 
 PI_MQUARTER = np.pi**-0.25
@@ -87,37 +85,6 @@ class TestGaussianAmplitude:
               - amplitude_gaussian(x, 1.0 - h, sub1.scale)) / (2 * h)
         np.testing.assert_allclose(
             amplitude_gaussian_dt(x, 1.0, sub1.scale), fd, atol=1e-9)
-
-
-class TestGeneralAmplitude:
-    def test_identity_dilation(self, static):
-        grid = SpatialGrid(-8.0, 8.0, 513)
-        a0 = PI_MQUARTER * np.exp(-0.5 * grid.x**2)
-        np.testing.assert_allclose(
-            amplitude_general(a0, grid, 2.0, static.scale), a0, atol=1e-14)
-
-    def test_matches_closed_form_on_refined_grid(self, sub1):
-        grid = SpatialGrid(-8.0, 8.0, 1025)
-        a0 = PI_MQUARTER * np.exp(-0.5 * grid.x**2)
-        sampled = amplitude_general(a0, grid, 2.0, sub1.scale)
-        closed = amplitude_gaussian(grid.x, 2.0, sub1.scale)
-        assert np.max(np.abs(sampled - closed)) < 1e-8
-
-    def test_mass_preserved(self, sub1):
-        grid = SpatialGrid(-16.0, 16.0, 1024)
-        a0 = PI_MQUARTER * np.exp(-0.5 * grid.x**2)
-        dilated = amplitude_general(a0, grid, 3.0, sub1.scale)
-        mass0 = np.trapezoid(a0 * a0, grid.x)
-        mass1 = np.trapezoid(dilated * dilated, grid.x)
-        assert abs(mass1 - mass0) < 1e-8
-
-    def test_leak_warning_when_grid_too_small(self, sub1):
-        # nu(10) ~ 1.26 shrinks the evaluation window by e^-nu ~ 0.28; a
-        # wide initial amplitude then loses visible mass
-        grid = SpatialGrid(-4.0, 4.0, 256)
-        a0 = np.exp(-0.5 * (grid.x / 2.5) ** 2)
-        with pytest.warns(UserWarning, match="mass"):
-            amplitude_general(a0, grid, 10.0, sub1.scale)
 
 
 class TestPhase:
@@ -332,7 +299,7 @@ class TestConstructions:
 
     def test_wavefunction_grid_shape(self, sub1):
         grid = SpatialGrid()
-        wf = wavefunction(grid, [0.0, 1.0, 2.0], sub1.scale, sub1.field)
+        wf = sub1.psi(grid, [0.0, 1.0, 2.0])
         assert wf.psi.shape == (3, 512)
         assert wf.amplitude().shape == (3, 512)
         single = wf.at(1)

@@ -193,3 +193,28 @@ class TestResidualReport:
             ResidualReport(se_residual_l2=-1.0, se_residual_max=0.0,
                            continuity_residual_max=0.0, qhje_residual_max=0.0,
                            normalization_error=0.0, h=0.1, dt=0.1, n_x=64, n_t=3)
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_report_equals_one_assembled_from_the_public_parts(self, sub1, space_order):
+        # psi from Construction.psi, A and S sampled on the same (3, 1)
+        # time column: the report must hold exactly these numbers.
+        grid, t, dt = SpatialGrid(-8.0, 8.0, 257), 1.5, 1e-3
+        times = np.array([t - dt, t, t + dt])
+        x, column = grid.x, times[:, None]
+        psi = sub1.psi(grid, times).psi
+        a = amplitude_gaussian(x, column, sub1.scale)
+        s = sub1.field.S(x, column)
+        v = classical_potential(sub1.profile, x, column)
+        v_b = bohm_potential_gaussian(x, column, sub1.scale)
+        se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order)
+        expected = ResidualReport(
+            se_residual_l2=se_l2,
+            se_residual_max=se_max,
+            continuity_residual_max=continuity_residual(
+                a, s, x, dt, space_order=space_order),
+            qhje_residual_max=qhje_residual(
+                s, v_b, v, x, dt, mask=np.abs(psi) > 1e-10 * np.max(np.abs(psi))),
+            normalization_error=abs(float(normalization(psi[1], x)) - 1.0),
+            h=grid.h, dt=dt, n_x=grid.n, n_t=3)
+        report = build_residual_report(sub1, grid, t, dt, space_order=space_order)
+        assert report.to_dict() == expected.to_dict()
