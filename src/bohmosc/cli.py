@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .frequency import FrequencyProfile, Regime, classify_rational
-from .ermakov import ermakov_residual, log_scale, solve_numeric
+from .ermakov import ABS_TOL, REL_TOL, ermakov_residual, log_scale, solve_numeric
 from .madelung import (
     SpatialGrid,
     amplitude_gaussian,
@@ -52,7 +52,7 @@ _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 
 # Start and tolerances of the ermakov numeric solve, which the closed-form
 # family path does not use: there, other values are refused.
-_NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": 1e-10, "abs_tol": 1e-12}
+_NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
 
 def _write_csv(path: str, header, columns) -> None:

@@ -106,8 +106,9 @@ class FrequencyProfile:
     Immutable after construction; safe to share across threads.  The
     evaluator must accept scalars and numpy arrays and be finite on the
     time window it will be used on.  knots holds the times where Omega
-    has a kink, the sample times of a table; it is empty for every other
-    profile, and the Ermakov solver restarts its integration there.
+    has a kink, the sample times of a table, between which Omega is
+    linear; it is empty for every other profile.  The Ermakov solver
+    takes its Magnus route for a profile with knots.
     """
 
     evaluator: Callable

@@ -33,6 +33,8 @@ import numpy as np
 
 from .frequency import FrequencyProfile, Regime, classify_rational
 from .ermakov import (
+    ABS_TOL,
+    REL_TOL,
     ErmakovSolution,
     LogScale,
     critical_solution,
@@ -309,8 +311,8 @@ def numeric_construction(
     window: tuple,
     rho0: float = 1.0,
     rho_dot0: float = 0.0,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
+    rel_tol: float = REL_TOL,
+    abs_tol: float = ABS_TOL,
 ) -> Construction:
     """Full construction for an arbitrary profile via numeric integration."""
     solution = solve_numeric(profile, rho0, rho_dot0, window,

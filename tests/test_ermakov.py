@@ -18,6 +18,7 @@ from bohmosc import (
     subcritical_parameters,
     subcritical_solution,
 )
+from bohmosc import ermakov
 
 
 def tabulated_rational_profile():
@@ -189,25 +190,28 @@ class TestNumericSolver:
         assert solution.rho.x[0] == 0.1 and solution.rho.x[-1] == 6.02
 
     def test_table_solve_restarts_at_knots(self, caplog):
-        # One DOP853 run over the whole window takes 28583 RHS evaluations,
-        # rejecting steps at every kink
+        # A table takes the Magnus route: each of its 250 knot segments in
+        # [0, 10] gets the same number of steps, and the k-vs-2k estimate
+        # meets its bound (one DOP853 run over the kinks took 28583 RHS
+        # evaluations, and one restarted at each knot 8000)
         table = tabulated_rational_profile()
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
         solve_numeric(table, 1.0, 0.0, (0.0, 10.0))
         (record,) = caplog.records
-        _, rhs_evaluations, _, _ = record.args
-        assert rhs_evaluations < 10000
-        assert re.search(r"\b250 knot segments\b", record.getMessage())
+        steps, _, residual, bound = record.args
+        assert re.search(r"\bMagnus, 250 knot segments\b", record.getMessage())
+        assert steps % 250 == 0 and steps <= 8000
+        assert residual <= bound
 
     def test_scalar_omega_leaves_the_solve_unchanged(self, caplog):
-        # The right-hand side calls omega with a float t; a stand-in that
-        # passes t as an array takes the array path (8000 RHS evaluations)
-        table = tabulated_rational_profile()
-        as_array = SimpleNamespace(omega=lambda t: table.omega(np.asarray(t)),
-                                   knots=table.knots)
+        # The DOP853 right-hand side calls omega with a float t; a stand-in
+        # that passes t as an array takes the array path (362 RHS evaluations)
+        profile = family_profile(1.0)
+        as_array = SimpleNamespace(omega=lambda t: profile.omega(np.asarray(t)),
+                                   knots=profile.knots)
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
-        scalar = solve_numeric(table, 1.0, 0.0, (0.0, 10.0))
-        array = solve_numeric(as_array, 1.0, 0.0, (0.0, 10.0))
+        scalar = solve_numeric(profile, 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
+        array = solve_numeric(as_array, 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
         first, second = caplog.records
         assert first.args == second.args
         t = np.linspace(0.0, 10.0, 101)
@@ -280,6 +284,107 @@ class TestNumericSolver:
             solve_numeric(profile, 1.0, 0.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             solve_numeric(profile, 1.0, 0.0, (0.0, 1.0), rel_tol=0.0)
+
+
+def dop853_restarted_at_knots(table, window, t):
+    """(u1, u1', u2, u2') on t from rho = 1, rho' = 0, by DOP853 at rtol
+    1e-13, restarted at each knot: the oracle of the Magnus route."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, y):
+        omega2 = table.omega(s) ** 2
+        return (y[1], -omega2 * y[0], y[3], -omega2 * y[2])
+
+    knots = np.asarray(table.knots)
+    bounds = np.concatenate(([window[0]], knots[(knots > window[0]) & (knots < window[1])],
+                             [window[1]]))
+    y, states = np.array([1.0, 0.0, 0.0, 1.0]), np.empty((4, t.size))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        run = solve_ivp(rhs, (start, stop), y, method="DOP853", rtol=1e-13,
+                        atol=1e-15, dense_output=True)
+        inside = (t >= start) & (t <= stop)
+        states[:, inside] = run.sol(t[inside])
+        y = run.y[:, -1]
+    return states
+
+
+class TestMagnusRoute:
+    """A profile with knots is solved by batched fourth-order Magnus steps."""
+
+    T = np.linspace(0.0, 10.0, 1001)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        u1, v1, u2, v2 = dop853_restarted_at_knots(tabulated_rational_profile(),
+                                                   (0.0, 10.0), self.T)
+        rho = np.hypot(u1, u2)
+        return rho, (u1 * v1 + u2 * v2) / rho, -0.5 * np.unwrap(np.arctan2(u2, u1))
+
+    def test_agrees_with_dop853_restarted_at_knots(self, reference):
+        solution = solve_numeric(tabulated_rational_profile(), 1.0, 0.0, (0.0, 10.0))
+        rho, rho_dot, mu = reference
+        assert np.max(np.abs(solution.rho(self.T) - rho)) < 1e-11
+        assert np.max(np.abs(solution.rho_dot(self.T) - rho_dot)) < 1e-11
+        assert np.max(np.abs(solution.mu(self.T) - mu)) < 1e-11
+
+    def test_error_falls_sixteenfold_per_halved_step(self, reference, caplog):
+        # Fourth order: halving the steps divides the error by about 2^4
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        table, errors = tabulated_rational_profile(), []
+        for rel_tol in (1e-8, 1e-10, 3e-11):
+            solution = solve_numeric(table, 1.0, 0.0, (0.0, 10.0), rel_tol=rel_tol)
+            errors.append(np.max(np.abs(solution.rho(self.T) - reference[0])))
+        steps = [record.args[0] for record in caplog.records]
+        assert steps == [1000, 2000, 4000]
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 12) & (ratios < 20)), ratios
+
+    def test_mu_on_a_fast_constant_table(self):
+        # Magnus steps are exact at constant Omega, so only the limit of
+        # 1 rad of phase per step keeps them short enough for the mu branch:
+        # the angle of u1 = 8 cos 16t, u2 = sin(16t)/128 turns by nearly pi
+        # close to each zero of u1
+        table = FrequencyProfile.from_table([0.0, 3.0], [16.0, 16.0])
+        solution = solve_numeric(table, 8.0, 0.0, (0.0, 3.0))
+        t = np.linspace(0.0, 3.0, 3001)
+        expected = -0.5 * np.unwrap(np.arctan2(np.sin(16 * t) / 128, 8 * np.cos(16 * t)))
+        assert np.max(np.abs(solution.mu(t) - expected)) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_times(self, shape):
+        solution = solve_numeric(tabulated_rational_profile(), 1.0, 0.0, (0.0, 10.0))
+        t = np.empty(shape)
+        for name in ("rho", "rho_dot", "rho_ddot", "mu"):
+            assert getattr(solution, name)(t).shape == shape
+
+    def test_step_cap_raises_one_line(self, monkeypatch):
+        # The table needs 4000 steps at the default tolerances
+        monkeypatch.setattr(ermakov, "_MAGNUS_MAX_STEPS", 2000)
+        with pytest.raises(RuntimeError, match="needs more than 2000 steps") as raised:
+            solve_numeric(tabulated_rational_profile(), 1.0, 0.0, (0.0, 10.0))
+        assert len(str(raised.value).splitlines()) == 1
+
+
+class TestPhaseBudget:
+    def test_refused_before_any_step(self):
+        # Omega = 1e6 over [0, 10], as `ermakov --a 1e-6 --b 0` asks: only
+        # the probes are evaluated, and a second evaluation fails the test
+        # at once instead of starting about 3e7 steps
+        constant, calls = FrequencyProfile.constant(1e6), []
+
+        def omega(t):
+            assert not calls, "Omega evaluated past the probes"
+            calls.append(np.size(t))
+            return constant.omega(t)
+
+        with pytest.raises(RuntimeError, match="budget"):
+            solve_numeric(SimpleNamespace(omega=omega, knots=()), 1e-3, 0.0, (0.0, 10.0))
+        assert calls == [512]
+
+    def test_table_refused_too(self):
+        table = FrequencyProfile.from_table([0.0, 10.0], [1e4, 1e4])
+        with pytest.raises(RuntimeError, match="budget"):
+            solve_numeric(table, 1e-2, 0.0, (0.0, 10.0))
 
 
 class TestNumericSampling:

@@ -3,10 +3,11 @@
 The closed-form subcommands only evaluate formulas, so importing the
 package and running them must load no scipy module at all; tdse-check
 loads scipy.fft on its first propagation and ermakov --numeric loads
-scipy.integrate on its first solve.  Each case needs a fresh interpreter,
-because the test process has long since imported scipy.  So does the
-stderr of a failing run: under pytest, numpy warnings are recorded, not
-printed.
+scipy.integrate on its first solve.  A tabulated profile is solved by
+Magnus steps in numpy, so bohm --omega-table loads no scipy.integrate.
+Each case needs a fresh interpreter, because the test process has long
+since imported scipy.  So does the stderr of a failing run: under pytest,
+numpy warnings are recorded, not printed.
 """
 
 import json
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from bohmosc.cli import main
 
@@ -59,6 +62,15 @@ def test_solver_and_propagator_load_their_subpackage_on_first_use(tmp_path):
     assert "scipy.fft" in after_tdse
     assert "scipy.integrate" not in after_tdse
     assert "scipy.integrate" in after_ermakov
+
+
+def test_table_solve_loads_no_integrator(tmp_path):
+    (tmp_path / "table.csv").write_text(
+        "".join(f"{t:.17g},{1.0 / (1.0 + t):.17g}\n" for t in np.arange(0.0, 6.05, 0.1)))
+    ((code, loaded),) = _loaded_after_each(
+        [["bohm", "--omega-table", "table.csv", "--out", "bohm.csv"]], tmp_path)
+    assert code == 0
+    assert "scipy.integrate" not in loaded
 
 
 def test_python_m_bohmosc_writes_what_main_writes(tmp_path):
