@@ -37,15 +37,19 @@ mu come from two solutions of the linear oscillator u'' + Omega^2 u = 0
       steps are chained by prefix products by doubling.  Its error
       estimate compares k with 2k steps per knot segment.  This route is
       numpy only.
-  any other profile: the eighth-order Dormand-Prince scheme DOP853
-      (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10), checked by
-      the Wronskian drift at 512 probes.
+  any other profile, and a table that would need more than 2**18 Magnus
+      steps: the eighth-order Dormand-Prince scheme DOP853 (Hairer,
+      Norsett & Wanner, Solving ODEs I, sec. II.10), restarted at each
+      knot and checked by the Wronskian drift at 512 probes.  Magnus
+      steps grow about as phase^1.25 / rel_tol^0.25, DOP853 steps as 3
+      per rad, so DOP853 takes the tables with a large phase.
 
 A numeric solution evaluates its states once per times array, so
 sampling rho, rho', rho'' and mu on one array costs one evaluation.
 scipy.integrate is imported on the first DOP853 solve, not with this
-module, so the closed forms and the tables never load it; each solve logs
-one DEBUG record on the ``bohmosc.ermakov`` logger.
+module, so the closed forms and the tables that fit the Magnus route never
+load it; each solve logs one DEBUG record on the ``bohmosc.ermakov``
+logger.
 
 On the Magnus route each step has determinant 1, so the Wronskian stays 1
 to rounding, and ermakov_residual, (W^2 - 1)/rho^3 for a numeric solution,
@@ -99,13 +103,17 @@ ABS_TOL = 1e-12
 
 # Steps grow with the phase of the oscillator, the integral of Omega over
 # the window: DOP853 takes about 3 steps per rad and keeps about 860 bytes
-# of dense output per step, so this bounds a solve near 6e4 steps.
+# of dense output per step, so this bounds a solve near 6e4 steps, 12 s and
+# 50 MB.  It bounds the work, not the error: at Omega = 1 a solve passes
+# its self-check far beyond it, and is refused all the same.
 _PHASE_BUDGET = 2e4
 
 # The Magnus route keeps the states of two grids, about 60 bytes per step
 # of the finer one, and builds its steps in blocks, so that the transients
-# of a block (about 200 bytes per step) stay near 3 MB.
-_MAGNUS_MAX_STEPS = 2**20
+# of a block (about 200 bytes per step) stay near 3 MB.  A table that needs
+# more steps goes to DOP853: up to this cap, trying Magnus first costs such
+# a table about 0.05 s and no peak memory over what DOP853 takes.
+_MAGNUS_MAX_STEPS = 2**18
 _MAGNUS_BLOCK = 2**14
 # The Magnus route starts with steps of at most 1 rad of phase.  A longer
 # step can overflow cosh in its exponential, and since a step is exact at
@@ -281,11 +289,13 @@ def solve_numeric(
     2k steps differ by at most rel_tol |Y| + abs_tol (|Y| the largest
     entry of the state there), from the least k at which no step spans
     more than 1 rad of phase; the 2k states are kept, and a sample t is
-    reached by one partial step from the start of its step.  Any other
-    profile is integrated with the eighth-order Dormand-Prince scheme
-    DOP853.  Either route gives, at any t, rho = sqrt(u1^2 + u2^2),
-    rho' = (u1 u1' + u2 u2')/rho, rho'' = W^2/rho^3 - Omega^2 rho and
-    mu = -angle(u1, u2)/2, with mu(window start) = 0 and its branch read
+    reached by one partial step from the start of its step.  A table that
+    would need more than 2**18 steps there, and any other profile, is
+    integrated with the eighth-order Dormand-Prince scheme DOP853,
+    restarted at each knot.  Either route gives, at any t,
+    rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
+    rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
+    mu(window start) = 0 and its branch read
     from the angle unwrapped at the step ends, and at the midpoints of
     steps that may turn by pi/2 or more.  rho.x holds the step ends, knots
     included.  The states are evaluated once per times array: the
@@ -293,12 +303,13 @@ def solve_numeric(
     rho, rho', rho'' and mu on one array cost one evaluation.
 
     Raises RuntimeError before any step if Omega, estimated at 512
-    probes, advances the phase by more than 2e4 rad over the window; if
-    the Magnus route needs more than 2**20 steps; if 1/|u'|, which bounds
-    rho from below and equals it at its minima, falls below RHO_FLOOR at
-    a step end (a singular or invalid configuration); or, on the DOP853
-    route, if the residual, the Wronskian drift (W^2 - 1)/rho^3, fails a
-    self-check at the probes against 1e5*(rel_tol + abs_tol).  The
+    probes, advances the phase by more than 2e4 rad over the window (a
+    bound on the work, which also refuses windows that would pass); if
+    1/|u'|, which bounds rho from below and equals it at its minima,
+    falls below RHO_FLOOR at a step end (a singular or invalid
+    configuration); or, on the DOP853 route, if the residual, the
+    Wronskian drift (W^2 - 1)/rho^3, fails a self-check at the probes
+    against 1e5*(rel_tol + abs_tol).  The
     Magnus route keeps W = 1 to rounding, since each of its steps has
     determinant 1, so there the k-vs-2k difference takes the place of
     the residual.  Before that check, logs one DEBUG record with the
@@ -325,13 +336,13 @@ def solve_numeric(
 
     start = np.array([[float(rho0), 0.0], [float(rho_dot0), 1.0 / rho0]])
     knots = np.asarray(profile.knots, dtype=float)
-    if knots.size:
-        bounds = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
-        ts, ys, dense, record = _magnus(profile, start, bounds, rel_tol, abs_tol)
-        route = f"Magnus, {bounds.size - 1} knot segments"
+    bounds = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
+    magnus = _magnus(profile, start, bounds, rel_tol, abs_tol) if knots.size else None
+    if magnus:
+        ts, ys, dense, record = magnus
     else:
-        ts, ys, dense, nfev = _dop853(profile, start, t0, t1, rel_tol, abs_tol)
-        route = "DOP853, 1 knot segments"
+        ts, ys, dense, nfev = _dop853(profile, start, bounds, rel_tol, abs_tol)
+    route = f"{'Magnus' if magnus else 'DOP853'}, {bounds.size - 1} knot segments"
 
     # rho can dip below the floor between step ends, where it is not sampled.
     # Since |u'|^2 = rho'^2 + 1/rho^2, 1/|u'| is at most rho and equals it at
@@ -399,7 +410,7 @@ def solve_numeric(
     rho.x = ts
     solution = ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
 
-    if not knots.size:
+    if not magnus:
         residual = np.max(np.abs(ermakov_residual(solution, profile, probes)))
         record = (ts.size - 1, nfev, residual,
                   _RESIDUAL_CHECK_FACTOR * (rel_tol + abs_tol))
@@ -416,10 +427,11 @@ def solve_numeric(
     return solution
 
 
-def _dop853(profile, start, t0, t1, rel_tol, abs_tol):
+def _dop853(profile, start, bounds, rel_tol, abs_tol):
     """Step ends, states (u1, u1', u2, u2') there, dense output and RHS
-    evaluations of a DOP853 run over [t0, t1] from the state matrix start."""
-    from scipy.integrate import solve_ivp
+    evaluations of DOP853 from the state matrix start, restarted at each
+    of the bounds."""
+    from scipy.integrate import OdeSolution, solve_ivp
 
     def rhs(t, y):
         # t is a float here, so omega is an np.float64, on which ** 2 would
@@ -428,11 +440,21 @@ def _dop853(profile, start, t0, t1, rel_tol, abs_tol):
         omega2 = omega * omega
         return (y[1], -omega2 * y[0], y[3], -omega2 * y[2])
 
-    run = solve_ivp(rhs, (t0, t1), start.T.ravel(), method="DOP853",
-                    rtol=rel_tol, atol=abs_tol, dense_output=True)
-    if not run.success:
-        raise RuntimeError(f"Ermakov integration failed: {run.message}")
-    return run.t, run.y, run.sol, run.nfev
+    # At a kink of Omega the high-order steps are rejected again and again;
+    # restarting there costs a fresh initial step instead.
+    ts, ys = [bounds[:1]], [start.T.reshape(4, 1)]
+    interpolants, nfev = [], 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        piece = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="DOP853",
+                          rtol=rel_tol, atol=abs_tol, dense_output=True)
+        if not piece.success:
+            raise RuntimeError(f"Ermakov integration failed: {piece.message}")
+        ts.append(piece.t[1:])
+        ys.append(piece.y[:, 1:])
+        interpolants += piece.sol.interpolants
+        nfev += piece.nfev
+    ts = np.concatenate(ts)
+    return ts, np.concatenate(ys, axis=1), OdeSolution(ts, interpolants), nfev
 
 
 # The two Gauss-Legendre nodes on [0, 1].
@@ -471,16 +493,14 @@ def _product(left, right):
 def _magnus(profile, start, bounds, rel_tol, abs_tol):
     """Step ends, states (u1, u1', u2, u2') there, dense evaluator and
     (steps, Omega evaluations, error estimate, bound) of the Magnus route
-    over the knot segments between bounds, from the state matrix start."""
+    over the knot segments between bounds, from the state matrix start;
+    None if that takes more than _MAGNUS_MAX_STEPS steps."""
     segments = np.diff(bounds)
     evaluations = 0
 
     def states(k):
         """Step ends and state matrices there, at k steps per segment."""
         nonlocal evaluations
-        if segments.size * k > _MAGNUS_MAX_STEPS:
-            raise RuntimeError(f"Ermakov integration failed: the Magnus route "
-                               f"needs more than {_MAGNUS_MAX_STEPS} steps")
         ends = np.append(bounds[:-1, None] + segments[:, None] * (np.arange(k) / k),
                          bounds[-1])
         evaluations += 2 * (ends.size - 1)
@@ -507,18 +527,20 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
     k = 1
     while k * _MAGNUS_MAX_PHASE < phase:
         k *= 2
-    ends, coarse = states(k)
-    while True:
-        k *= 2
+    coarse = None
+    while segments.size * k <= _MAGNUS_MAX_STEPS:
         ends, fine = states(k)
-        at_coarse_ends = fine[..., ::2]
-        gaps = np.max(np.abs(at_coarse_ends - coarse), axis=(0, 1))
-        limits = rel_tol * np.max(np.abs(at_coarse_ends), axis=(0, 1)) + abs_tol
-        worst = np.argmax(gaps / limits)
-        gap, bound = gaps[worst], limits[worst]
-        if gap <= bound:
-            break
-        coarse = fine
+        if coarse is not None:
+            at_coarse_ends = fine[..., ::2]
+            gaps = np.max(np.abs(at_coarse_ends - coarse), axis=(0, 1))
+            limits = rel_tol * np.max(np.abs(at_coarse_ends), axis=(0, 1)) + abs_tol
+            worst = np.argmax(gaps / limits)
+            gap, bound = gaps[worst], limits[worst]
+            if gap <= bound:
+                break
+        coarse, k = fine, 2 * k
+    else:
+        return None
 
     def dense(t):
         i = np.clip(np.searchsorted(ends, t, side="right") - 1, 0, ends.size - 2)

@@ -108,7 +108,8 @@ class FrequencyProfile:
     time window it will be used on.  knots holds the times where Omega
     has a kink, the sample times of a table, between which Omega is
     linear; it is empty for every other profile.  The Ermakov solver
-    takes its Magnus route for a profile with knots.
+    takes its Magnus route for a profile with knots, unless that needs
+    more than 2**18 steps.
     """
 
     evaluator: Callable

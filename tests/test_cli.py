@@ -72,18 +72,6 @@ class TestErmakovCommand:
         assert main(["ermakov", "--b", "3", "--out",
                      str(tmp_path / "x.csv")]) == 2
 
-    def test_magnus_step_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        # The table of test_omega_table_profile needs more than 1000 steps
-        monkeypatch.setattr("bohmosc.ermakov._MAGNUS_MAX_STEPS", 1000)
-        table = tmp_path / "omega.csv"
-        t = np.linspace(0.0, 5.0, 501)
-        np.savetxt(table, np.column_stack([t, 1.0 / (1.0 + 2.0 * t)]), delimiter=",")
-        out = tmp_path / "ermakov.csv"
-        assert main(["ermakov", "--omega-table", str(table), "--t-max", "5",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
-        assert len(capsys.readouterr().err.splitlines()) == 1
-
     def test_missing_profile_exits_2(self, tmp_path):
         assert main(["ermakov", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -18,7 +18,6 @@ from bohmosc import (
     subcritical_parameters,
     subcritical_solution,
 )
-from bohmosc import ermakov
 
 
 def tabulated_rational_profile():
@@ -357,12 +356,21 @@ class TestMagnusRoute:
         for name in ("rho", "rho_dot", "rho_ddot", "mu"):
             assert getattr(solution, name)(t).shape == shape
 
-    def test_step_cap_raises_one_line(self, monkeypatch):
-        # The table needs 4000 steps at the default tolerances
-        monkeypatch.setattr(ermakov, "_MAGNUS_MAX_STEPS", 2000)
-        with pytest.raises(RuntimeError, match="needs more than 2000 steps") as raised:
-            solve_numeric(tabulated_rational_profile(), 1.0, 0.0, (0.0, 10.0))
-        assert len(str(raised.value).splitlines()) == 1
+    def test_a_table_past_the_step_cap_takes_dop853(self, caplog):
+        # Omega = 30 (1 + sin(t)/2) sampled every 1.0 over [0, 200], about
+        # 6e3 rad: at the default rel_tol, Magnus steps would pass the cap,
+        # so DOP853 solves the table, restarted at each knot.  At rel_tol
+        # 1e-6 Magnus fits in 204800 steps, and the two routes agree.
+        t = np.arange(0.0, 200.5, 1.0)
+        table = FrequencyProfile.from_table(t, 30.0 * (1.0 + np.sin(t) / 2.0))
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        exact = solve_numeric(table, 30.0**-0.5, 0.0, (0.0, 200.0))
+        rough = solve_numeric(table, 30.0**-0.5, 0.0, (0.0, 200.0), rel_tol=1e-6)
+        routes = [record.getMessage().split(",")[0] for record in caplog.records]
+        assert routes == ["solve_numeric: DOP853", "solve_numeric: Magnus"]
+        s = np.linspace(0.0, 200.0, 2001)
+        assert np.max(np.abs(exact.rho(s) - rough.rho(s))) < 1e-8
+        assert np.max(np.abs(exact.mu(s) - rough.mu(s))) < 1e-7
 
 
 class TestPhaseBudget:
