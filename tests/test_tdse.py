@@ -1,4 +1,5 @@
 import logging
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from bohmosc import (
     propagate,
     rational_construction,
 )
-from bohmosc.tdse import _COEFF_BLOCK
+from bohmosc.tdse import _COEFF_BLOCK, _KICK_POINTS
+
+# Steps per kick sub-block on the 128-point grid of TestFusedLoop.
+_KICK_ROWS = _KICK_POINTS // 64
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,12 @@ class TestPropagatorConfig:
     def test_dt_must_be_nonzero(self, static):
         with pytest.raises(ValueError):
             PropagatorConfig(grid=SpatialGrid(), dt=0.0, profile=static.profile)
+
+    def test_asymmetric_domain_rejected(self, static):
+        grid = SpatialGrid(-8.0, 16.0, 512)
+        with pytest.raises(ValueError, match="symmetric") as raised:
+            PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+        assert len(str(raised.value).splitlines()) == 1
 
 
 class TestStationaryState:
@@ -188,6 +198,18 @@ class TestGuards:
             propagate(ground_state(grid), config, 1.0,
                       sample_times=[0.12345e-1 + 1e-5])
 
+    @pytest.mark.parametrize("sample_times, match", [
+        ([0.5, 0.25], "strictly advance"),
+        ([0.25, 0.25], "strictly advance"),
+        ([], "empty"),
+    ])
+    def test_sample_times_must_advance(self, static, sample_times, match):
+        grid = SpatialGrid()
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+        with pytest.raises(ValueError, match=match) as raised:
+            propagate(ground_state(grid), config, 0.5, sample_times=sample_times)
+        assert len(str(raised.value).splitlines()) == 1
+
     def test_sampling_returns_requested_times(self, static):
         grid = SpatialGrid()
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
@@ -264,6 +286,10 @@ class TestFusedLoop:
         (0.0, 1e-3, 1e-3, [1]),                   # a single step
         (0.0, 1e-3, (_COEFF_BLOCK + 3) * 1e-3,    # more than one block
          [_COEFF_BLOCK, _COEFF_BLOCK + 1, _COEFF_BLOCK + 3]),
+        (0.0, 1e-3, (2 * _KICK_ROWS + 5) * 1e-3,  # three kick sub-blocks,
+         [_KICK_ROWS, _KICK_ROWS + 1, 2 * _KICK_ROWS + 5]),  # both sides of an edge
+        (0.7, -1e-3, 0.7 - (_KICK_ROWS + 10) * 1e-3,  # backward across an edge
+         [_KICK_ROWS - 1, _KICK_ROWS + 1, _KICK_ROWS + 10]),
     ])
     def test_matches_unfused_strang(self, sub1, t_start, dt, t_end, sample_steps):
         grid = SpatialGrid(-16.0, 16.0, 128)
@@ -291,13 +317,19 @@ class TestStatistics:
         grid = SpatialGrid(-16.0, 16.0, 512)
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=sub1.profile)
         caplog.set_level(logging.DEBUG, logger="bohmosc")
-        propagate(sub1.psi(grid, 0.0), config, 0.5, sample_times=[0.25, 0.5])
+        psi0 = sub1.psi(grid, 0.0)
+        started = perf_counter()
+        propagate(psi0, config, 0.5, sample_times=[0.25, 0.5])
+        wall = perf_counter() - started
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
         assert record.name.split(".")[0] == "bohmosc"
-        steps, drift, wrap, momentum, edge_mass = record.args
+        (steps, drift, wrap, momentum, edge_mass,
+         omega_s, build_s, loop_s) = record.args
         assert steps == 500
         assert 0 <= drift <= 1e-10
         assert 0 < wrap < 1 and 0 < momentum < 1
         assert 0 <= edge_mass <= 1e-8
         assert "500 steps" in record.getMessage()
+        assert min(omega_s, build_s, loop_s) >= 0
+        assert omega_s + build_s + loop_s <= wall
