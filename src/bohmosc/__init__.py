@@ -10,7 +10,6 @@ propagator.
 
 from .frequency import (
     FrequencyProfile,
-    RationalFrequency,
     Regime,
     classify_rational,
 )
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "FrequencyProfile",
-    "RationalFrequency",
     "Regime",
     "classify_rational",
     "closed_form_critical",

@@ -138,10 +138,23 @@ def _table_profile(path: str) -> FrequencyProfile:
     return FrequencyProfile.from_table(table[:, 0], table[:, 1])
 
 
+def _table_from_args(args):
+    """The --omega-table profile, or None without that flag.  A table is
+    the whole profile, so --a, --b and --critical are refused beside it."""
+    if not getattr(args, "omega_table", None):
+        return None
+    for key in ("a", "b", "critical"):
+        value = getattr(args, key, None)
+        if value is not None and value is not False:
+            raise ValueError(f"--omega-table and --{key} are mutually exclusive")
+    return _table_profile(args.omega_table)
+
+
 def _profile_from_args(args):
     """Frequency profile from --omega-table, --a/--b, or the family --b."""
-    if getattr(args, "omega_table", None):
-        return _table_profile(args.omega_table), True
+    table = _table_from_args(args)
+    if table is not None:
+        return table, True
     if getattr(args, "a", None) is not None:
         if args.b is None:
             raise ValueError("--a requires --b (use --b 0 for a constant frequency)")
@@ -196,9 +209,9 @@ def _cmd_ermakov(args) -> int:
 def _field_sweep(args):
     """Construction, (n_t, 1) time column and (1, n_x) position row of a
     bohm/wavefunction sweep."""
-    if getattr(args, "omega_table", None):
-        construction = numeric_construction(_table_profile(args.omega_table),
-                                            (0.0, args.t_max))
+    table = _table_from_args(args)
+    if table is not None:
+        construction = numeric_construction(table, (0.0, args.t_max))
     else:
         construction = rational_construction(_branch_value(args))
     t = np.linspace(0.0, args.t_max, _count(args.nt, "--nt"))[:, None]

@@ -100,6 +100,10 @@ _NEAR_CRITICAL_MARGIN = 1e-14
 # 1.7 rel_tol relative, passed the absolute 1e-8 there.
 REL_TOL = 3e-11
 ABS_TOL = 1e-12
+# DOP853 (scipy) raises a smaller rtol to this floor with a warning, so a
+# run would record a tolerance it did not solve at.  The Magnus route
+# takes the same floor, so that rel_tol means one thing on both routes.
+_MIN_REL_TOL = 100 * np.finfo(float).eps
 
 # Steps grow with the phase of the oscillator, the integral of Omega over
 # the window: DOP853 takes about 3 steps per rad and keeps about 860 bytes
@@ -282,11 +286,13 @@ def solve_numeric(
     Solves u'' + Omega^2 u = 0 for u1 = rho0, u1' = rho_dot0 and u2 = 0,
     u2' = 1/rho0 at the window start, so that the Wronskian
     W = u1 u2' - u2 u1' is 1; rel_tol and abs_tol apply to (u1, u1', u2,
-    u2').  A profile with knots (a table, whose Omega has a kink at each
-    knot) takes the Magnus route: every knot segment is split into k
-    uniform steps, each a fourth-order Magnus transfer matrix, all built
-    as one batch, and k doubles until the states at the step ends of k and
-    2k steps differ by at most rel_tol |Y| + abs_tol (|Y| the largest
+    u2'), and rel_tol below DOP853's floor of 100 machine epsilons
+    (2.2e-14) raises ValueError.  A profile with knots (a table, whose
+    Omega has a kink at each knot) takes the Magnus route: every knot
+    segment is split into k uniform steps, each a fourth-order Magnus
+    transfer matrix, all built as one batch, and k doubles until the
+    states at the step ends of k and 2k steps differ by at most
+    rel_tol |Y| + abs_tol (|Y| the largest
     entry of the state there), from the least k at which no step spans
     more than 1 rad of phase; the 2k states are kept, and a sample t is
     reached by one partial step from the start of its step.  A table that
@@ -321,14 +327,16 @@ def solve_numeric(
         raise ValueError(f"rho0 must be positive, got {rho0}")
     if not (t1 > t0):
         raise ValueError(f"window must have positive length, got {window}")
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise ValueError("tolerances must be positive")
+    if not rel_tol >= _MIN_REL_TOL:
+        raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:.3g}, got {rel_tol:g}")
+    if not abs_tol > 0:
+        raise ValueError("abs_tol must be positive")
 
     # Both routes take steps in proportion to the phase of the oscillator,
     # the integral of Omega, so a window with too much of it is refused
     # before any step is taken.
     probes = t0 + (t1 - t0) * (np.arange(512) + 0.5) / 512
-    phase = (t1 - t0) * float(np.mean(np.abs(profile.omega(probes))))
+    phase = (t1 - t0) * float(np.mean(profile.omega(probes)))
     if phase > _PHASE_BUDGET:
         raise RuntimeError(f"Ermakov integration refused: Omega advances the "
                            f"phase by about {phase:.3g} rad over the window, "
@@ -522,7 +530,7 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
 
     # Omega is linear between knots, so its largest value on a segment is
     # at one of its ends.
-    omega = np.abs(profile.omega(bounds))
+    omega = profile.omega(bounds)
     phase = np.max(segments * np.maximum(omega[:-1], omega[1:]))
     k = 1
     while k * _MAGNUS_MAX_PHASE < phase:

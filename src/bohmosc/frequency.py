@@ -2,15 +2,17 @@
 
 The driving frequency enters everything downstream only through the map
 t -> Omega(t), which sets the harmonic potential V(x,t) = Omega^2(t) x^2/2
-and the coefficient of the auxiliary (Ermakov) equation.  The family of
-interest is the rational profile
+and the coefficient of the auxiliary (Ermakov) equation.  One type,
+FrequencyProfile, holds every such map: the rational profile
 
     Omega(t) = 1 / (a + b t),      a > 0,  b >= 0,
 
-whose auxiliary equation has two distinct closed-form regimes: subcritical
-(0 <= b < 2) and critical (b = 2).  For b > 2 the subcritical closed form
-turns complex, so those slopes are rejected outright.  Arbitrary profiles
-are supported through plain callables or tabulated samples.
+a constant, a table of samples, or any callable.  Whatever the source,
+FrequencyProfile.omega checks each value it returns to be finite and
+>= 0.  The rational family's auxiliary equation has two distinct
+closed-form regimes: subcritical (0 <= b < 2) and critical (b = 2).  For
+b > 2 the subcritical closed form turns complex, so those slopes are
+rejected outright.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "Regime",
-    "RationalFrequency",
     "FrequencyProfile",
     "classify_rational",
     "CRITICAL_SLOPE",
@@ -61,55 +62,17 @@ def classify_rational(b: float) -> Regime:
 
 
 @dataclass(frozen=True)
-class RationalFrequency:
-    """Rational profile Omega(t) = 1/(a + b t) with a > 0, b >= 0."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"require a > 0, got a={self.a}")
-        if not (np.isfinite(self.b) and self.b >= 0):
-            raise ValueError(f"require b >= 0, got b={self.b}")
-
-    @property
-    def regime(self) -> Regime:
-        return classify_rational(self.b)
-
-    def omega(self, t):
-        """Evaluate Omega(t); raises if the denominator a + b t is not positive.
-
-        A float t, np.float64 included, gives an np.float64 without
-        building an array; the arithmetic, and so every bit, is that of
-        the array path.
-        """
-        if isinstance(t, float):
-            denom = self.a + self.b * np.float64(t)
-            undefined = denom <= 0
-        else:
-            denom = self.a + self.b * np.asarray(t, dtype=float)
-            undefined = np.any(denom <= 0)
-        if undefined:
-            raise ValueError(
-                f"Omega undefined: a + b*t <= 0 for a={self.a}, b={self.b}"
-            )
-        return 1.0 / denom
-
-    __call__ = omega
-
-
-@dataclass(frozen=True)
 class FrequencyProfile:
-    """Wraps an arbitrary evaluator t -> Omega(t) >= 0.
+    """Wraps an arbitrary evaluator t -> Omega(t).
 
     Immutable after construction; safe to share across threads.  The
-    evaluator must accept scalars and numpy arrays and be finite on the
-    time window it will be used on.  knots holds the times where Omega
-    has a kink, the sample times of a table, between which Omega is
-    linear; it is empty for every other profile.  The Ermakov solver
-    takes its Magnus route for a profile with knots, unless that needs
-    more than 2**18 steps.
+    evaluator must accept scalars and numpy arrays.  The one contract on
+    Omega is that it is finite and >= 0 wherever it is evaluated; omega
+    checks every value it returns against it.  knots holds the times
+    where Omega has a kink, the sample times of a table, between which
+    Omega is linear; it is empty for every other profile.  The Ermakov
+    solver takes its Magnus route for a profile with knots, unless that
+    needs more than 2**18 steps.
     """
 
     evaluator: Callable
@@ -117,7 +80,9 @@ class FrequencyProfile:
     knots: tuple = field(default=(), repr=False, compare=False)
 
     def omega(self, t):
-        """Evaluate Omega(t); raises ValueError where it is not finite.
+        """Evaluate Omega(t), checked against the contract: raises a
+        one-line ValueError, naming the label and the first such t, where
+        Omega is negative or not finite.
 
         A float t, np.float64 included, as the Ermakov solver passes it,
         takes a scalar path: the evaluator gets np.float64(t), so numpy's
@@ -127,20 +92,22 @@ class FrequencyProfile:
         """
         if isinstance(t, float):
             value = self.evaluator(np.float64(t))
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"frequency profile '{self.label}' not finite at t={t:g}")
+            if not (math.isfinite(value) and value >= 0):
+                raise self._breach(t)
             return np.float64(value)
         t = np.asarray(t, dtype=float)
         value = np.asarray(self.evaluator(t), dtype=float)
-        if not np.all(np.isfinite(value)):
-            t, bad = np.broadcast_arrays(t, ~np.isfinite(value))
-            raise ValueError(
-                f"frequency profile '{self.label}' not finite at t={t[bad][0]:g}"
-            )
+        valid = np.isfinite(value) & (value >= 0)
+        if not np.all(valid):
+            t, valid = np.broadcast_arrays(t, valid)
+            raise self._breach(t[~valid][0])
         return value
 
     __call__ = omega
+
+    def _breach(self, t) -> ValueError:
+        return ValueError(
+            f"frequency profile '{self.label}' negative or not finite at t={t:g}")
 
     @classmethod
     def constant(cls, value: float) -> "FrequencyProfile":
@@ -151,7 +118,13 @@ class FrequencyProfile:
 
     @classmethod
     def rational(cls, a: float, b: float) -> "FrequencyProfile":
-        return cls(RationalFrequency(a, b), label=f"rational(a={a}, b={b})")
+        """Omega(t) = 1/(a + b t) with a > 0, b >= 0.  Where a + b t <= 0,
+        Omega is inf or negative, so omega raises there."""
+        if not (np.isfinite(a) and a > 0):
+            raise ValueError(f"require a > 0, got a={a}")
+        if not (np.isfinite(b) and b >= 0):
+            raise ValueError(f"require b >= 0, got b={b}")
+        return cls(lambda t: 1.0 / (a + b * t), label=f"rational(a={a}, b={b})")
 
     @classmethod
     def from_table(cls, t_samples, omega_samples) -> "FrequencyProfile":

@@ -16,9 +16,9 @@ the dynamics is the Bohm potential
     V_B(x,t) = -x^2 exp(-4 nu)/2 + exp(-2 nu)/2,
 
 which this module evaluates three independent ways: from nu, from the
-branch closed forms of the rational family, and from -A''/(2mA) by finite
-differences on sampled amplitudes.  Units: hbar = 1, m = 1 (m kept as an
-explicit parameter only where the defining formula retains it).
+branch closed forms of the rational family, and from -A''/(2A) by finite
+differences on sampled amplitudes.  Units: hbar = m = 1 throughout, as in
+the construction and the split-step propagator.
 
 All field evaluations are pure functions of immutable inputs.
 """
@@ -239,8 +239,8 @@ def bohm_potential_critical(x, t):
     return -0.5 * x * x / (u * u * w * w) + 0.5 / (u * w)
 
 
-def bohm_potential_from_amplitude(a, grid: SpatialGrid, m: float = 1.0) -> np.ma.MaskedArray:
-    """V_B = -A''/(2mA) by second-order central differences on sampled A.
+def bohm_potential_from_amplitude(a, grid: SpatialGrid) -> np.ma.MaskedArray:
+    """V_B = -A''/(2A) by second-order central differences on sampled A.
 
     Endpoints use one-sided second-order stencils.  Points where
     |A| <= AMPLITUDE_FLOOR are masked: the Bohm potential genuinely
@@ -258,7 +258,7 @@ def bohm_potential_from_amplitude(a, grid: SpatialGrid, m: float = 1.0) -> np.ma
 
     mask = np.abs(a) <= AMPLITUDE_FLOOR
     safe = np.where(mask, 1.0, a)
-    return np.ma.masked_array(-app / (2.0 * m * safe), mask=mask)
+    return np.ma.masked_array(-app / (2.0 * safe), mask=mask)
 
 
 def classical_potential(profile: FrequencyProfile, x, t):

@@ -1,11 +1,11 @@
 """Finite-difference residual checks of the governing equations.
 
 Independent of how the fields were constructed, this module asks whether
-sampled psi, A, S actually satisfy
+sampled psi, A, S actually satisfy, in units hbar = m = 1,
 
-    Schrodinger:   i psi_t + psi_xx/(2m) - V psi       = 0
-    continuity:    (2 A_x S_x + A S_xx)/(2m) + A_t     = 0
-    QHJE:          S_x^2/(2m) + V_B + V + S_t          = 0
+    Schrodinger:   i psi_t + psi_xx/2 - V psi          = 0
+    continuity:    (2 A_x S_x + A S_xx)/2 + A_t        = 0
+    QHJE:          S_x^2/2 + V_B + V + S_t             = 0
 
 using central differences in t and x.  Stencils are second order by
 default with an optional fourth-order spatial variant for convergence
@@ -118,9 +118,8 @@ def _check_times(n_t: int, dt: float):
         raise ValueError(f"need dt > 0, got {dt}")
 
 
-def schrodinger_residual(psi, v, x, dt: float, m: float = 1.0,
-                         space_order: int = 2) -> tuple:
-    """L2 and max norms of i psi_t + psi_xx/(2m) - V psi.
+def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2) -> tuple:
+    """L2 and max norms of i psi_t + psi_xx/2 - V psi.
 
     psi: (n_t, n_x) complex family at uniform dt; v: potential samples,
     (n_t, n_x) or (n_x,).  Returns (l2, max), each maximized over the
@@ -137,7 +136,7 @@ def schrodinger_residual(psi, v, x, dt: float, m: float = 1.0,
 
     psi_t = _dt1(psi, dt)[:, ix]
     psi_xx = _dx2(psi[1:-1], h, space_order)
-    residual = 1j * psi_t + psi_xx / (2.0 * m) - v[1:-1, ix] * psi[1:-1, ix]
+    residual = 1j * psi_t + psi_xx / 2.0 - v[1:-1, ix] * psi[1:-1, ix]
 
     keep = np.abs(psi[1:-1, ix]) > _TAIL_MASK_REL * np.max(np.abs(psi))
     l2_worst = 0.0
@@ -151,10 +150,9 @@ def schrodinger_residual(psi, v, x, dt: float, m: float = 1.0,
     return l2_worst, max_worst
 
 
-def continuity_residual(a, s, x, dt: float, m: float = 1.0,
-                        space_order: int = 2,
+def continuity_residual(a, s, x, dt: float, space_order: int = 2,
                         a_t=None, a_x=None, s_x=None, s_xx=None) -> float:
-    """Max norm of (2 A_x S_x + A S_xx)/(2m) + A_t.
+    """Max norm of (2 A_x S_x + A S_xx)/2 + A_t.
 
     Derivatives are central differences unless the corresponding analytic
     family (same (n_t, n_x) sampling) is supplied.
@@ -178,16 +176,15 @@ def continuity_residual(a, s, x, dt: float, m: float = 1.0,
     s_xx_i = (_dx2(s[1:-1], h, space_order) if s_xx is None
               else _as_family(s_xx, n_t, n_x, "s_xx")[1:-1, ix])
 
-    residual = (2.0 * a_x_i * s_x_i + a[1:-1, ix] * s_xx_i) / (2.0 * m) + a_t_i
+    residual = (2.0 * a_x_i * s_x_i + a[1:-1, ix] * s_xx_i) / 2.0 + a_t_i
     keep = np.abs(a[1:-1, ix]) > _TAIL_MASK_REL * np.max(np.abs(a))
     if not np.any(keep):
         return 0.0
     return float(np.max(np.abs(residual[keep])))
 
 
-def qhje_residual(s, v_b, v, x, dt: float, m: float = 1.0,
-                  s_t=None, s_x=None, mask=None) -> float:
-    """Max norm of S_x^2/(2m) + V_B + V + S_t.
+def qhje_residual(s, v_b, v, x, dt: float, s_t=None, s_x=None, mask=None) -> float:
+    """Max norm of S_x^2/2 + V_B + V + S_t.
 
     V_B and V are taken as given field samples (they carry no derivatives
     here).  mask, if supplied, restricts the max norm to a region of
@@ -207,7 +204,7 @@ def qhje_residual(s, v_b, v, x, dt: float, m: float = 1.0,
     s_x_i = (_dx1(s[1:-1], h, 2) if s_x is None
              else _as_family(s_x, n_t, n_x, "s_x")[1:-1, ix])
 
-    residual = s_x_i**2 / (2.0 * m) + v_b[1:-1, ix] + v[1:-1, ix] + s_t_i
+    residual = s_x_i**2 / 2.0 + v_b[1:-1, ix] + v[1:-1, ix] + s_t_i
     if mask is not None:
         keep = _as_family(mask, n_t, n_x, "mask")[1:-1, ix].astype(bool)
         if not np.any(keep):
@@ -228,8 +225,7 @@ def normalization(psi, x=None):
 
 
 def build_residual_report(construction: Construction, grid: SpatialGrid,
-                          t: float, dt: float, m: float = 1.0,
-                          space_order: int = 2) -> ResidualReport:
+                          t: float, dt: float, space_order: int = 2) -> ResidualReport:
     """Sample the constructed fields at (t-dt, t, t+dt) and run every check."""
     times = np.array([t - dt, t, t + dt])
     x = grid.x
@@ -242,10 +238,10 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
     v = classical_potential(profile, x, column)
     v_b = bohm_potential_gaussian(x, column, scale)
 
-    se_l2, se_max = schrodinger_residual(psi, v, x, dt, m=m, space_order=space_order)
-    cont_max = continuity_residual(a, s, x, dt, m=m, space_order=space_order)
+    se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order)
+    cont_max = continuity_residual(a, s, x, dt, space_order=space_order)
     tail_mask = np.abs(psi) > _TAIL_MASK_REL * np.max(np.abs(psi))
-    qhje_max = qhje_residual(s, v_b, v, x, dt, m=m, mask=tail_mask)
+    qhje_max = qhje_residual(s, v_b, v, x, dt, mask=tail_mask)
     norm_error = abs(float(normalization(psi[1], x)) - 1.0)
 
     return ResidualReport(

@@ -62,6 +62,11 @@ class TestErmakovCommand:
         assert main(["ermakov", "--omega-table", str(table), "--t-max", "5",
                      "--samples", "11", "--rho0", "1.0", "--rho-dot0", "1.0",
                      "--out", str(out)]) == 0
+        numeric = tmp_path / "numeric.csv"
+        assert main(["ermakov", "--omega-table", str(table), "--t-max", "5",
+                     "--samples", "11", "--rho0", "1.0", "--rho-dot0", "1.0",
+                     "--numeric", "--out", str(numeric)]) == 0
+        assert numeric.read_bytes() == out.read_bytes()
         data = read_csv(out)
         # linear interpolation of the table keeps it close to the critical form
         expected = np.sqrt(1 + 2 * data[:, 0]) * np.sqrt(
@@ -350,10 +355,27 @@ class TestCliPlumbing:
         ["ermakov", "--b", "1", "--rel-tol", "1e-3"],
         ["ermakov", "--b", "2", "--abs-tol", "1e-6"],
         ["verify", "--b", "1", "--x-min", "0", "--x-max", "0"],
+        # below DOP853's floor, which would solve at 2.2e-14 instead
+        ["ermakov", "--numeric", "--b", "1", "--t-max", "5", "--rel-tol", "1e-15"],
     ])
     def test_empty_sweep_or_zero_spacing_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.out"
         assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["wavefunction", "--b", "1.5"],
+        ["bohm", "--critical"],
+        ["ermakov", "--b", "1"],
+        ["ermakov", "--a", "3", "--b", "1"],
+    ])
+    def test_omega_table_with_a_profile_flag_exits_2(self, tmp_path, capsys, argv):
+        table = tmp_path / "omega.csv"
+        t = np.linspace(0.0, 10.0, 101)
+        np.savetxt(table, np.column_stack([t, 1.0 / (1.0 + 0.5 * t)]), delimiter=",")
+        out = tmp_path / "x.out"
+        assert main(argv + ["--omega-table", str(table), "--out", str(out)]) == 2
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 

@@ -281,8 +281,9 @@ class TestNumericSolver:
             solve_numeric(profile, -1.0, 0.0, (0.0, 1.0))
         with pytest.raises(ValueError):
             solve_numeric(profile, 1.0, 0.0, (1.0, 1.0))
-        with pytest.raises(ValueError):
-            solve_numeric(profile, 1.0, 0.0, (0.0, 1.0), rel_tol=0.0)
+        for rel_tol in (0.0, 1e-15):
+            with pytest.raises(ValueError):
+                solve_numeric(profile, 1.0, 0.0, (0.0, 1.0), rel_tol=rel_tol)
 
 
 def dop853_restarted_at_knots(table, window, t):
