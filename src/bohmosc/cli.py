@@ -264,19 +264,8 @@ def _cmd_verify(args) -> int:
         dt = args.dt / 2**level
         n = int(round(span / h)) + 1
         grid = SpatialGrid(args.x_min, args.x_max, n)
-        worst = None
-        for t in probes:
-            report = build_residual_report(construction, grid, float(t), dt,
-                                           space_order=args.order)
-            entry = report.to_dict()
-            if worst is None:
-                worst = entry
-            else:
-                for key in ("se_residual_l2", "se_residual_max",
-                            "continuity_residual_max", "qhje_residual_max",
-                            "normalization_error"):
-                    worst[key] = max(worst[key], entry[key])
-        return worst
+        return build_residual_report(construction, grid, probes, dt,
+                                     space_order=args.order).to_dict()
 
     levels = [level_report(level) for level in range(args.refine)]
     orders = {}

@@ -15,8 +15,11 @@ truncation-padded anyway), and max norms are restricted to the region
 where the amplitude exceeds 1e-10 of its peak, since relative residuals
 in the exponentially small tail are noise.
 
-All functions are pure; field families are (n_times, n_x) arrays sampled
-at uniformly spaced times.
+All functions are pure.  Field families are (..., n_t, n_x) arrays
+sampled at uniformly spaced times; a leading axis stacks families (one
+per probe time), each masked by its own amplitude peak, and a residual is
+the worst over them.  A residual report is the worst over its probe
+times, sampled in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ __all__ = [
 
 _TAIL_MASK_REL = 1e-10
 _BOUNDARY_SKIP = 2
+# Points in one block of a report's (p, 3, n_x) probe stack: a complex
+# temporary of 2**14 points is 256 KiB, so a block stays cache-sized and
+# the report's peak memory does not grow with the probe count.
+_BLOCK_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -98,17 +105,16 @@ def _dx2(f: np.ndarray, h: float, order: int) -> np.ndarray:
 
 
 def _dt1(f: np.ndarray, dt: float) -> np.ndarray:
-    """Central time derivative at interior time rows of an (n_t, n_x) family."""
-    return (f[2:] - f[:-2]) / (2.0 * dt)
+    """Central time derivative at interior time rows of (..., n_t, n_x) families."""
+    return (f[..., 2:, :] - f[..., :-2, :]) / (2.0 * dt)
 
 
-def _as_family(f, n_t: int, n_x: int, name: str) -> np.ndarray:
+def _as_family(f, shape: tuple, name: str) -> np.ndarray:
     f = np.asarray(f)
-    if f.ndim == 1 and f.shape[0] == n_x:
-        f = np.broadcast_to(f, (n_t, n_x))
-    if f.shape != (n_t, n_x):
-        raise ValueError(f"{name} must have shape ({n_t}, {n_x}), got {f.shape}")
-    return f
+    try:
+        return np.broadcast_to(f, shape)
+    except ValueError:
+        raise ValueError(f"{name} must broadcast to shape {shape}, got {f.shape}") from None
 
 
 def _check_times(n_t: int, dt: float):
@@ -118,35 +124,47 @@ def _check_times(n_t: int, dt: float):
         raise ValueError(f"need dt > 0, got {dt}")
 
 
-def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2) -> tuple:
+def _tail_mask(magnitude: np.ndarray) -> np.ndarray:
+    """Where |f| exceeds _TAIL_MASK_REL of its peak over each (n_t, n_x) family."""
+    peak = np.max(magnitude, axis=(-2, -1), keepdims=True)
+    return magnitude > _TAIL_MASK_REL * peak
+
+
+def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
+                         mask=None) -> tuple:
     """L2 and max norms of i psi_t + psi_xx/2 - V psi.
 
-    psi: (n_t, n_x) complex family at uniform dt; v: potential samples,
-    (n_t, n_x) or (n_x,).  Returns (l2, max), each maximized over the
-    interior time rows.  The residual is linear in psi; no normalization
-    is applied.
+    psi: (..., n_t, n_x) complex families at uniform dt; v: potential
+    samples broadcastable to psi.  Returns (l2, max), each the worst over
+    the interior time rows of every family.  mask, if supplied, is the
+    tail mask of psi (as build_residual_report shares it with the QHJE
+    check); by default it is computed from psi.  The residual is linear
+    in psi; no normalization is applied.
     """
     psi = np.asarray(psi, dtype=complex)
     x = np.asarray(x, dtype=float)
-    n_t, n_x = psi.shape
+    *_, n_t, n_x = psi.shape
     _check_times(n_t, dt)
-    v = _as_family(v, n_t, n_x, "v")
+    v = _as_family(v, psi.shape, "v")
     h = x[1] - x[0]
     ix = _interior(n_x)
 
-    psi_t = _dt1(psi, dt)[:, ix]
-    psi_xx = _dx2(psi[1:-1], h, space_order)
-    residual = 1j * psi_t + psi_xx / 2.0 - v[1:-1, ix] * psi[1:-1, ix]
+    psi_t = _dt1(psi, dt)[..., ix]
+    psi_xx = _dx2(psi[..., 1:-1, :], h, space_order)
+    residual = 1j * psi_t + psi_xx / 2.0 - v[..., 1:-1, ix] * psi[..., 1:-1, ix]
 
-    keep = np.abs(psi[1:-1, ix]) > _TAIL_MASK_REL * np.max(np.abs(psi))
+    if mask is None:
+        mask = _tail_mask(np.abs(psi))
+    keep = _as_family(mask, psi.shape, "mask")[..., 1:-1, ix]
+    magnitude = np.abs(residual).reshape(-1, residual.shape[-1])
     l2_worst = 0.0
     max_worst = 0.0
-    for row, keep_row in zip(residual, keep):
+    for row, keep_row in zip(magnitude, keep.reshape(-1, keep.shape[-1])):
         kept = row[keep_row]
         if kept.size == 0:
             continue
-        l2_worst = max(l2_worst, float(np.sqrt(h * np.sum(np.abs(kept) ** 2))))
-        max_worst = max(max_worst, float(np.max(np.abs(kept))))
+        l2_worst = max(l2_worst, float(np.sqrt(h * np.sum(kept ** 2))))
+        max_worst = max(max_worst, float(np.max(kept)))
     return l2_worst, max_worst
 
 
@@ -154,30 +172,32 @@ def continuity_residual(a, s, x, dt: float, space_order: int = 2,
                         a_t=None, a_x=None, s_x=None, s_xx=None) -> float:
     """Max norm of (2 A_x S_x + A S_xx)/2 + A_t.
 
+    a, s: (..., n_t, n_x) families at uniform dt; the max is the worst
+    over every family, each masked by the tail of its own amplitude.
     Derivatives are central differences unless the corresponding analytic
-    family (same (n_t, n_x) sampling) is supplied.
+    family (broadcastable to a) is supplied.
     """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    n_t, n_x = a.shape
+    *_, n_t, n_x = a.shape
     _check_times(n_t, dt)
     if s.shape != a.shape:
         raise ValueError("A and S families must share a shape")
     h = x[1] - x[0]
     ix = _interior(n_x)
 
-    a_t_i = (_dt1(a, dt)[:, ix] if a_t is None
-             else _as_family(a_t, n_t, n_x, "a_t")[1:-1, ix])
-    a_x_i = (_dx1(a[1:-1], h, space_order) if a_x is None
-             else _as_family(a_x, n_t, n_x, "a_x")[1:-1, ix])
-    s_x_i = (_dx1(s[1:-1], h, space_order) if s_x is None
-             else _as_family(s_x, n_t, n_x, "s_x")[1:-1, ix])
-    s_xx_i = (_dx2(s[1:-1], h, space_order) if s_xx is None
-              else _as_family(s_xx, n_t, n_x, "s_xx")[1:-1, ix])
+    a_t_i = (_dt1(a, dt)[..., ix] if a_t is None
+             else _as_family(a_t, a.shape, "a_t")[..., 1:-1, ix])
+    a_x_i = (_dx1(a[..., 1:-1, :], h, space_order) if a_x is None
+             else _as_family(a_x, a.shape, "a_x")[..., 1:-1, ix])
+    s_x_i = (_dx1(s[..., 1:-1, :], h, space_order) if s_x is None
+             else _as_family(s_x, a.shape, "s_x")[..., 1:-1, ix])
+    s_xx_i = (_dx2(s[..., 1:-1, :], h, space_order) if s_xx is None
+              else _as_family(s_xx, a.shape, "s_xx")[..., 1:-1, ix])
 
-    residual = (2.0 * a_x_i * s_x_i + a[1:-1, ix] * s_xx_i) / 2.0 + a_t_i
-    keep = np.abs(a[1:-1, ix]) > _TAIL_MASK_REL * np.max(np.abs(a))
+    residual = (2.0 * a_x_i * s_x_i + a[..., 1:-1, ix] * s_xx_i) / 2.0 + a_t_i
+    keep = _tail_mask(np.abs(a))[..., 1:-1, ix]
     if not np.any(keep):
         return 0.0
     return float(np.max(np.abs(residual[keep])))
@@ -186,27 +206,29 @@ def continuity_residual(a, s, x, dt: float, space_order: int = 2,
 def qhje_residual(s, v_b, v, x, dt: float, s_t=None, s_x=None, mask=None) -> float:
     """Max norm of S_x^2/2 + V_B + V + S_t.
 
-    V_B and V are taken as given field samples (they carry no derivatives
-    here).  mask, if supplied, restricts the max norm to a region of
-    interest with the same (n_t, n_x) sampling.
+    s: (..., n_t, n_x) families at uniform dt; the max is the worst over
+    every family.  V_B and V are taken as given field samples,
+    broadcastable to s (they carry no derivatives here).  mask, if
+    supplied, restricts the max norm to a region of interest with the
+    same sampling.
     """
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    n_t, n_x = s.shape
+    *_, n_t, n_x = s.shape
     _check_times(n_t, dt)
-    v_b = _as_family(v_b, n_t, n_x, "v_b")
-    v = _as_family(v, n_t, n_x, "v")
+    v_b = _as_family(v_b, s.shape, "v_b")
+    v = _as_family(v, s.shape, "v")
     h = x[1] - x[0]
     ix = _interior(n_x)
 
-    s_t_i = (_dt1(s, dt)[:, ix] if s_t is None
-             else _as_family(s_t, n_t, n_x, "s_t")[1:-1, ix])
-    s_x_i = (_dx1(s[1:-1], h, 2) if s_x is None
-             else _as_family(s_x, n_t, n_x, "s_x")[1:-1, ix])
+    s_t_i = (_dt1(s, dt)[..., ix] if s_t is None
+             else _as_family(s_t, s.shape, "s_t")[..., 1:-1, ix])
+    s_x_i = (_dx1(s[..., 1:-1, :], h, 2) if s_x is None
+             else _as_family(s_x, s.shape, "s_x")[..., 1:-1, ix])
 
-    residual = s_x_i**2 / 2.0 + v_b[1:-1, ix] + v[1:-1, ix] + s_t_i
+    residual = s_x_i**2 / 2.0 + v_b[..., 1:-1, ix] + v[..., 1:-1, ix] + s_t_i
     if mask is not None:
-        keep = _as_family(mask, n_t, n_x, "mask")[1:-1, ix].astype(bool)
+        keep = _as_family(mask, s.shape, "mask")[..., 1:-1, ix].astype(bool)
         if not np.any(keep):
             return 0.0
         residual = residual[keep]
@@ -225,25 +247,45 @@ def normalization(psi, x=None):
 
 
 def build_residual_report(construction: Construction, grid: SpatialGrid,
-                          t: float, dt: float, space_order: int = 2) -> ResidualReport:
-    """Sample the constructed fields at (t-dt, t, t+dt) and run every check."""
-    times = np.array([t - dt, t, t + dt])
+                          t, dt: float, space_order: int = 2) -> ResidualReport:
+    """Sample the constructed fields at (t-dt, t, t+dt) and run every check.
+
+    t is one probe time or a 1-d array of them; each field of the report
+    is the worst over the probes.  Probes are sampled in blocks whose
+    (p, 3, n_x) stacks hold at most _BLOCK_POINTS points (one probe where
+    its three rows alone hold more): A and S on the three rows, V and V_B
+    on the middle row, the only one the checks read.
+    """
+    probes = np.asarray(t, dtype=float)
+    if probes.ndim > 1 or probes.size == 0:
+        raise ValueError("need one probe time or a 1-d array of them, "
+                         f"got shape {probes.shape}")
+    probes = probes.reshape(-1)
     x = grid.x
     scale, field, profile = construction.scale, construction.field, construction.profile
 
-    column = times[:, None]
-    a = amplitude_gaussian(x, column, scale)
-    s = field.S(x, column)
-    psi = a * np.exp(1j * s)
-    v = classical_potential(profile, x, column)
-    v_b = bohm_potential_gaussian(x, column, scale)
+    per_block = max(1, _BLOCK_POINTS // (3 * grid.n))
+    worst = np.zeros(5)
+    for start in range(0, probes.size, per_block):
+        block = probes[start:start + per_block, None, None]
+        column = np.concatenate([block - dt, block, block + dt], axis=1)
+        a = amplitude_gaussian(x, column, scale)
+        s = field.S(x, column)
+        psi = 1j * s
+        np.exp(psi, out=psi)
+        psi *= a
+        v = classical_potential(profile, x, block)
+        v_b = bohm_potential_gaussian(x, block, scale)
 
-    se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order)
-    cont_max = continuity_residual(a, s, x, dt, space_order=space_order)
-    tail_mask = np.abs(psi) > _TAIL_MASK_REL * np.max(np.abs(psi))
-    qhje_max = qhje_residual(s, v_b, v, x, dt, mask=tail_mask)
-    norm_error = abs(float(normalization(psi[1], x)) - 1.0)
+        tail_mask = _tail_mask(np.abs(psi))
+        se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order,
+                                             mask=tail_mask)
+        cont_max = continuity_residual(a, s, x, dt, space_order=space_order)
+        qhje_max = qhje_residual(s, v_b, v, x, dt, mask=tail_mask)
+        norm_error = np.max(np.abs(normalization(psi[:, 1], x) - 1.0))
+        np.maximum(worst, (se_l2, se_max, cont_max, qhje_max, norm_error), out=worst)
 
+    se_l2, se_max, cont_max, qhje_max, norm_error = map(float, worst)
     return ResidualReport(
         se_residual_l2=se_l2,
         se_residual_max=se_max,

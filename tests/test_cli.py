@@ -503,6 +503,15 @@ OUT = {"out": value("--out", st.sampled_from(["out.csv"] * 5 + ["missing/out.csv
 BRANCH = {"branch": st.one_of(value("--b", SLOPES), switch("--critical"),
                               value("--b", SLOPES), switch("--critical"), st.just([]),
                               value("--b", SLOPES).map(["--critical"].__add__))}
+# bohm and wavefunction take their profile from a branch flag or a table:
+# one entry draws a branch flag, a table, a table beside a branch flag
+# (refused before the table is read) or neither.  Drawn apart, a branch
+# flag came with nearly every table and the table was never read.
+TABLE = value("--omega-table", TABLES)
+PROFILE = {"profile": st.one_of(
+    value("--b", SLOPES), switch("--critical"), TABLE, TABLE, st.just([]),
+    st.tuples(TABLE, st.one_of(value("--b", SLOPES), switch("--critical"))).map(
+        lambda pair: pair[0] + pair[1]))}
 FIELD_GRID = {"x-min": value("--x-min", floats()), "x-max": value("--x-max", floats()),
               "nx": value("--nx", sizes(usual=[2, 11])),
               "t-max": value("--t-max", st.one_of(floats(), st.floats(0.0, 2.0))),
@@ -510,17 +519,15 @@ FIELD_GRID = {"x-min": value("--x-min", floats()), "x-max": value("--x-max", flo
 GRAMMAR = {
     "ermakov": {"b": value("--b", SLOPES),
                 "a": value("--a", st.one_of(SPECIAL_FLOATS, st.floats(0.05, 4.0))),
-                "omega-table": value("--omega-table", TABLES),
+                "omega-table": TABLE,
                 "t-max": value("--t-max", st.floats(-1.0, 20.0)),
                 "samples": value("--samples", sizes()), "numeric": switch("--numeric"),
                 "rho0": value("--rho0", floats()),
                 "rho-dot0": value("--rho-dot0", floats()),
                 "rel-tol": value("--rel-tol", floats()),
                 "abs-tol": value("--abs-tol", floats()), **OUT},
-    "bohm": {**BRANCH, "omega-table": value("--omega-table", TABLES),
-             **FIELD_GRID, **OUT},
-    "wavefunction": {**BRANCH, "omega-table": value("--omega-table", TABLES),
-                     **FIELD_GRID, **OUT},
+    "bohm": {**PROFILE, **FIELD_GRID, **OUT},
+    "wavefunction": {**PROFILE, **FIELD_GRID, **OUT},
     "verify": {**BRANCH,
                "x-min": value("--x-min", st.floats(-20.0, 20.0)),
                "x-max": value("--x-max", st.floats(-20.0, 20.0)),
@@ -552,7 +559,7 @@ GRAMMAR = {
                        st.sampled_from(["", "one", "1,,2"]))),
                    **OUT},
 }
-REQUIRED = {"out", "branch", "tdse-check t-max"}
+REQUIRED = {"out", "branch", "profile", "tdse-check t-max"}
 PATH_FLAGS = ("--out=", "--manifest=", "--omega-table=")
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bohmosc import verify
 from bohmosc import (
     SpatialGrid,
     ResidualReport,
@@ -29,6 +30,12 @@ def sample_families(construction, x, t, dt):
     v = np.stack([classical_potential(profile, x, tj) for tj in times])
     v_b = np.stack([bohm_potential_gaussian(x, tj, scale) for tj in times])
     return psi, a, s, v, v_b
+
+
+def worst_of(reports):
+    """The field-wise max of ResidualReport dicts."""
+    entries = [report.to_dict() for report in reports]
+    return {key: max(entry[key] for entry in entries) for key in entries[0]}
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +225,107 @@ class TestResidualReport:
             h=grid.h, dt=dt, n_x=grid.n, n_t=3)
         report = build_residual_report(sub1, grid, t, dt, space_order=space_order)
         assert report.to_dict() == expected.to_dict()
+
+
+class TestProbeStacks:
+    """A (p, 3, n) stack of probe families gives the worst of the per-probe
+    (3, n) calls, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[1.0, 2.0], ids=["subcritical", "critical"])
+    def stack(self, request):
+        construction = rational_construction(request.param)
+        x, dt = np.linspace(-8.0, 8.0, 257), 1e-3
+        families = [sample_families(construction, x, t, dt)
+                    for t in (0.25, 0.9, 1.5, 2.75, 4.0)]
+        return x, dt, families, [np.stack(f) for f in zip(*families)]
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_schrodinger(self, stack, space_order):
+        x, dt, families, (psi, _, _, v, _) = stack
+        singles = [schrodinger_residual(f[0], f[3], x, dt, space_order=space_order)
+                   for f in families]
+        expected = tuple(max(values) for values in zip(*singles))
+        assert schrodinger_residual(psi, v, x, dt, space_order=space_order) == expected
+        # V on the middle row only, broadcast over the three rows
+        assert schrodinger_residual(psi, v[:, 1:2], x, dt,
+                                    space_order=space_order) == expected
+
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_continuity(self, stack, space_order):
+        x, dt, families, (_, a, s, _, _) = stack
+        expected = max(continuity_residual(f[1], f[2], x, dt, space_order=space_order)
+                       for f in families)
+        assert continuity_residual(a, s, x, dt, space_order=space_order) == expected
+
+    def test_qhje(self, stack):
+        x, dt, families, (psi, _, s, v, v_b) = stack
+
+        def tail(f):
+            return np.abs(f) > 1e-10 * np.max(np.abs(f))
+
+        for mask in (False, True):
+            expected = max(qhje_residual(f[2], f[4], f[3], x, dt,
+                                         mask=tail(f[0]) if mask else None)
+                           for f in families)
+            stacked_mask = np.stack([tail(f[0]) for f in families]) if mask else None
+            assert qhje_residual(s, v_b, v, x, dt, mask=stacked_mask) == expected
+            assert qhje_residual(s, v_b[:, 1:2], v[:, 1:2], x, dt,
+                                 mask=stacked_mask) == expected
+
+    def test_each_probe_masks_its_tail_by_its_own_peak(self, stack):
+        # A constant family 1e12 times the peak of the first has a residual
+        # of exactly 0; measured against its peak, the first family would
+        # lie wholly in the tail and its residuals would drop out.
+        x, dt, families, _ = stack
+        psi, a, s, v, _ = families[0]
+        flat = np.full_like(a, 1e12)
+        assert schrodinger_residual(np.stack([psi, flat]), np.stack([v, 0 * v]), x,
+                                    dt) == schrodinger_residual(psi, v, x, dt)
+        assert continuity_residual(np.stack([a, flat]), np.stack([s, 0 * s]), x,
+                                   dt) == continuity_residual(a, s, x, dt)
+
+    def test_trapezoid_norm_per_probe(self, stack):
+        x, _, families, (psi, *_) = stack
+        expected = [normalization(f[0][1], x) for f in families]
+        np.testing.assert_array_equal(normalization(psi[:, 1], x), expected)
+
+    def test_shapes_that_do_not_broadcast_are_rejected(self, stack):
+        x, dt, _, (psi, _, s, v, v_b) = stack
+        with pytest.raises(ValueError, match="v must broadcast"):
+            schrodinger_residual(psi, v[:2], x, dt)
+        with pytest.raises(ValueError, match="mask must broadcast"):
+            qhje_residual(s, v_b, v, x, dt, mask=np.ones(x.size - 1, dtype=bool))
+
+
+class TestProbeReport:
+    """A report on an array of probes equals the field-wise max of the
+    scalar-t reports, however the probes split into blocks."""
+
+    @pytest.mark.parametrize("b", [1.0, 2.0], ids=["subcritical", "critical"])
+    @pytest.mark.parametrize("space_order", [2, 4])
+    @pytest.mark.parametrize("per_block", [None, 1, 2], ids=["default", "one", "two"])
+    def test_equals_the_worst_of_scalar_reports(self, monkeypatch, b, space_order,
+                                                per_block):
+        construction = rational_construction(b)
+        grid, dt = SpatialGrid(-8.0, 8.0, 257), 2e-3
+        probes = np.linspace(0.4, 2.0, 5)
+        if per_block is not None:
+            # 5 probes split 1+1+1+1+1 or 2+2+1
+            monkeypatch.setattr(verify, "_BLOCK_POINTS", per_block * 3 * grid.n)
+        singles = [build_residual_report(construction, grid, float(t), dt,
+                                         space_order=space_order) for t in probes]
+        report = build_residual_report(construction, grid, probes, dt,
+                                       space_order=space_order)
+        assert report.to_dict() == worst_of(singles)
+
+    def test_one_probe_past_the_block_bound(self, monkeypatch, sub1):
+        # A bound below one probe's three rows still takes a probe per block.
+        grid, probes = SpatialGrid(-8.0, 8.0, 129), np.array([0.5, 1.5, 2.5])
+        monkeypatch.setattr(verify, "_BLOCK_POINTS", grid.n)
+        singles = [build_residual_report(sub1, grid, float(t), 1e-3) for t in probes]
+        assert build_residual_report(sub1, grid, probes, 1e-3).to_dict() == worst_of(singles)
+
+    @pytest.mark.parametrize("t", [np.array([]), np.ones((2, 2))], ids=["empty", "2-d"])
+    def test_probe_times_must_be_one_or_a_1d_array(self, sub1, t):
+        with pytest.raises(ValueError, match="probe time"):
+            build_residual_report(sub1, SpatialGrid(-8.0, 8.0, 129), t, 1e-3)
