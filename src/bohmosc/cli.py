@@ -29,7 +29,9 @@ import numpy as np
 
 from . import __version__
 from .frequency import FrequencyProfile, Regime, classify_rational
-from .ermakov import ABS_TOL, REL_TOL, ermakov_residual, log_scale, solve_numeric
+from .ermakov import ABS_TOL, REL_TOL, ermakov_residual
+# Not called here: the benchmark's tracer wraps cli.solve_numeric by name.
+from .ermakov import solve_numeric  # noqa: F401
 from .madelung import (
     SpatialGrid,
     amplitude_gaussian,
@@ -50,8 +52,9 @@ EXIT_THRESHOLD = 3
 
 _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 
-# Start and tolerances of the ermakov numeric solve, which the closed-form
-# family path does not use: there, other values are refused.
+# Start and tolerances of a numeric solve, set by the flags of ermakov,
+# the one subcommand that has them.  The closed-form family path does not
+# use them: there, other values are refused.
 _NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
 
@@ -131,75 +134,75 @@ def _write_manifest(args, outputs) -> None:
         handle.write("\n")
 
 
-def _table_profile(path: str) -> FrequencyProfile:
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
+def _read_table(path: str) -> FrequencyProfile:
+    """The profile of an --omega-table file: rows of t, omega."""
+    with open(path) as handle:
+        rows = [line for line in handle if line.partition("#")[0].strip()]
+    if not rows:
+        raise ValueError(f"--omega-table {path} holds no samples")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
     if table.shape[1] != 2:
         raise ValueError("--omega-table needs two columns: t, omega")
     return FrequencyProfile.from_table(table[:, 0], table[:, 1])
 
 
-def _table_from_args(args):
-    """The --omega-table profile, or None without that flag.  A table is
-    the whole profile, so --a, --b and --critical are refused beside it."""
-    if not getattr(args, "omega_table", None):
-        return None
-    for key in ("a", "b", "critical"):
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            raise ValueError(f"--omega-table and --{key} are mutually exclusive")
-    return _table_profile(args.omega_table)
+def _construction_from_args(args, t_max: float):
+    """The Construction that a subcommand's profile flags name, solved on
+    [0, t_max] where it is numeric.
 
-
-def _profile_from_args(args):
-    """Frequency profile from --omega-table, --a/--b, or the family --b."""
-    table = _table_from_args(args)
-    if table is not None:
-        return table, True
-    if getattr(args, "a", None) is not None:
+    The flags are read in one order: --omega-table, which is the whole
+    profile and so refused beside --a, --b or --critical; --a with --b;
+    then the rational family's --b or --critical, in closed form unless
+    --numeric is given.  A numeric solve takes the start and tolerances of
+    _NUMERIC_DEFAULTS from the flags the subcommand has; rho'(0) defaults
+    to 0, and on the family to the closed form's.
+    """
+    flags = vars(args)
+    numeric = {key: flags.get(key, default) for key, default in _NUMERIC_DEFAULTS.items()}
+    rho_dot0 = 0.0
+    if flags.get("omega_table"):
+        for key in ("a", "b", "critical"):
+            value = flags.get(key)
+            if value is not None and value is not False:
+                raise ValueError(f"--omega-table and --{key} are mutually exclusive")
+        profile = _read_table(args.omega_table)
+    elif flags.get("a") is not None:
         if args.b is None:
             raise ValueError("--a requires --b (use --b 0 for a constant frequency)")
-        return FrequencyProfile.rational(args.a, args.b), True
-    if getattr(args, "b", None) is None:
-        raise ValueError("give --b, --a with --b, or --omega-table")
-    return None, False  # family profile; construction resolved by the caller
-
-
-def _branch_value(args) -> float:
-    if getattr(args, "critical", False):
-        if getattr(args, "b", None) is not None:
-            raise ValueError("--critical and --b are mutually exclusive")
-        return 2.0
-    if getattr(args, "b", None) is None:
-        raise ValueError("give --b or --critical")
-    return args.b
+        profile = FrequencyProfile.rational(args.a, args.b)
+    else:
+        if flags.get("critical"):
+            if args.b is not None:
+                raise ValueError("--critical and --b are mutually exclusive")
+            b = 2.0
+        elif args.b is None:
+            raise ValueError("give --b or --critical" if "critical" in flags
+                             else "give --b, --a with --b, or --omega-table")
+        else:
+            b = args.b
+        if not flags.get("numeric"):
+            for key, default in _NUMERIC_DEFAULTS.items():
+                if numeric[key] != default:
+                    raise ValueError(f"--{key.replace('_', '-')} needs --numeric")
+            return rational_construction(b)
+        closed = rational_construction(b)
+        profile, rho_dot0 = closed.profile, float(closed.solution.rho_dot(0.0))
+    if numeric["rho_dot0"] is None:
+        numeric["rho_dot0"] = rho_dot0
+    return numeric_construction(profile, (0.0, t_max), **numeric)
 
 
 # ----------------------------------------------------------------- ermakov
 
 def _cmd_ermakov(args) -> int:
     times = np.linspace(0.0, args.t_max, _count(args.samples, "--samples"))
-    profile, generic = _profile_from_args(args)
-
-    rho_dot0 = 0.0
-    if not generic:
-        for key, default in _NUMERIC_DEFAULTS.items():
-            if not args.numeric and getattr(args, key) != default:
-                raise ValueError(f"--{key.replace('_', '-')} needs --numeric")
-        construction = rational_construction(args.b)
-        profile, solution = construction.profile, construction.solution
-        rho_dot0 = float(solution.rho_dot(0.0))
-    if generic or args.numeric:
-        if args.rho_dot0 is not None:
-            rho_dot0 = args.rho_dot0
-        solution = solve_numeric(profile, args.rho0, rho_dot0, (0.0, args.t_max),
-                                 rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    scale = log_scale(solution, profile)
-
+    construction = _construction_from_args(args, args.t_max)
+    solution, scale = construction.solution, construction.scale
     _write_csv(args.out, ["t", "rho", "rho_dot", "nu", "nu_dot",
                           "nu_ddot", "residual"],
                [times, solution.rho(times), solution.rho_dot(times),
                 scale.nu(times), scale.nu_dot(times), scale.nu_ddot(times),
-                ermakov_residual(solution, profile, times)])
+                ermakov_residual(solution, construction.profile, times)])
     _write_manifest(args, [args.out])
     return EXIT_OK
 
@@ -209,11 +212,7 @@ def _cmd_ermakov(args) -> int:
 def _field_sweep(args):
     """Construction, (n_t, 1) time column and (1, n_x) position row of a
     bohm/wavefunction sweep."""
-    table = _table_from_args(args)
-    if table is not None:
-        construction = numeric_construction(table, (0.0, args.t_max))
-    else:
-        construction = rational_construction(_branch_value(args))
+    construction = _construction_from_args(args, args.t_max)
     t = np.linspace(0.0, args.t_max, _count(args.nt, "--nt"))[:, None]
     x = np.linspace(args.x_min, args.x_max, _count(args.nx, "--nx"))[None, :]
     return construction, t, x
@@ -244,8 +243,7 @@ def _cmd_wavefunction(args) -> int:
 def _cmd_verify(args) -> int:
     if args.refine < 1:
         raise ValueError("--refine needs at least one level")
-    b_value = _branch_value(args)
-    construction = rational_construction(b_value)
+    construction = _construction_from_args(args, args.t_max)
     span = args.x_max - args.x_min
     if not span > 0:
         raise ValueError(f"need --x-max > --x-min, got [{args.x_min}, {args.x_max}]")
@@ -275,9 +273,10 @@ def _cmd_verify(args) -> int:
             float(np.log2(lo[key] / hi[key])) if hi[key] > 0 and lo[key] > 0 else None
             for lo, hi in pairs
         ]
-    critical = classify_rational(b_value) is Regime.CRITICAL
+    # the helper has refused every flag set but --critical (b is None) or --b
+    critical = args.b is None or classify_rational(args.b) is Regime.CRITICAL
     document = {
-        "branch": "critical" if critical else f"subcritical b={b_value}",
+        "branch": "critical" if critical else f"subcritical b={args.b}",
         "t_probes": list(map(float, probes)),
         "space_order": args.order,
         "levels": levels,
@@ -313,7 +312,7 @@ def _auto_half_width(construction, t_max: float) -> float:
 def _cmd_tdse_check(args) -> int:
     if args.samples < 2:
         raise ValueError("--samples needs at least 2 (t=0 plus one probe)")
-    construction = rational_construction(_branch_value(args))
+    construction = _construction_from_args(args, args.t_max)
     if args.x_max is None:
         half_width = _auto_half_width(construction, args.t_max)
     else:

@@ -65,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frequency import FrequencyProfile
+from .frequency import FrequencyProfile, Regime, classify_rational
 
 __all__ = [
     "ErmakovSolution",
@@ -89,10 +89,6 @@ _log = logging.getLogger(__name__)
 
 # Below this the configuration is treated as singular and integration aborts.
 RHO_FLOOR = 1e-8
-
-# C = (1-b^2/4)^(-1/4) diverges as b -> 2; refuse the subcritical closed form
-# once 1-b^2/4 is at rounding level and point callers at the critical branch.
-_NEAR_CRITICAL_MARGIN = 1e-14
 
 # Default tolerances of solve_numeric, which numeric_construction and the
 # CLI share.  At rel_tol 1e-10 the near-critical rho missed criterion 2:
@@ -164,16 +160,16 @@ class LogScale:
 def subcritical_parameters(b: float) -> tuple:
     """Return (a, C) for the subcritical closed form, with a = sqrt(1-b^2/4).
 
-    The offset a is not free: rho(0) = C sqrt(a) = 1 forces it.
+    The offset a is not free: rho(0) = C sqrt(a) = 1 forces it.  C
+    diverges as b -> 2, so every slope that classify_rational does not
+    call subcritical is refused, the critical band around 2 included.
     """
-    if not np.isfinite(b) or b < 0:
-        raise ValueError(f"slope must be finite and >= 0, got {b}")
-    disc = 1.0 - b * b / 4.0
-    if disc < _NEAR_CRITICAL_MARGIN:
+    if classify_rational(b) is not Regime.SUBCRITICAL:
         raise ValueError(
             f"b={b} is at or beyond the critical slope 2; "
             "use the critical closed form instead"
         )
+    disc = 1.0 - b * b / 4.0
     return float(np.sqrt(disc)), float(disc ** -0.25)
 
 

@@ -129,14 +129,6 @@ class WavefunctionGrid:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "psi", psi)
 
-    def amplitude(self) -> np.ndarray:
-        return np.abs(self.psi)
-
-    def at(self, index: int) -> "WavefunctionGrid":
-        """Single-time slice."""
-        return WavefunctionGrid(self.grid, self.times[index : index + 1],
-                                self.psi[index : index + 1])
-
     def norms(self) -> np.ndarray:
         """Trapezoidal int |psi|^2 dx per stored time."""
         return np.trapezoid(np.abs(self.psi) ** 2, self.grid.x, axis=1)

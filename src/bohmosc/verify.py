@@ -31,7 +31,6 @@ import numpy as np
 from .madelung import (
     Construction,
     SpatialGrid,
-    WavefunctionGrid,
     amplitude_gaussian,
     bohm_potential_gaussian,
     classical_potential,
@@ -168,14 +167,11 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
     return l2_worst, max_worst
 
 
-def continuity_residual(a, s, x, dt: float, space_order: int = 2,
-                        a_t=None, a_x=None, s_x=None, s_xx=None) -> float:
-    """Max norm of (2 A_x S_x + A S_xx)/2 + A_t.
+def continuity_residual(a, s, x, dt: float, space_order: int = 2) -> float:
+    """Max norm of (2 A_x S_x + A S_xx)/2 + A_t, by central differences.
 
     a, s: (..., n_t, n_x) families at uniform dt; the max is the worst
     over every family, each masked by the tail of its own amplitude.
-    Derivatives are central differences unless the corresponding analytic
-    family (broadcastable to a) is supplied.
     """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -187,24 +183,20 @@ def continuity_residual(a, s, x, dt: float, space_order: int = 2,
     h = x[1] - x[0]
     ix = _interior(n_x)
 
-    a_t_i = (_dt1(a, dt)[..., ix] if a_t is None
-             else _as_family(a_t, a.shape, "a_t")[..., 1:-1, ix])
-    a_x_i = (_dx1(a[..., 1:-1, :], h, space_order) if a_x is None
-             else _as_family(a_x, a.shape, "a_x")[..., 1:-1, ix])
-    s_x_i = (_dx1(s[..., 1:-1, :], h, space_order) if s_x is None
-             else _as_family(s_x, a.shape, "s_x")[..., 1:-1, ix])
-    s_xx_i = (_dx2(s[..., 1:-1, :], h, space_order) if s_xx is None
-              else _as_family(s_xx, a.shape, "s_xx")[..., 1:-1, ix])
+    a_t = _dt1(a, dt)[..., ix]
+    a_x = _dx1(a[..., 1:-1, :], h, space_order)
+    s_x = _dx1(s[..., 1:-1, :], h, space_order)
+    s_xx = _dx2(s[..., 1:-1, :], h, space_order)
 
-    residual = (2.0 * a_x_i * s_x_i + a[..., 1:-1, ix] * s_xx_i) / 2.0 + a_t_i
+    residual = (2.0 * a_x * s_x + a[..., 1:-1, ix] * s_xx) / 2.0 + a_t
     keep = _tail_mask(np.abs(a))[..., 1:-1, ix]
     if not np.any(keep):
         return 0.0
     return float(np.max(np.abs(residual[keep])))
 
 
-def qhje_residual(s, v_b, v, x, dt: float, s_t=None, s_x=None, mask=None) -> float:
-    """Max norm of S_x^2/2 + V_B + V + S_t.
+def qhje_residual(s, v_b, v, x, dt: float, mask=None) -> float:
+    """Max norm of S_x^2/2 + V_B + V + S_t, by central differences.
 
     s: (..., n_t, n_x) families at uniform dt; the max is the worst over
     every family.  V_B and V are taken as given field samples,
@@ -221,12 +213,10 @@ def qhje_residual(s, v_b, v, x, dt: float, s_t=None, s_x=None, mask=None) -> flo
     h = x[1] - x[0]
     ix = _interior(n_x)
 
-    s_t_i = (_dt1(s, dt)[..., ix] if s_t is None
-             else _as_family(s_t, s.shape, "s_t")[..., 1:-1, ix])
-    s_x_i = (_dx1(s[..., 1:-1, :], h, 2) if s_x is None
-             else _as_family(s_x, s.shape, "s_x")[..., 1:-1, ix])
+    s_t = _dt1(s, dt)[..., ix]
+    s_x = _dx1(s[..., 1:-1, :], h, 2)
 
-    residual = s_x_i**2 / 2.0 + v_b[..., 1:-1, ix] + v[..., 1:-1, ix] + s_t_i
+    residual = s_x**2 / 2.0 + v_b[..., 1:-1, ix] + v[..., 1:-1, ix] + s_t
     if mask is not None:
         keep = _as_family(mask, s.shape, "mask")[..., 1:-1, ix].astype(bool)
         if not np.any(keep):
@@ -235,13 +225,9 @@ def qhje_residual(s, v_b, v, x, dt: float, s_t=None, s_x=None, mask=None) -> flo
     return float(np.max(np.abs(residual)))
 
 
-def normalization(psi, x=None):
-    """Trapezoidal int |psi|^2 dx; accepts a WavefunctionGrid or samples + x."""
-    if isinstance(psi, WavefunctionGrid):
-        norms = psi.norms()
-        return float(norms[0]) if norms.size == 1 else norms
-    if x is None:
-        raise ValueError("x samples required when psi is a plain array")
+def normalization(psi, x):
+    """Trapezoidal int |psi|^2 dx over the last axis of psi samples at x;
+    WavefunctionGrid.norms() is the same integral per stored time."""
     psi = np.asarray(psi)
     return np.trapezoid(np.abs(psi) ** 2, np.asarray(x, dtype=float), axis=-1)
 

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,10 @@ class TestCliPlumbing:
         ["bohm", "--critical"],
         ["ermakov", "--b", "1"],
         ["ermakov", "--a", "3", "--b", "1"],
+        ["bohm", "--b", "0"],
+        ["bohm", "--b", "-0.0"],
+        ["ermakov", "--b", "0"],
+        ["ermakov", "--a", "0", "--b", "0"],
     ])
     def test_omega_table_with_a_profile_flag_exits_2(self, tmp_path, capsys, argv):
         table = tmp_path / "omega.csv"
@@ -378,6 +383,22 @@ class TestCliPlumbing:
         assert main(argv + ["--omega-table", str(table), "--out", str(out)]) == 2
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["", "\n", "# t, omega\n"],
+                             ids=["empty", "newline", "comment"])
+    @pytest.mark.parametrize("command", ["bohm", "ermakov"])
+    def test_omega_table_without_samples_exits_2(self, tmp_path, capsys, command, text):
+        # numpy's loadtxt warns on such a file; that warning would print two
+        # more lines to stderr, so here it would raise
+        table = tmp_path / "omega.csv"
+        table.write_text(text)
+        out = tmp_path / "x.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--omega-table", str(table), "--out", str(out)]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "holds no samples" in line
 
     @pytest.mark.parametrize("argv", [
         ["wavefunction", "--critical", "--t-max", "inf"],
@@ -484,6 +505,16 @@ def switch(flag):
     return st.just([flag])
 
 
+def sum_lists(lists):
+    return [token for tokens in lists for token in tokens]
+
+
+def either(*choices):
+    """Tokens of one of the choices, each drawn as often as it is listed.
+    st.one_of would drop a repeated strategy, and so could not weight."""
+    return st.sampled_from(choices).flatmap(lambda tokens: tokens)
+
+
 SLOPES = st.one_of(st.floats(0.0, 2.5), SPECIAL_FLOATS)
 TABLES = st.sampled_from(["table.csv"] * 4 + ["one_column.csv", "decreasing.csv",
                                               "text.csv", "missing.csv"])
@@ -504,22 +535,28 @@ BRANCH = {"branch": st.one_of(value("--b", SLOPES), switch("--critical"),
                               value("--b", SLOPES), switch("--critical"), st.just([]),
                               value("--b", SLOPES).map(["--critical"].__add__))}
 # bohm and wavefunction take their profile from a branch flag or a table:
-# one entry draws a branch flag, a table, a table beside a branch flag
-# (refused before the table is read) or neither.  Drawn apart, a branch
-# flag came with nearly every table and the table was never read.
+# one entry draws a branch flag, a table (twice as often), a table beside a
+# branch flag (refused before the table is read) or neither.  Drawn apart,
+# a branch flag came with nearly every table and the table was never read.
 TABLE = value("--omega-table", TABLES)
-PROFILE = {"profile": st.one_of(
+PROFILE = {"profile": either(
     value("--b", SLOPES), switch("--critical"), TABLE, TABLE, st.just([]),
     st.tuples(TABLE, st.one_of(value("--b", SLOPES), switch("--critical"))).map(
-        lambda pair: pair[0] + pair[1]))}
+        sum_lists))}
+# ermakov takes its profile from a table, --a with --b, or the family --b:
+# one entry draws one of these (a table twice as often), none, or a table
+# beside --b or --a.
+A_VALUE = value("--a", st.one_of(SPECIAL_FLOATS, st.floats(0.05, 4.0)))
+ERMAKOV_PROFILE = {"profile": either(
+    TABLE, TABLE, st.tuples(A_VALUE, value("--b", SLOPES)).map(sum_lists),
+    value("--b", SLOPES), st.just([]),
+    st.tuples(TABLE, st.one_of(value("--b", SLOPES), A_VALUE)).map(sum_lists))}
 FIELD_GRID = {"x-min": value("--x-min", floats()), "x-max": value("--x-max", floats()),
               "nx": value("--nx", sizes(usual=[2, 11])),
               "t-max": value("--t-max", st.one_of(floats(), st.floats(0.0, 2.0))),
               "nt": value("--nt", sizes(usual=[1, 5]))}
 GRAMMAR = {
-    "ermakov": {"b": value("--b", SLOPES),
-                "a": value("--a", st.one_of(SPECIAL_FLOATS, st.floats(0.05, 4.0))),
-                "omega-table": TABLE,
+    "ermakov": {**ERMAKOV_PROFILE,
                 "t-max": value("--t-max", st.floats(-1.0, 20.0)),
                 "samples": value("--samples", sizes()), "numeric": switch("--numeric"),
                 "rho0": value("--rho0", floats()),

@@ -7,6 +7,9 @@ import pytest
 
 from bohmosc import (
     FrequencyProfile,
+    Regime,
+    bohm_potential_subcritical,
+    classify_rational,
     closed_form_critical,
     closed_form_subcritical,
     critical_solution,
@@ -60,6 +63,18 @@ class TestClosedForms:
             closed_form_subcritical(2.0 - 1e-15, 1.0)  # 1-b^2/4 at rounding level
         # near-critical but representable slopes stay on this branch
         assert np.isfinite(closed_form_subcritical(2.0 - 1e-6, 1.0))
+
+    @pytest.mark.parametrize("build", [
+        lambda b: closed_form_subcritical(b, 1.0),
+        subcritical_solution,
+        lambda b: bohm_potential_subcritical(b, 0.0, 1.0),
+    ], ids=["closed_form", "solution", "bohm_potential"])
+    def test_critical_band_is_refused(self, build):
+        # classify_rational calls 2 - 5e-13 critical; the subcritical forms
+        # must not take it (C would be 1189 and rho(1) 1682)
+        assert classify_rational(2.0 - 5e-13) is Regime.CRITICAL
+        with pytest.raises(ValueError, match="critical slope"):
+            build(2.0 - 5e-13)
 
     def test_critical_starts_at_one(self):
         assert closed_form_critical(0.0) == pytest.approx(1.0, abs=0)

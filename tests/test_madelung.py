@@ -16,7 +16,6 @@ from bohmosc import (
     ermakov_residual,
     mu_critical,
     mu_subcritical,
-    normalization,
     numeric_construction,
     rational_construction,
 )
@@ -161,8 +160,7 @@ class TestWavefunction:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_normalization(self, sub1, t):
         grid = SpatialGrid(-20.0, 20.0, 2048)
-        psi = sub1.psi(grid, t)
-        assert abs(normalization(psi) - 1.0) < 1e-10
+        assert abs(sub1.psi(grid, t).norms()[0] - 1.0) < 1e-10
 
     def test_normalization_drift_across_window(self, crit):
         grid = SpatialGrid(-32.0, 32.0, 4096)
@@ -174,7 +172,7 @@ class TestWavefunction:
         # cutting the grid at |x|=2 loses the known Gaussian tail
         from scipy.special import erfc
         grid = SpatialGrid(-2.0, 2.0, 512)
-        value = normalization(static.psi(grid, 0.0))
+        value = static.psi(grid, 0.0).norms()[0]
         assert value == pytest.approx(1.0 - erfc(2.0), abs=1e-6)
         assert value < 1.0
 
@@ -301,9 +299,7 @@ class TestConstructions:
         grid = SpatialGrid()
         wf = sub1.psi(grid, [0.0, 1.0, 2.0])
         assert wf.psi.shape == (3, 512)
-        assert wf.amplitude().shape == (3, 512)
-        single = wf.at(1)
-        assert single.times.tolist() == [1.0]
+        assert wf.times.tolist() == [0.0, 1.0, 2.0]
 
 
 class TestConstructionProperties:
