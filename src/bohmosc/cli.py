@@ -13,9 +13,14 @@ Subcommands wire the library together and emit reproducible data files:
 
 CSV output uses a header row, comma separators, and floats printed with 17
 significant digits so doubles round-trip exactly; rerunning a subcommand
-with the same flags reproduces byte-identical files.  Exit codes: 0 on
-success, 2 for flag or domain errors, 3 for verification-threshold
-failures.
+with the same flags reproduces byte-identical files.  Each subcommand
+writes one --out file (verify prints its report when --out is not given).
+--manifest names a JSON record of that file's SHA-256 and byte count and
+of the flags; main writes it after the subcommand returns, at exit 0 or 3.
+--manifest without --out, or naming the --out file itself, is refused
+before any work.  verify's level l has (nx - 1) * 2^l + 1 grid points
+and time step dt / 2^l.  Exit codes: 0 on success, 2 for flag or domain
+errors, 3 for verification-threshold failures.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -104,30 +110,19 @@ def _count(value: int, flag: str, minimum: int = 1) -> int:
     return value
 
 
-def _write_manifest(args, outputs) -> None:
-    if not args.manifest:
-        return
-    parameters = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("command", "func", "manifest"):
-            continue
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        parameters[key] = value
-    entries = []
-    for path in outputs:
-        digest = hashlib.sha256()
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        digest.update(blob)
-        entries.append({"path": path, "sha256": digest.hexdigest(),
-                        "bytes": len(blob)})
+def _write_manifest(args) -> None:
+    """Write the --manifest record of a run's --out file and its flags."""
+    parameters = {key: value for key, value in sorted(vars(args).items())
+                  if key not in ("command", "func", "manifest")}
+    with open(args.out, "rb") as handle:
+        blob = handle.read()
     manifest = {
         "tool": "bohmosc",
         "version": __version__,
         "subcommand": args.command,
         "parameters": parameters,
-        "outputs": entries,
+        "outputs": [{"path": args.out, "sha256": hashlib.sha256(blob).hexdigest(),
+                     "bytes": len(blob)}],
     }
     with open(args.manifest, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -194,7 +189,7 @@ def _construction_from_args(args, t_max: float):
 
 # ----------------------------------------------------------------- ermakov
 
-def _cmd_ermakov(args) -> int:
+def _cmd_ermakov(args) -> None:
     times = np.linspace(0.0, args.t_max, _count(args.samples, "--samples"))
     construction = _construction_from_args(args, args.t_max)
     solution, scale = construction.solution, construction.scale
@@ -203,8 +198,6 @@ def _cmd_ermakov(args) -> int:
                [times, solution.rho(times), solution.rho_dot(times),
                 scale.nu(times), scale.nu_dot(times), scale.nu_ddot(times),
                 ermakov_residual(solution, construction.profile, times)])
-    _write_manifest(args, [args.out])
-    return EXIT_OK
 
 
 # -------------------------------------------------------------------- bohm
@@ -218,51 +211,38 @@ def _field_sweep(args):
     return construction, t, x
 
 
-def _cmd_bohm(args) -> int:
+def _cmd_bohm(args) -> None:
     construction, t, x = _field_sweep(args)
     scale = construction.scale
     _write_csv(args.out, ["t", "x", "V_B", "V", "A", "S"],
                [t, x, bohm_potential_gaussian(x, t, scale),
                 classical_potential(construction.profile, x, t),
                 amplitude_gaussian(x, t, scale), construction.field.S(x, t)])
-    _write_manifest(args, [args.out])
-    return EXIT_OK
 
 
-def _cmd_wavefunction(args) -> int:
+def _cmd_wavefunction(args) -> None:
     construction, t, x = _field_sweep(args)
     psi = wavefunction(x, t, construction.scale, construction.field)
     _write_csv(args.out, ["t", "x", "re_psi", "im_psi", "abs2_psi"],
                [t, x, psi.real, psi.imag, np.abs(psi) ** 2])
-    _write_manifest(args, [args.out])
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ verify
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str | None:
     if args.refine < 1:
         raise ValueError("--refine needs at least one level")
     construction = _construction_from_args(args, args.t_max)
-    span = args.x_max - args.x_min
-    if not span > 0:
+    if not args.x_max > args.x_min:
         raise ValueError(f"need --x-max > --x-min, got [{args.x_min}, {args.x_max}]")
     n_probes = _count(args.nt, "--nt")
     probes = np.linspace(args.t_max / n_probes, args.t_max, n_probes)
-
-    if args.h is None:
-        h0 = span / (_count(args.nx, "--nx", 2) - 1)
-    elif args.h > 0:
-        h0 = args.h
-    else:
-        raise ValueError(f"--h must be positive, got {args.h}")
+    intervals = _count(args.nx, "--nx", 2) - 1
 
     def level_report(level: int) -> dict:
-        h = h0 / 2**level
-        dt = args.dt / 2**level
-        n = int(round(span / h)) + 1
-        grid = SpatialGrid(args.x_min, args.x_max, n)
-        return build_residual_report(construction, grid, probes, dt,
+        # Each level halves h and dt, so the grids nest.
+        grid = SpatialGrid(args.x_min, args.x_max, intervals * 2**level + 1)
+        return build_residual_report(construction, grid, probes, args.dt / 2**level,
                                      space_order=args.order).to_dict()
 
     levels = [level_report(level) for level in range(args.refine)]
@@ -286,7 +266,6 @@ def _cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(blob)
-        _write_manifest(args, [args.out])
     else:
         sys.stdout.write(blob)
 
@@ -295,10 +274,9 @@ def _cmd_verify(args) -> int:
         worst = max(finest["se_residual_max"], finest["continuity_residual_max"],
                     finest["qhje_residual_max"])
         if worst > args.threshold:
-            print(f"verification failed: max residual {worst:.3e} > "
-                  f"threshold {args.threshold:.3e}", file=sys.stderr)
-            return EXIT_THRESHOLD
-    return EXIT_OK
+            return (f"verification failed: max residual {worst:.3e} > "
+                    f"threshold {args.threshold:.3e}")
+    return None
 
 
 # -------------------------------------------------------------- tdse-check
@@ -309,7 +287,7 @@ def _auto_half_width(construction, t_max: float) -> float:
     return max(8.0, float(np.ceil(5.5 * rho_end)))
 
 
-def _cmd_tdse_check(args) -> int:
+def _cmd_tdse_check(args) -> str | None:
     if args.samples < 2:
         raise ValueError("--samples needs at least 2 (t=0 plus one probe)")
     construction = _construction_from_args(args, args.t_max)
@@ -329,38 +307,33 @@ def _cmd_tdse_check(args) -> int:
 
     _write_csv(args.out, ["t", "fidelity", "norm_error"],
                [times, np.concatenate([[1.0], fidelities]), np.abs(norms - 1.0)])
-    _write_manifest(args, [args.out])
 
     if args.min_fidelity is not None:
         worst = float(np.min(fidelities))
         if worst < args.min_fidelity:
-            print(f"tdse check failed: fidelity {worst:.12f} < "
-                  f"{args.min_fidelity}", file=sys.stderr)
-            return EXIT_THRESHOLD
-    return EXIT_OK
+            return f"tdse check failed: fidelity {worst:.12f} < {args.min_fidelity}"
+    return None
 
 
 # ----------------------------------------------------------------- figures
 
-def _figure_surface(args, values_at) -> int:
+def _figure_surface(args, values_at) -> None:
     t = np.linspace(0.0, 6.0, 121)[:, None]
     x = np.linspace(-5.0, 5.0, 201)[None, :]
     _write_csv(args.out, ["t", "x", "V_B"], [t, x, values_at(x, t)])
-    _write_manifest(args, [args.out])
-    return EXIT_OK
 
 
-def _cmd_fig1(args) -> int:
-    return _figure_surface(args, lambda x, t: bohm_potential_subcritical(1.0, x, t))
+def _cmd_fig1(args) -> None:
+    _figure_surface(args, lambda x, t: bohm_potential_subcritical(1.0, x, t))
 
 
-def _cmd_fig2(args) -> int:
-    return _figure_surface(args, bohm_potential_critical)
+def _cmd_fig2(args) -> None:
+    _figure_surface(args, bohm_potential_critical)
 
 
 # -------------------------------------------------------------- transition
 
-def _cmd_transition(args) -> int:
+def _cmd_transition(args) -> None:
     if args.t_probe <= 0:
         raise ValueError("the two branches only separate for t > 0; "
                          "pick a positive --t-probe")
@@ -376,8 +349,6 @@ def _cmd_transition(args) -> int:
               for b in bs]
     values.append(float(bohm_potential_critical(args.x_probe, args.t_probe)))
     _write_csv(args.out, ["b", "V_B"], [bs + [2.0], values])
-    _write_manifest(args, [args.out])
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
@@ -386,21 +357,14 @@ def _add_common(parser, out_required=True):
     parser.add_argument("--out", required=out_required,
                         help="output file path")
     parser.add_argument("--manifest",
-                        help="write a JSON run manifest (parameters + digests)")
+                        help="write a JSON record of the flags and of the "
+                             "--out file's SHA-256")
 
 
 def _add_branch(parser):
     parser.add_argument("--b", type=float, help="rational-family slope")
     parser.add_argument("--critical", action="store_true",
                         help="use the critical branch b=2")
-
-
-def _add_field_grid(parser, nx=201, nt=121, t_max=6.0):
-    parser.add_argument("--x-min", type=float, default=-8.0)
-    parser.add_argument("--x-max", type=float, default=8.0)
-    parser.add_argument("--nx", type=int, default=nx)
-    parser.add_argument("--t-max", type=float, default=t_max)
-    parser.add_argument("--nt", type=int, default=nt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,19 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_ermakov)
 
-    p = sub.add_parser("bohm", help="Bohm-potential surface data")
-    _add_branch(p)
-    p.add_argument("--omega-table", help="CSV with t,omega samples")
-    _add_field_grid(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bohm)
-
-    p = sub.add_parser("wavefunction", help="wavefunction surface data")
-    _add_branch(p)
-    p.add_argument("--omega-table", help="CSV with t,omega samples")
-    _add_field_grid(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_wavefunction)
+    for name, help_text, func in (("bohm", "Bohm-potential surface data", _cmd_bohm),
+                                  ("wavefunction", "wavefunction surface data",
+                                   _cmd_wavefunction)):
+        p = sub.add_parser(name, help=help_text)
+        _add_branch(p)
+        p.add_argument("--omega-table", help="CSV with t,omega samples")
+        p.add_argument("--x-min", type=float, default=-8.0)
+        p.add_argument("--x-max", type=float, default=8.0)
+        p.add_argument("--nx", type=int, default=201)
+        p.add_argument("--t-max", type=float, default=6.0)
+        p.add_argument("--nt", type=int, default=121)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="finite-difference residual report")
     _add_branch(p)
@@ -448,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nt", type=int, default=1, help="number of probe times")
     p.add_argument("--nx", type=int, default=513,
                    help="grid points at the coarsest level")
-    p.add_argument("--h", type=float,
-                   help="grid spacing at the coarsest level (overrides --nx)")
     p.add_argument("--dt", type=float, default=1e-3,
                    help="time step at the coarsest level")
     p.add_argument("--refine", type=int, default=1,
@@ -495,22 +457,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(args) -> None:
+def _check_flags(args) -> None:
+    """Refuse, before any work, a non-finite float flag and a --manifest
+    that would be dropped or would overwrite the --out file."""
     for key, value in vars(args).items():
         if isinstance(value, float) and not np.isfinite(value):
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"{flag} must be finite, got {value}")
+    if args.manifest:
+        if not args.out:
+            raise ValueError("--manifest needs --out")
+        if os.path.realpath(args.manifest) == os.path.realpath(args.out):
+            raise ValueError("--manifest and --out name the same file")
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  It writes its --out file and returns None, or
+    the message of a failed threshold; main then writes the manifest."""
     args = build_parser().parse_args(argv)
     try:
-        _check_finite(args)
+        _check_flags(args)
         # An overflow or a NaN would otherwise go on into the output as
         # inf/nan cells; underflow is left alone, since Gaussian tails
         # underflow to 0 by design.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            failure = args.func(args)
+        if args.manifest:
+            _write_manifest(args)
     except (ValueError, RuntimeError, OSError, FloatingPointError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -518,6 +491,10 @@ def main(argv=None) -> int:
         print(f"bohmosc {args.command}: {str(error) or 'out of memory'}",
               file=sys.stderr)
         return EXIT_DOMAIN
+    if failure:
+        print(failure, file=sys.stderr)
+        return EXIT_THRESHOLD
+    return EXIT_OK
 
 
 if __name__ == "__main__":

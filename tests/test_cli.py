@@ -21,7 +21,7 @@ from bohmosc import (
     numeric_construction,
     rational_construction,
 )
-from bohmosc.cli import _write_csv, main
+from bohmosc.cli import _write_csv, build_parser, main
 
 
 def read_csv(path):
@@ -187,7 +187,7 @@ class TestWavefunctionCommand:
 class TestVerifyCommand:
     def test_report_structure(self, tmp_path):
         out = tmp_path / "report.json"
-        assert main(["verify", "--b", "1", "--t-max", "1.5", "--h", "0.125",
+        assert main(["verify", "--b", "1", "--t-max", "1.5", "--nx", "129",
                      "--dt", "8e-3", "--refine", "2", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert len(report["levels"]) == 2
@@ -200,7 +200,7 @@ class TestVerifyCommand:
         assert orders[0] == pytest.approx(2.0, abs=0.4)
 
     def test_threshold_pass_and_fail(self, tmp_path):
-        base = ["verify", "--b", "1", "--t-max", "1.5", "--h", "0.0625",
+        base = ["verify", "--b", "1", "--t-max", "1.5", "--nx", "257",
                 "--dt", "1e-3", "--refine", "1"]
         assert main(base + ["--threshold", "1.0",
                             "--out", str(tmp_path / "a.json")]) == 0
@@ -282,20 +282,6 @@ class TestFigureCommands:
         main(["fig1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_manifest_digest(self, tmp_path):
-        out = tmp_path / "fig1.csv"
-        manifest_path = tmp_path / "fig1.manifest.json"
-        assert main(["fig1", "--out", str(out),
-                     "--manifest", str(manifest_path)]) == 0
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["tool"] == "bohmosc"
-        assert manifest["subcommand"] == "fig1"
-        entry = manifest["outputs"][0]
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert entry["sha256"] == digest
-        assert entry["bytes"] == out.stat().st_size
-        assert manifest["parameters"] == {"out": str(out)}
-
 
 class TestTransitionCommand:
     def test_scan_values(self, tmp_path):
@@ -324,6 +310,77 @@ class TestTransitionCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+# One run of each subcommand at exit 0, and of verify and tdse-check past
+# their threshold (exit 3), with flags the manifest must record.
+MANIFEST_RUNS = [
+    pytest.param(["ermakov", "--b", "1", "--samples", "11"], 0,
+                 {"b": 1.0, "samples": 11, "numeric": False}, id="ermakov"),
+    pytest.param(["bohm", "--b", "1", "--nx", "11", "--nt", "3"], 0,
+                 {"b": 1.0, "nx": 11, "nt": 3, "omega_table": None}, id="bohm"),
+    pytest.param(["wavefunction", "--critical", "--nx", "11", "--nt", "3"], 0,
+                 {"b": None, "critical": True, "nx": 11}, id="wavefunction"),
+    pytest.param(["verify", "--b", "1", "--nx", "65", "--nt", "2"], 0,
+                 {"nx": 65, "nt": 2, "threshold": None}, id="verify"),
+    pytest.param(["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"], 3,
+                 {"nx": 65, "threshold": 1e-12}, id="verify-threshold"),
+    pytest.param(["tdse-check", "--b", "1", "--t-max", "0.2", "--dt", "1e-3",
+                  "--samples", "2"], 0, {"t_max": 0.2, "min_fidelity": None},
+                 id="tdse-check"),
+    pytest.param(["tdse-check", "--b", "1", "--t-max", "0.2", "--dt", "1e-3",
+                  "--samples", "2", "--min-fidelity", "1.1"], 3,
+                 {"t_max": 0.2, "min_fidelity": 1.1}, id="tdse-check-min-fidelity"),
+    pytest.param(["fig1"], 0, {}, id="fig1"),
+    pytest.param(["fig2"], 0, {}, id="fig2"),
+    pytest.param(["transition", "--b-values", "1.0,1.5"], 0,
+                 {"b_values": "1.0,1.5", "t_probe": 1.0}, id="transition"),
+]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv, code, flags", MANIFEST_RUNS)
+    def test_records_the_output_and_flags(self, tmp_path, argv, code, flags):
+        out, manifest_path = tmp_path / "out.dat", tmp_path / "manifest.json"
+        assert main(argv + ["--out", str(out), "--manifest", str(manifest_path)]) == code
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["tool"] == "bohmosc"
+        assert manifest["subcommand"] == argv[0]
+        blob = out.read_bytes()
+        assert manifest["outputs"] == [{"path": str(out), "bytes": len(blob),
+                                        "sha256": hashlib.sha256(blob).hexdigest()}]
+        # every flag of the subcommand but --manifest, with its parsed value
+        parameters = manifest["parameters"]
+        parsed = vars(build_parser().parse_args(argv + ["--out", str(out)]))
+        assert set(parameters) == set(parsed) - {"command", "func", "manifest"}
+        assert parameters["out"] == str(out)
+        assert {key: parameters[key] for key in flags} == flags
+
+    @pytest.mark.parametrize("argv, code, flags", MANIFEST_RUNS)
+    def test_failed_run_writes_no_manifest(self, tmp_path, capsys, argv, code, flags):
+        manifest_path = tmp_path / "manifest.json"
+        assert main(argv + ["--out", str(tmp_path / "missing" / "out.dat"),
+                            "--manifest", str(manifest_path)]) == 2
+        assert not manifest_path.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_manifest_without_out_exits_2(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["verify", "--b", "1", "--manifest", str(manifest_path)]) == 2
+        # refused before the report is built or printed
+        assert capsys.readouterr() == ("", "bohmosc verify: --manifest needs --out\n")
+        assert not manifest_path.exists()
+
+    @pytest.mark.parametrize("manifest", ["same.csv", "sub/../same.csv", "link.csv"])
+    def test_manifest_naming_the_output_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                manifest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to("same.csv")
+        (tmp_path / "same.csv").write_text("kept\n")
+        assert main(["fig1", "--out", "same.csv", "--manifest", manifest]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert (tmp_path / "same.csv").read_text() == "kept\n"
+
+
 class TestCliPlumbing:
     def test_float_format_round_trips(self, tmp_path):
         out = tmp_path / "ermakov.csv"
@@ -348,7 +405,7 @@ class TestCliPlumbing:
         ["wavefunction", "--b", "1", "--nx", "0"],
         ["ermakov", "--b", "1", "--samples", "0"],
         ["verify", "--b", "1", "--nt", "0"],
-        ["verify", "--b", "1", "--h", "0"],
+        ["verify", "--b", "1", "--refine", "0"],
         ["verify", "--b", "1", "--nx", "1"],
         # numeric-solve flags that the closed-form family path would ignore
         ["ermakov", "--b", "1", "--rho0", "2", "--rel-tol", "1e-3"],
@@ -518,9 +575,11 @@ def either(*choices):
 SLOPES = st.one_of(st.floats(0.0, 2.5), SPECIAL_FLOATS)
 TABLES = st.sampled_from(["table.csv"] * 4 + ["one_column.csv", "decreasing.csv",
                                               "text.csv", "missing.csv"])
+# table.csv covers [0, 20], the widest window the grammar draws (ermakov's
+# --t-max, and its default 10), so that a drawn table solve can complete.
 TABLE_FILES = {
     "table.csv": "\n".join(f"{t:g},{1.0 / (1.0 + t):g}"
-                           for t in np.arange(0.0, 2.05, 0.1)),
+                           for t in np.arange(0.0, 20.05, 0.1)),
     "one_column.csv": "0\n1\n2",
     "decreasing.csv": "1,1\n0,1",
     "text.csv": "t,omega\nzero,one",
@@ -571,8 +630,6 @@ GRAMMAR = {
                "t-max": value("--t-max", floats()),
                "nt": value("--nt", sizes(usual=[1, 3])),
                "nx": value("--nx", sizes(usual=[2, 17])),
-               "h": value("--h", st.one_of(st.sampled_from([0.0, -1.0, np.nan]),
-                                           st.floats(0.25, 10.0))),
                "dt": value("--dt", floats()), "refine": value("--refine", sizes(2)),
                "order": value("--order", st.sampled_from([2, 4])),
                "threshold": value("--threshold", floats()), **OUT},
