@@ -14,11 +14,11 @@ from .frequency import (
     classify_rational,
 )
 from .ermakov import (
+    LogScale,
     closed_form_critical,
     closed_form_subcritical,
     critical_solution,
     ermakov_residual,
-    log_scale,
     mu_critical,
     mu_subcritical,
     solve_numeric,
@@ -57,11 +57,11 @@ __all__ = [
     "FrequencyProfile",
     "Regime",
     "classify_rational",
+    "LogScale",
     "closed_form_critical",
     "closed_form_subcritical",
     "critical_solution",
     "ermakov_residual",
-    "log_scale",
     "mu_critical",
     "mu_subcritical",
     "solve_numeric",

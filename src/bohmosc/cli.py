@@ -222,7 +222,7 @@ def _cmd_bohm(args) -> None:
 
 def _cmd_wavefunction(args) -> None:
     construction, t, x = _field_sweep(args)
-    psi = wavefunction(x, t, construction.scale, construction.field)
+    psi = wavefunction(x, t, construction.field)
     _write_csv(args.out, ["t", "x", "re_psi", "im_psi", "abs2_psi"],
                [t, x, psi.real, psi.imag, np.abs(psi) ** 2])
 

@@ -79,7 +79,6 @@ __all__ = [
     "critical_solution",
     "solve_numeric",
     "ermakov_residual",
-    "log_scale",
     "RHO_FLOOR",
     "REL_TOL",
     "ABS_TOL",
@@ -150,11 +149,24 @@ class ErmakovSolution:
 
 @dataclass(frozen=True)
 class LogScale:
-    """nu = ln(rho) and its derivatives nu' = rho'/rho, nu'' = (rho rho'' - rho'^2)/rho^2."""
+    """nu = ln(rho) of a solution and its derivatives nu' = rho'/rho and
+    nu'' = (rho rho'' - rho'^2)/rho^2, with rho'' reconstructed through the
+    ODE of the profile."""
 
-    nu: Callable
-    nu_dot: Callable
-    nu_ddot: Callable
+    solution: ErmakovSolution
+    profile: FrequencyProfile
+
+    def nu(self, t):
+        return np.log(self.solution.rho(t))
+
+    def nu_dot(self, t):
+        return self.solution.rho_dot(t) / self.solution.rho(t)
+
+    def nu_ddot(self, t):
+        rho = self.solution.rho(t)
+        rho_dot = self.solution.rho_dot(t)
+        rho_ddot = rho**-3 - np.square(self.profile.omega(t)) * rho
+        return (rho * rho_ddot - rho_dot * rho_dot) / (rho * rho)
 
 
 def subcritical_parameters(b: float) -> tuple:
@@ -566,21 +578,3 @@ def ermakov_residual(solution: ErmakovSolution, profile: FrequencyProfile, t):
     t = np.asarray(t, dtype=float)
     rho = solution.rho(t)
     return solution.rho_ddot(t) + profile.omega(t) ** 2 * rho - rho**-3
-
-
-def log_scale(solution: ErmakovSolution, profile: FrequencyProfile) -> LogScale:
-    """Build nu = ln(rho) and derivatives; nu'' is reconstructed via the ODE."""
-
-    def nu(t):
-        return np.log(solution.rho(t))
-
-    def nu_dot(t):
-        return solution.rho_dot(t) / solution.rho(t)
-
-    def nu_ddot(t):
-        rho = solution.rho(t)
-        rho_dot = solution.rho_dot(t)
-        rho_ddot = rho**-3 - np.square(profile.omega(t)) * rho
-        return (rho * rho_ddot - rho_dot * rho_dot) / (rho * rho)
-
-    return LogScale(nu=nu, nu_dot=nu_dot, nu_ddot=nu_ddot)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .ermakov import (
     ErmakovSolution,
     LogScale,
     critical_solution,
-    log_scale,
     solve_numeric,
     subcritical_parameters,
     subcritical_solution,
@@ -138,17 +136,17 @@ class WavefunctionGrid:
 class PhaseField:
     """Quadratic phase S(x,t) = x^2 nu_dot(t)/2 + mu(t), with mu(0) = 0.
 
-    mu is the ErmakovSolution's phase integral, pinned by
+    mu is the phase integral of the scale's ErmakovSolution, pinned by
     mu_dot = -exp(-2 nu)/2 = -1/(2 rho^2); the integration constant
     mu(0) = 0 is a convention (a global phase is physically irrelevant but
     must be fixed for reproducibility).
     """
 
-    mu: Callable
     scale: LogScale
 
     def S(self, x, t):
-        return 0.5 * np.asarray(x, dtype=float) ** 2 * self.scale.nu_dot(t) + self.mu(t)
+        return (0.5 * np.asarray(x, dtype=float) ** 2 * self.scale.nu_dot(t)
+                + self.scale.solution.mu(t))
 
     def S_x(self, x, t):
         return np.asarray(x, dtype=float) * self.scale.nu_dot(t)
@@ -189,9 +187,10 @@ def amplitude_gaussian_dt(x, t, scale: LogScale):
     )
 
 
-def wavefunction(x, t, scale: LogScale, field: PhaseField) -> np.ndarray:
-    """psi(x,t) = A(x,t) exp(i S(x,t)) on the broadcast of x and t."""
-    return amplitude_gaussian(x, t, scale) * np.exp(1j * field.S(x, t))
+def wavefunction(x, t, field: PhaseField) -> np.ndarray:
+    """psi(x,t) = A(x,t) exp(i S(x,t)) on the broadcast of x and t, with A
+    from the field's scale."""
+    return amplitude_gaussian(x, t, field.scale) * np.exp(1j * field.S(x, t))
 
 
 def bohm_potential_gaussian(x, t, scale: LogScale):
@@ -261,25 +260,25 @@ def classical_potential(profile: FrequencyProfile, x, t):
 
 @dataclass(frozen=True)
 class Construction:
-    """A wired frequency/Ermakov/Madelung bundle for one configuration."""
+    """The solution of one frequency profile, with the log scale and phase
+    field built from it."""
 
     profile: FrequencyProfile
     solution: ErmakovSolution
-    scale: LogScale
-    field: PhaseField
+
+    @property
+    def scale(self) -> LogScale:
+        return LogScale(self.solution, self.profile)
+
+    @property
+    def field(self) -> PhaseField:
+        return PhaseField(self.scale)
 
     def psi(self, grid: SpatialGrid, times) -> WavefunctionGrid:
         """psi sampled on the grid at the given times, one row per time."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return WavefunctionGrid(grid=grid, times=times,
-                                psi=wavefunction(grid.x, times[:, None],
-                                                 self.scale, self.field))
-
-
-def _construction(profile: FrequencyProfile, solution: ErmakovSolution) -> Construction:
-    scale = log_scale(solution, profile)
-    return Construction(profile=profile, solution=solution, scale=scale,
-                        field=PhaseField(mu=solution.mu, scale=scale))
+                                psi=wavefunction(grid.x, times[:, None], self.field))
 
 
 def rational_construction(b: float) -> Construction:
@@ -293,9 +292,9 @@ def rational_construction(b: float) -> Construction:
     if regime is Regime.UNSUPPORTED:
         raise ValueError(f"b={b} > 2 is outside the supported regimes")
     if regime is Regime.CRITICAL:
-        return _construction(FrequencyProfile.rational(1.0, 2.0), critical_solution())
+        return Construction(FrequencyProfile.rational(1.0, 2.0), critical_solution())
     a, _ = subcritical_parameters(b)
-    return _construction(FrequencyProfile.rational(a, b), subcritical_solution(b))
+    return Construction(FrequencyProfile.rational(a, b), subcritical_solution(b))
 
 
 def numeric_construction(
@@ -309,4 +308,4 @@ def numeric_construction(
     """Full construction for an arbitrary profile via numeric integration."""
     solution = solve_numeric(profile, rho0, rho_dot0, window,
                              rel_tol=rel_tol, abs_tol=abs_tol)
-    return _construction(profile, solution)
+    return Construction(profile, solution)

@@ -7,6 +7,7 @@ import pytest
 
 from bohmosc import (
     FrequencyProfile,
+    LogScale,
     Regime,
     bohm_potential_subcritical,
     classify_rational,
@@ -14,7 +15,6 @@ from bohmosc import (
     closed_form_subcritical,
     critical_solution,
     ermakov_residual,
-    log_scale,
     mu_subcritical,
     numeric_construction,
     solve_numeric,
@@ -461,7 +461,7 @@ class TestNumericSampling:
         monkeypatch.setattr(OdeSolution, "__call__",
                             lambda self, t: calls.append(1) or evaluate(self, t))
         profile, t = family_profile(2.0), np.linspace(0.0, 10.0, 101)
-        scale = log_scale(solution, profile)
+        scale = LogScale(solution, profile)
         self.sample(solution, t)
         for field in (scale.nu, scale.nu_dot, scale.nu_ddot):
             field(t)
@@ -473,35 +473,35 @@ class TestNumericSampling:
 
 class TestLogScale:
     def test_static_case_vanishes(self):
-        scale = log_scale(subcritical_solution(0.0), family_profile(0.0))
+        scale = LogScale(subcritical_solution(0.0), family_profile(0.0))
         t = np.linspace(0.0, 10.0, 65)
         assert np.max(np.abs(scale.nu(t))) < 1e-15
         assert np.max(np.abs(scale.nu_dot(t))) < 1e-15
         assert np.max(np.abs(scale.nu_ddot(t))) < 1e-15
 
     def test_initial_slope_b1(self):
-        scale = log_scale(subcritical_solution(1.0), family_profile(1.0))
+        scale = LogScale(subcritical_solution(1.0), family_profile(1.0))
         assert scale.nu(0.0) == pytest.approx(0.0, abs=1e-15)
         assert scale.nu_dot(0.0) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-14)
 
     @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
     def test_matches_expanded_log_form(self, b):
         # nu(t) = -ln(1-b^2/4)/4 + ln(sqrt(1-b^2/4) + b t)/2
-        scale = log_scale(subcritical_solution(b), family_profile(b))
+        scale = LogScale(subcritical_solution(b), family_profile(b))
         t = np.linspace(0.0, 10.0, 257)
         disc = 1.0 - b * b / 4.0
         reference = -0.25 * np.log(disc) + 0.5 * np.log(np.sqrt(disc) + b * t)
         assert np.max(np.abs(scale.nu(t) - reference)) < 1e-12
 
     def test_nu_dot_consistency_with_finite_differences(self):
-        scale = log_scale(critical_solution(), family_profile(2.0))
+        scale = LogScale(critical_solution(), family_profile(2.0))
         t = np.linspace(0.2, 8.0, 29)
         h = 1e-6
         fd = (scale.nu(t + h) - scale.nu(t - h)) / (2 * h)
         assert np.max(np.abs(fd - scale.nu_dot(t))) < 1e-9
 
     def test_nu_ddot_consistency_with_finite_differences(self):
-        scale = log_scale(critical_solution(), family_profile(2.0))
+        scale = LogScale(critical_solution(), family_profile(2.0))
         t = np.linspace(0.2, 8.0, 29)
         h = 1e-4
         fd = (scale.nu(t + h) - 2 * scale.nu(t) + scale.nu(t - h)) / h**2

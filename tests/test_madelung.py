@@ -331,6 +331,6 @@ class TestConstructionProperties:
         # from t = 0.1: at t = 0 the truncation error grows like 1/a^2
         t = np.linspace(0.1, 5.0, 50)
         h = 1e-5
-        fd = (c.field.mu(t + h) - c.field.mu(t - h)) / (2 * h)
+        fd = (c.solution.mu(t + h) - c.solution.mu(t - h)) / (2 * h)
         expected = -0.5 / c.solution.rho(t) ** 2
         np.testing.assert_allclose(fd, expected, rtol=1e-8)
