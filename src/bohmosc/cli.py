@@ -16,11 +16,13 @@ significant digits so doubles round-trip exactly; rerunning a subcommand
 with the same flags reproduces byte-identical files.  Each subcommand
 writes one --out file (verify prints its report when --out is not given).
 --manifest names a JSON record of that file's SHA-256 and byte count and
-of the flags; main writes it after the subcommand returns, at exit 0 or 3.
---manifest without --out, or naming the --out file itself, is refused
-before any work.  verify's level l has (nx - 1) * 2^l + 1 grid points
-and time step dt / 2^l.  Exit codes: 0 on success, 2 for flag or domain
-errors, 3 for verification-threshold failures.
+of the flags; main writes it after the subcommand returns, at exit 0 or 3,
+and if that write fails, removes the --out file and exits 2.  --manifest
+without --out or naming the --out file itself, and an --out or --manifest
+path in a directory that does not exist, are refused before any work.
+verify's level l has (nx - 1) * 2^l + 1 grid points and time step
+dt / 2^l.  Exit codes: 0 on success, 2 for flag or domain errors, 3 for
+verification-threshold failures.
 """
 
 from __future__ import annotations
@@ -171,8 +173,11 @@ def _construction_from_args(args, t_max: float):
                 raise ValueError("--critical and --b are mutually exclusive")
             b = 2.0
         elif args.b is None:
-            raise ValueError("give --b or --critical" if "critical" in flags
-                             else "give --b, --a with --b, or --omega-table")
+            # the profile flags this subcommand defines
+            offered = [text for key, text in (
+                ("b", "--b"), ("a", "--a with --b"), ("critical", "--critical"),
+                ("omega_table", "--omega-table")) if key in flags]
+            raise ValueError(f"give {', '.join(offered[:-1])} or {offered[-1]}")
         else:
             b = args.b
         if not flags.get("numeric"):
@@ -458,12 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Refuse, before any work, a non-finite float flag and a --manifest
+    """Refuse, before any work, a non-finite float flag, an --out or
+    --manifest path in a directory that does not exist, and a --manifest
     that would be dropped or would overwrite the --out file."""
     for key, value in vars(args).items():
         if isinstance(value, float) and not np.isfinite(value):
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"{flag} must be finite, got {value}")
+    for key in ("out", "manifest"):
+        path = getattr(args, key)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"--{key} {path}: no such directory")
     if args.manifest:
         if not args.out:
             raise ValueError("--manifest needs --out")
@@ -473,7 +483,8 @@ def _check_flags(args) -> None:
 
 def main(argv=None) -> int:
     """Run one subcommand.  It writes its --out file and returns None, or
-    the message of a failed threshold; main then writes the manifest."""
+    the message of a failed threshold; main then writes the manifest, and
+    removes the --out file if that write fails."""
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
@@ -483,7 +494,11 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             failure = args.func(args)
         if args.manifest:
-            _write_manifest(args)
+            try:
+                _write_manifest(args)
+            except OSError:
+                os.remove(args.out)
+                raise
     except (ValueError, RuntimeError, OSError, FloatingPointError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)
         return EXIT_DOMAIN

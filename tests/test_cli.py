@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import re
 import tempfile
 import warnings
 
@@ -21,6 +22,7 @@ from bohmosc import (
     numeric_construction,
     rational_construction,
 )
+from bohmosc import cli
 from bohmosc.cli import _write_csv, build_parser, main
 
 
@@ -207,6 +209,21 @@ class TestVerifyCommand:
         assert main(base + ["--threshold", "1e-12",
                             "--out", str(tmp_path / "b.json")]) == 3
 
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys):
+        argv = ["verify", "--b", "1", "--nx", "65", "--nt", "2", "--refine", "2"]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out.read_text(), "")
+
+    def test_failed_threshold_still_prints_the_report(self, capsys):
+        assert main(["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"]) == 3
+        printed, err = capsys.readouterr()
+        assert len(json.loads(printed)["levels"]) == 1
+        (line,) = err.splitlines()
+        assert line.startswith("verification failed: max residual ")
+
 
 class TestTdseCheckCommand:
     def test_short_run(self, tmp_path):
@@ -362,6 +379,19 @@ class TestManifest:
         assert not manifest_path.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    # runs that would exit 0 and 3
+    @pytest.mark.parametrize("argv", [
+        ["fig1"], ["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"],
+    ], ids=["exit-0", "exit-3"])
+    def test_failed_manifest_write_removes_the_output(self, tmp_path, capsys, argv):
+        # a directory as --manifest passes the checks before the run, and
+        # fails only when main opens it to write the record
+        out = tmp_path / "a.csv"
+        assert main(argv + ["--out", str(out), "--manifest", str(tmp_path)]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"bohmosc {argv[0]}: ")
+
     def test_manifest_without_out_exits_2(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         assert main(["verify", "--b", "1", "--manifest", str(manifest_path)]) == 2
@@ -399,6 +429,39 @@ class TestCliPlumbing:
         out = tmp_path / "x.csv"
         assert main([command, "--b", "3", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--out", "nodir/x.out"],
+        ["--out", "x.out", "--manifest", "nodir/m.json"],
+    ], ids=["out", "manifest"])
+    @pytest.mark.parametrize("argv, work", [
+        (["tdse-check", "--b", "1"], "propagate"),
+        (["verify", "--b", "1"], "build_residual_report"),
+    ], ids=["tdse-check", "verify"])
+    def test_path_in_a_missing_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flags, argv, work):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError(f"{work} called")
+
+        monkeypatch.setattr(cli, work, refuse)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + flags) == 2
+        assert list(tmp_path.iterdir()) == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"bohmosc {argv[0]}: {flags[-2]} {flags[-1]}: no such directory"
+
+    @pytest.mark.parametrize("command", ["ermakov", "bohm", "wavefunction", "verify",
+                                         "tdse-check"])
+    def test_missing_profile_names_the_profile_flags(self, tmp_path, capsys, command):
+        out = tmp_path / "x.out"
+        parsed = vars(build_parser().parse_args([command, "--out", str(out)]))
+        defined = {"--" + key.replace("_", "-") for key in parsed} & {
+            "--b", "--a", "--critical", "--omega-table"}
+        assert main([command, "--out", str(out)]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"bohmosc {command}: give ")
+        assert set(re.findall(r"--[a-z-]+", line)) == defined
 
     @pytest.mark.parametrize("argv", [
         ["bohm", "--b", "1", "--nt", "0"],
