@@ -19,7 +19,8 @@ writes one --out file (verify prints its report when --out is not given).
 of the flags; main writes it after the subcommand returns, at exit 0 or 3,
 and if that write fails, removes the --out file and exits 2.  --manifest
 without --out or naming the --out file itself, and an --out or --manifest
-path in a directory that does not exist, are refused before any work.
+path that names a directory or lies in one that does not exist, are
+refused before any work.
 verify's level l has (nx - 1) * 2^l + 1 grid points and time step
 dt / 2^l.  Exit codes: 0 on success, 2 for flag or domain errors, 3 for
 verification-threshold failures.
@@ -28,6 +29,7 @@ verification-threshold failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -372,7 +374,10 @@ def _add_branch(parser):
                         help="use the critical branch b=2")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    fills a new Namespace each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="bohmosc",
         description="Madelung-Bohm construction for time-dependent "
@@ -464,14 +469,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Refuse, before any work, a non-finite float flag, an --out or
-    --manifest path in a directory that does not exist, and a --manifest
-    that would be dropped or would overwrite the --out file."""
+    --manifest path that names a directory or lies in one that does not
+    exist, and a --manifest that would be dropped or would overwrite the
+    --out file."""
     for key, value in vars(args).items():
         if isinstance(value, float) and not np.isfinite(value):
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"{flag} must be finite, got {value}")
     for key in ("out", "manifest"):
         path = getattr(args, key)
+        if path and os.path.isdir(path):
+            raise ValueError(f"--{key} {path}: is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"--{key} {path}: no such directory")
     if args.manifest:

@@ -27,29 +27,27 @@ in closed form on both rational branches:
 For arbitrary profiles solve_numeric takes Pinney's linear route: rho and
 mu come from two solutions of the linear oscillator u'' + Omega^2 u = 0
 (Pinney, Proc. AMS 1, 681, 1950; Lewis & Riesenfeld, J. Math. Phys. 10,
-1458, 1969).  The linear oscillator is solved one of two ways:
-
-  a tabulated profile (one with knots, where Omega has kinks): the
-      transfer matrix of a step does not depend on the state, so every
-      step is built at once as a fourth-order Magnus step with two
-      Gauss-Legendre nodes (Magnus, Comm. Pure Appl. Math. 7, 649, 1954;
-      Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151, 2009), and the
-      steps are chained by prefix products by doubling.  Its error
-      estimate compares k with 2k steps per knot segment.  This route is
-      numpy only.
-  any other profile, and a table that would need more than 2**18 Magnus
-      steps: the eighth-order Dormand-Prince scheme DOP853 (Hairer,
-      Norsett & Wanner, Solving ODEs I, sec. II.10), restarted at each
-      knot and checked by the Wronskian drift at 512 probes.  Magnus
-      steps grow about as phase^1.25 / rel_tol^0.25, DOP853 steps as 3
-      per rad, so DOP853 takes the tables with a large phase.
+1458, 1969).  The linear oscillator is solved by Magnus steps for every
+profile: the transfer matrix of a step does not depend on the state, so
+every step is built at once as a sixth-order Magnus step with three
+Gauss-Legendre nodes (Magnus, Comm. Pure Appl. Math. 7, 649, 1954; Blanes,
+Casas & Ros, BIT 40, 434, 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+151, 2009), and the steps are chained by prefix products by doubling.  A
+smooth profile is one segment of the window, and a table (a profile with
+knots, where Omega has kinks) is its knot segments.  Within each segment
+the step ends equidistribute the monitor Omega + |Omega'|/Omega, and the
+error estimate compares k with 2k steps per segment.  This route is numpy
+only.  A solve that would need more than 2**18 Magnus steps goes to the
+eighth-order Dormand-Prince scheme DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.10), restarted at each knot and checked by the
+Wronskian drift at 512 probes.
 
 A numeric solution evaluates its states once per times array, so
 sampling rho, rho', rho'' and mu on one array costs one evaluation.
 scipy.integrate is imported on the first DOP853 solve, not with this
-module, so the closed forms and the tables that fit the Magnus route never
-load it; each solve logs one DEBUG record on the ``bohmosc.ermakov``
-logger.
+module, so the closed forms and every solve that fits the Magnus route
+never load it; each solve logs one DEBUG record on the
+``bohmosc.ermakov`` logger.
 
 On the Magnus route each step has determinant 1, so the Wronskian stays 1
 to rounding, and ermakov_residual, (W^2 - 1)/rho^3 for a numeric solution,
@@ -96,31 +94,38 @@ RHO_FLOOR = 1e-8
 REL_TOL = 3e-11
 ABS_TOL = 1e-12
 # DOP853 (scipy) raises a smaller rtol to this floor with a warning, so a
-# run would record a tolerance it did not solve at.  The Magnus route
-# takes the same floor, so that rel_tol means one thing on both routes.
+# run past the Magnus cap would record a tolerance it did not solve at.
+# The Magnus route takes the same floor, so that rel_tol means one thing
+# on both routes.
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
 # Steps grow with the phase of the oscillator, the integral of Omega over
-# the window: DOP853 takes about 3 steps per rad and keeps about 860 bytes
-# of dense output per step, so this bounds a solve near 6e4 steps, 12 s and
-# 50 MB.  It bounds the work, not the error: at Omega = 1 a solve passes
-# its self-check far beyond it, and is refused all the same.
+# the window.  Magnus steps at the default rel_tol take tens per rad over
+# long windows (204800 for a table of 6e3 rad), so a solve of several
+# thousand rad passes their cap and goes to DOP853, which takes about 3
+# steps per rad and keeps about 860 bytes of dense output per step.  So
+# this bounds a solve near 6e4 DOP853 steps, 12 s and 50 MB.  It bounds
+# the work, not the error: at Omega = 1 a solve passes its self-check far
+# beyond it, and is refused all the same.
 _PHASE_BUDGET = 2e4
 
 # The Magnus route keeps the states of two grids, about 60 bytes per step
 # of the finer one, and builds its steps in blocks, so that the transients
-# of a block (about 200 bytes per step) stay near 3 MB.  A table that needs
-# more steps goes to DOP853: up to this cap, trying Magnus first costs such
-# a table about 0.05 s and no peak memory over what DOP853 takes.
+# of a block stay near 5 MB.  A solve that needs more steps goes to DOP853:
+# up to this cap, trying Magnus first costs it about 0.2 s and no peak
+# memory over what DOP853 takes.
 _MAGNUS_MAX_STEPS = 2**18
 _MAGNUS_BLOCK = 2**14
+# The step ends are read from the monitor at this many probe intervals over
+# all knot segments, and at least one per segment.
+_MONITOR_PROBES = 4096
 # The Magnus route starts with steps of at most 1 rad of phase.  A longer
 # step can overflow cosh in its exponential, and since a step is exact at
 # constant Omega, the error control alone would accept steps of many turns
 # there, more than the mu branch rule can read.
 _MAGNUS_MAX_PHASE = 1.0
 
-# The numeric residual is the Wronskian drift (W^2 - 1)/rho^3: it reached
+# The DOP853 residual is the Wronskian drift (W^2 - 1)/rho^3: it reached
 # 13*(rel_tol + abs_tol) on the rational family (rho >= 1, T <= 50), but
 # 1/rho^3 magnifies it where Omega squeezes rho, and the drift grows with
 # the window (at Omega = 6 from rho = 1: 1.8e3 over T = 30, 1.2e4 over 300).
@@ -295,18 +300,19 @@ def solve_numeric(
     u2' = 1/rho0 at the window start, so that the Wronskian
     W = u1 u2' - u2 u1' is 1; rel_tol and abs_tol apply to (u1, u1', u2,
     u2'), and rel_tol below DOP853's floor of 100 machine epsilons
-    (2.2e-14) raises ValueError.  A profile with knots (a table, whose
-    Omega has a kink at each knot) takes the Magnus route: every knot
-    segment is split into k uniform steps, each a fourth-order Magnus
-    transfer matrix, all built as one batch, and k doubles until the
-    states at the step ends of k and 2k steps differ by at most
-    rel_tol |Y| + abs_tol (|Y| the largest
-    entry of the state there), from the least k at which no step spans
-    more than 1 rad of phase; the 2k states are kept, and a sample t is
-    reached by one partial step from the start of its step.  A table that
-    would need more than 2**18 steps there, and any other profile, is
-    integrated with the eighth-order Dormand-Prince scheme DOP853,
-    restarted at each knot.  Either route gives, at any t,
+    (2.2e-14) raises ValueError.  The window is split at the knots of the
+    profile (a table, whose Omega has a kink at each knot; a smooth
+    profile has none) into segments, and each segment into k steps whose
+    ends equidistribute the monitor Omega + |Omega'|/Omega; each step is
+    a sixth-order Magnus transfer matrix, all built as one batch.  k
+    doubles until the states at the step ends of k and 2k steps differ by
+    at most rel_tol |Y| + abs_tol (|Y| the largest entry of the state
+    there), from the least k at which no step spans more than 1 rad of
+    phase; the 2k states are kept, and a sample t is reached by one
+    partial step from the start of its step.  A solve that would need
+    more than 2**18 steps is integrated with the eighth-order
+    Dormand-Prince scheme DOP853 instead, restarted at each knot.  Either
+    route gives, at any t,
     rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
     rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
     mu(window start) = 0 and its branch read
@@ -323,12 +329,12 @@ def solve_numeric(
     falls below RHO_FLOOR at a step end (a singular or invalid
     configuration); or, on the DOP853 route, if the residual, the
     Wronskian drift (W^2 - 1)/rho^3, fails a self-check at the probes
-    against 1e5*(rel_tol + abs_tol).  The
-    Magnus route keeps W = 1 to rounding, since each of its steps has
-    determinant 1, so there the k-vs-2k difference takes the place of
-    the residual.  Before that check, logs one DEBUG record with the
-    route, the knot segments, the steps, the RHS (or Omega) evaluations
-    and the residual against its bound on the ``bohmosc.ermakov`` logger.
+    against 1e5*(rel_tol + abs_tol).  The Magnus route keeps W = 1 to
+    rounding, since each of its steps has determinant 1, so there the
+    k-vs-2k difference takes the place of the residual.  Before that
+    check, logs one DEBUG record with the route, the knot segments, the
+    steps, the Omega (or RHS) evaluations and the residual against its
+    bound on the ``bohmosc.ermakov`` logger.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(rho0) and rho0 > 0):
@@ -353,7 +359,7 @@ def solve_numeric(
     start = np.array([[float(rho0), 0.0], [float(rho_dot0), 1.0 / rho0]])
     knots = np.asarray(profile.knots, dtype=float)
     bounds = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
-    magnus = _magnus(profile, start, bounds, rel_tol, abs_tol) if knots.size else None
+    magnus = _magnus(profile, start, bounds, rel_tol, abs_tol)
     if magnus:
         ts, ys, dense, record = magnus
     else:
@@ -473,32 +479,47 @@ def _dop853(profile, start, bounds, rel_tol, abs_tol):
     return ts, np.concatenate(ys, axis=1), OdeSolution(ts, interpolants), nfev
 
 
-# The two Gauss-Legendre nodes on [0, 1].
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (np.sqrt(3.0) / 6.0)
+# The three Gauss-Legendre nodes on [0, 1].
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * (np.sqrt(15.0) / 10.0)
+
+
+def _bracket(x, y):
+    """[x, y] of traceless 2 x 2 matrices [[p, q], [r, -p]] held as (p, q, r)."""
+    (p, q, r), (s, u, v) = x, y
+    return np.array([q * v - u * r, 2.0 * (p * u - q * s), 2.0 * (r * s - p * v)])
 
 
 def _magnus_steps(profile, starts, widths):
     """Transfer matrices (2, 2, n) of u'' = -Omega^2 u over [s, s + h].
 
-    The fourth-order Magnus exponent (h/2)(A1 + A2) + (sqrt(3) h^2/12)
-    [A2, A1], with A = [[0, 1], [-Omega^2, 0]] at the two Gauss-Legendre
-    nodes, is the traceless [[p, h], [r, -p]].  Its square is
-    (p^2 + h r) I, so its exponential is cos(theta) I + sinc(theta) times
-    the exponent with theta^2 = -(p^2 + h r), or cosh and sinh(theta)/theta
-    where p^2 + h r > 0.
+    The sixth-order Magnus exponent (Blanes, Casas & Ros, BIT 40, 434,
+    2000) from A = [[0, 1], [-Omega^2, 0]] at the three Gauss-Legendre
+    nodes: with alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1),
+    alpha3 = (10 h/3)(A3 - 2 A2 + A1), C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1]/60, it is alpha1 + alpha3/12 +
+    [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.  Every term is traceless,
+    [[p, q], [r, -p]], and its square is (p^2 + q r) I, so its exponential
+    is cos(theta) I + sinc(theta) times the exponent with theta^2 =
+    -(p^2 + q r), or cosh and sinh(theta)/theta where p^2 + q r > 0.
     """
-    omega = profile.omega(starts + widths * _GAUSS_NODES[:, None])
-    w1, w2 = omega * omega
-    p = (np.sqrt(3.0) / 12.0) * widths * widths * (w2 - w1)
-    r = -0.5 * widths * (w1 + w2)
-    square = p * p + widths * r
+    h = widths
+    w1, w2, w3 = np.square(profile.omega(starts + h * _GAUSS_NODES[:, None]))
+    zero = np.zeros_like(h)
+    alpha1 = np.array([zero, h, -h * w2])
+    alpha2 = (np.sqrt(15.0) / 3.0) * h * np.array([zero, zero, w1 - w3])
+    alpha3 = (10.0 / 3.0) * h * np.array([zero, zero, 2.0 * w2 - w1 - w3])
+    c1 = _bracket(alpha1, alpha2)
+    c2 = _bracket(alpha1, 2.0 * alpha3 + c1) / -60.0
+    p, q, r = (alpha1 + alpha3 / 12.0
+               + _bracket(c1 - 20.0 * alpha1 - alpha3, alpha2 + c2) / 240.0)
+    square = p * p + q * r
     theta = np.sqrt(np.abs(square))
     even, odd = np.cos(theta), np.sinc(theta / np.pi)
     grows = square > 0
     if np.any(grows):
         even[grows] = np.cosh(theta[grows])
         odd[grows] = np.sinh(theta[grows]) / theta[grows]
-    return np.array([[even + odd * p, odd * widths], [odd * r, even - odd * p]])
+    return np.array([[even + odd * p, odd * q], [odd * r, even - odd * p]])
 
 
 def _product(left, right):
@@ -506,20 +527,63 @@ def _product(left, right):
     return np.einsum("ij...,jk...->ik...", left, right)
 
 
+def _grading(profile, bounds):
+    """Step ends at k steps per knot segment, as a function of k, and the
+    largest integral of the monitor over a segment.
+
+    The ends of a segment sit at s = j/k of its cumulative monitor
+    Omega + |Omega'|/Omega, normalised to [0, 1] and read by the
+    trapezoid rule at evenly spaced probes, _MONITOR_PROBES intervals
+    over all segments and at least one per segment, with Omega' by
+    differences.  The second term is read as
+    |Omega'|/(Omega + |Omega'| d), with d the probe spacing: the same
+    away from the zeros of Omega, at most 1/d near them, and never a
+    division by zero.  A segment where Omega vanishes at every probe is
+    split evenly.  s = j/k is the float s = 2j/2k, so the ends at 2k
+    steps contain those at k.
+    """
+    lengths = np.diff(bounds)[:, None]
+    n = max(_MONITOR_PROBES // lengths.size, 1)
+    spacing = lengths / n
+    t = bounds[:-1, None] + lengths * (np.arange(n + 1) / n)
+    t[:, -1] = bounds[1:]
+    omega = profile.omega(t)
+    rate = np.abs(np.gradient(omega, axis=1)) / spacing
+    monitor = omega + np.divide(rate, omega + rate * spacing,
+                                out=np.zeros_like(rate), where=rate > 0)
+    cumulative = np.zeros_like(t)
+    np.cumsum(0.5 * spacing * (monitor[:, 1:] + monitor[:, :-1]), axis=1,
+              out=cumulative[:, 1:])
+    total = cumulative[:, -1:]
+    share = np.divide(cumulative, total, where=total > 0,
+                      out=np.broadcast_to(np.arange(n + 1) / n, t.shape).copy())
+    # Row i of the shares runs from i to i + 1, so that one interpolation
+    # inverts every segment at once.
+    share += np.arange(lengths.size)[:, None]
+
+    def ends(k):
+        found = np.interp((np.arange(lengths.size)[:, None] + np.arange(k) / k).ravel(),
+                          share.ravel(), t.ravel())
+        found[::k] = bounds[:-1]
+        return np.append(found, bounds[-1])
+
+    return ends, float(np.max(total))
+
+
 def _magnus(profile, start, bounds, rel_tol, abs_tol):
     """Step ends, states (u1, u1', u2, u2') there, dense evaluator and
     (steps, Omega evaluations, error estimate, bound) of the Magnus route
     over the knot segments between bounds, from the state matrix start;
     None if that takes more than _MAGNUS_MAX_STEPS steps."""
-    segments = np.diff(bounds)
+    ends_at, largest = _grading(profile, bounds)
+    segments = bounds.size - 1
     evaluations = 0
 
     def states(k):
         """Step ends and state matrices there, at k steps per segment."""
         nonlocal evaluations
-        ends = np.append(bounds[:-1, None] + segments[:, None] * (np.arange(k) / k),
-                         bounds[-1])
-        evaluations += 2 * (ends.size - 1)
+        ends = ends_at(k)
+        evaluations += _GAUSS_NODES.size * (ends.size - 1)
         found = np.empty((2, 2, ends.size))
         found[..., 0] = start
         for lo in range(0, ends.size - 1, _MAGNUS_BLOCK):
@@ -536,15 +600,12 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
             found[..., lo + 1:hi + 1] = steps
         return ends, found
 
-    # Omega is linear between knots, so its largest value on a segment is
-    # at one of its ends.
-    omega = profile.omega(bounds)
-    phase = np.max(segments * np.maximum(omega[:-1], omega[1:]))
+    # A step spans 1/k of its segment's monitor, which is at least Omega.
     k = 1
-    while k * _MAGNUS_MAX_PHASE < phase:
+    while k * _MAGNUS_MAX_PHASE < largest:
         k *= 2
     coarse = None
-    while segments.size * k <= _MAGNUS_MAX_STEPS:
+    while segments * k <= _MAGNUS_MAX_STEPS:
         ends, fine = states(k)
         if coarse is not None:
             at_coarse_ends = fine[..., ::2]
@@ -572,8 +633,8 @@ def ermakov_residual(solution: ErmakovSolution, profile: FrequencyProfile, t):
 
     For closed forms rho'' is analytic; for numeric solutions it is
     W^2/rho^3 - Omega^2 rho, so the residual is the Wronskian drift
-    (W^2 - 1)/rho^3.  On the Magnus route of a table that drift is zero
-    to rounding by construction, so it does not measure the error there.
+    (W^2 - 1)/rho^3.  On the Magnus route that drift is zero to rounding
+    by construction, so it does not measure the error there.
     """
     t = np.asarray(t, dtype=float)
     rho = solution.rho(t)

@@ -71,8 +71,7 @@ class FrequencyProfile:
     checks every value it returns against it.  knots holds the times
     where Omega has a kink, the sample times of a table, between which
     Omega is linear; it is empty for every other profile.  The Ermakov
-    solver takes its Magnus route for a profile with knots, unless that
-    needs more than 2**18 steps.
+    solver restarts its steps at the knots.
     """
 
     evaluator: Callable
@@ -88,7 +87,8 @@ class FrequencyProfile:
         takes a scalar path: the evaluator gets np.float64(t), so numpy's
         semantics hold (1/0 is inf, and then an error), and the result is
         an np.float64 with the bits of the array path.  Any other t is
-        evaluated as an array.
+        evaluated as an array, and the values are broadcast to its shape,
+        so that an evaluator may return one value for all of t.
         """
         if isinstance(t, float):
             value = self.evaluator(np.float64(t))
@@ -96,10 +96,9 @@ class FrequencyProfile:
                 raise self._breach(t)
             return np.float64(value)
         t = np.asarray(t, dtype=float)
-        value = np.asarray(self.evaluator(t), dtype=float)
+        value = np.broadcast_to(np.asarray(self.evaluator(t), dtype=float), t.shape)
         valid = np.isfinite(value) & (value >= 0)
         if not np.all(valid):
-            t, valid = np.broadcast_arrays(t, valid)
             raise self._breach(t[~valid][0])
         return value
 

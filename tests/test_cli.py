@@ -383,11 +383,15 @@ class TestManifest:
     @pytest.mark.parametrize("argv", [
         ["fig1"], ["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"],
     ], ids=["exit-0", "exit-3"])
-    def test_failed_manifest_write_removes_the_output(self, tmp_path, capsys, argv):
-        # a directory as --manifest passes the checks before the run, and
-        # fails only when main opens it to write the record
+    def test_failed_manifest_write_removes_the_output(self, tmp_path, capsys, monkeypatch,
+                                                     argv):
+        # the record fails only when main writes it, after the run
+        def fail(*_args, **_kwargs):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", fail)
         out = tmp_path / "a.csv"
-        assert main(argv + ["--out", str(out), "--manifest", str(tmp_path)]) == 2
+        assert main(argv + ["--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 2
         assert not out.exists()
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"bohmosc {argv[0]}: ")
@@ -430,16 +434,18 @@ class TestCliPlumbing:
         assert main([command, "--b", "3", "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--out", "nodir/x.out"],
-        ["--out", "x.out", "--manifest", "nodir/m.json"],
-    ], ids=["out", "manifest"])
+    @pytest.mark.parametrize("flags, reason", [
+        (["--out", "nodir/x.out"], "no such directory"),
+        (["--out", "x.out", "--manifest", "nodir/m.json"], "no such directory"),
+        (["--out", "."], "is a directory"),
+        (["--out", "x.out", "--manifest", "."], "is a directory"),
+    ], ids=["out", "manifest", "out-directory", "manifest-directory"])
     @pytest.mark.parametrize("argv, work", [
         (["tdse-check", "--b", "1"], "propagate"),
         (["verify", "--b", "1"], "build_residual_report"),
     ], ids=["tdse-check", "verify"])
     def test_path_in_a_missing_directory_exits_2_before_any_work(
-            self, tmp_path, capsys, monkeypatch, flags, argv, work):
+            self, tmp_path, capsys, monkeypatch, flags, reason, argv, work):
         def refuse(*_args, **_kwargs):
             raise AssertionError(f"{work} called")
 
@@ -448,7 +454,22 @@ class TestCliPlumbing:
         assert main(argv + flags) == 2
         assert list(tmp_path.iterdir()) == []
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"bohmosc {argv[0]}: {flags[-2]} {flags[-1]}: no such directory"
+        assert line == f"bohmosc {argv[0]}: {flags[-2]} {flags[-1]}: {reason}"
+
+    def test_one_parser_gives_independent_namespaces(self, tmp_path):
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["ermakov", "--numeric", "--b", "1", "--out", "a.csv"])
+        kept = dict(vars(first))
+        second = parser.parse_args(["verify", "--critical"])
+        assert vars(first) == kept
+        assert (second.command, second.b, second.critical, second.out) == (
+            "verify", None, True, None)
+        assert not {"numeric", "samples", "rho0"} & set(vars(second))
+        first.b, first.numeric = 7.0, False
+        again = parser.parse_args(["ermakov", "--b", "2", "--out", "b.csv"])
+        assert (again.b, again.numeric, again.out) == (2.0, False, "b.csv")
+        assert (first.b, first.out) == (7.0, "a.csv")
 
     @pytest.mark.parametrize("command", ["ermakov", "bohm", "wavefunction", "verify",
                                          "tdse-check"])

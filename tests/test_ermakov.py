@@ -21,6 +21,8 @@ from bohmosc import (
     subcritical_parameters,
     subcritical_solution,
 )
+from bohmosc import ermakov
+from bohmosc.cli import main
 
 
 def tabulated_rational_profile():
@@ -30,6 +32,15 @@ def tabulated_rational_profile():
     a = np.sqrt(1.0 - b * b / 4.0)
     samples = np.arange(0.0, 12.02, 0.04)
     return FrequencyProfile.from_table(samples, 1.0 / (a + b * samples))
+
+
+def uneven_table():
+    """Omega ramps from 20 to 40 over [0, 10], then stays at 40 for 127
+    samples 0.05 apart.  Every knot segment takes the same number of Magnus
+    steps, so the one long segment sets them for all 128: at the default
+    rel_tol that would be 2**20, four times the cap."""
+    t = np.concatenate(([0.0], 10.0 + 0.05 * np.arange(128)))
+    return FrequencyProfile.from_table(t, np.concatenate(([20.0], np.full(128, 40.0))))
 
 
 def family_profile(b):
@@ -146,6 +157,14 @@ class TestNumericSolver:
         t = np.linspace(0.0, 10.0, 257)
         assert np.max(np.abs(solution.rho(t) - 1.0)) < 1e-9
 
+    def test_callable_returning_one_value(self):
+        # omega broadcasts it to the shape of t, which the step ends need
+        t = np.linspace(0.0, 5.0, 51)
+        one = solve_numeric(FrequencyProfile(lambda _: 2.0), 2.0**-0.5, 0.0, (0.0, 5.0))
+        full = solve_numeric(FrequencyProfile.constant(2.0), 2.0**-0.5, 0.0, (0.0, 5.0))
+        np.testing.assert_array_equal(one.rho(t), full.rho(t))
+        np.testing.assert_array_equal(one.mu(t), full.mu(t))
+
     def test_matches_subcritical_closed_form(self):
         b = 1.0
         a, _ = subcritical_parameters(b)
@@ -218,17 +237,19 @@ class TestNumericSolver:
         assert residual <= bound
 
     def test_scalar_omega_leaves_the_solve_unchanged(self, caplog):
-        # The DOP853 right-hand side calls omega with a float t; a stand-in
-        # that passes t as an array takes the array path (362 RHS evaluations)
-        profile = family_profile(1.0)
+        # A table past the Magnus step cap goes to DOP853, whose right-hand
+        # side calls omega with a float t; a stand-in that passes t as an
+        # array takes the array path (32869 RHS evaluations)
+        profile = uneven_table()
         as_array = SimpleNamespace(omega=lambda t: profile.omega(np.asarray(t)),
                                    knots=profile.knots)
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
-        scalar = solve_numeric(profile, 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
-        array = solve_numeric(as_array, 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
+        scalar = solve_numeric(profile, 20.0**-0.5, 0.0, (0.0, 16.35))
+        array = solve_numeric(as_array, 20.0**-0.5, 0.0, (0.0, 16.35))
         first, second = caplog.records
+        assert "DOP853" in first.getMessage()
         assert first.args == second.args
-        t = np.linspace(0.0, 10.0, 101)
+        t = np.linspace(0.0, 16.35, 101)
         for name in ("rho", "rho_dot", "rho_ddot", "mu"):
             assert (getattr(scalar, name)(t).tobytes()
                     == getattr(array, name)(t).tobytes())
@@ -237,7 +258,27 @@ class TestNumericSolver:
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
         solve_numeric(family_profile(1.0), 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
         (record,) = caplog.records
-        assert re.search(r"\b1 knot segments\b", record.getMessage())
+        assert re.search(r"\bMagnus, 1 knot segments\b", record.getMessage())
+
+    @pytest.mark.parametrize("b", [1.0, 2.0 - 1e-4])
+    def test_smooth_profile_matches_the_closed_form_over_long_window(self, b):
+        # DOP853 missed by 4.7e-9 at 2 - b = 1.5e-4, where rho grows to
+        # about 100 by t = 50
+        a, _ = subcritical_parameters(b)
+        solution = solve_numeric(family_profile(b), 1.0, b / (2 * a), (0.0, 50.0))
+        t = np.linspace(0.0, 50.0, 1001)
+        assert np.max(np.abs(solution.rho(t) - closed_form_subcritical(b, t))) < 1e-9
+
+    def test_parametric_resonance(self):
+        # Omega = 1 + sin(t)/2 pumps rho up to about 2859 by t = 100; DOP853
+        # at the default rel_tol was off by 1.6e-8 relative there
+        profile = FrequencyProfile(lambda t: 1.0 + np.sin(t) / 2.0)
+        t = np.linspace(0.0, 100.0, 2001)
+        u1, _, u2, _ = dop853_restarted_at_knots(profile, (0.0, 100.0), t)
+        rho = np.hypot(u1, u2)
+        solution = solve_numeric(profile, 1.0, 0.0, (0.0, 100.0))
+        assert np.max(np.abs(solution.rho(t) - rho) / rho) < 1e-9
+        assert np.max(np.abs(solution.mu(t) + 0.5 * np.unwrap(np.arctan2(u2, u1)))) < 1e-9
 
     def test_phase_branch_with_long_steps(self):
         # u1 = 8 cos 16t, u2 = sin(16t)/128: the angle of (u1, u2) turns by
@@ -303,7 +344,8 @@ class TestNumericSolver:
 
 def dop853_restarted_at_knots(table, window, t):
     """(u1, u1', u2, u2') on t from rho = 1, rho' = 0, by DOP853 at rtol
-    1e-13, restarted at each knot: the oracle of the Magnus route."""
+    1e-13, restarted at each knot of a table: the oracle of the Magnus
+    route."""
     from scipy.integrate import solve_ivp
 
     def rhs(s, y):
@@ -324,7 +366,8 @@ def dop853_restarted_at_knots(table, window, t):
 
 
 class TestMagnusRoute:
-    """A profile with knots is solved by batched fourth-order Magnus steps."""
+    """Every profile is solved by batched sixth-order Magnus steps whose
+    ends are graded within each knot segment."""
 
     T = np.linspace(0.0, 10.0, 1001)
 
@@ -342,17 +385,20 @@ class TestMagnusRoute:
         assert np.max(np.abs(solution.rho_dot(self.T) - rho_dot)) < 1e-11
         assert np.max(np.abs(solution.mu(self.T) - mu)) < 1e-11
 
-    def test_error_falls_sixteenfold_per_halved_step(self, reference, caplog):
-        # Fourth order: halving the steps divides the error by about 2^4
+    def test_error_falls_sixtyfourfold_per_halved_step(self, caplog):
+        # Sixth order: halving the steps divides the error by about 2^6
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
-        table, errors = tabulated_rational_profile(), []
-        for rel_tol in (1e-8, 1e-10, 3e-11):
-            solution = solve_numeric(table, 1.0, 0.0, (0.0, 10.0), rel_tol=rel_tol)
-            errors.append(np.max(np.abs(solution.rho(self.T) - reference[0])))
+        b = 1.0
+        a, _ = subcritical_parameters(b)
+        t, errors = np.linspace(0.0, 50.0, 1001), []
+        for rel_tol in (1e-5, 1e-7, 1e-9):
+            solution = solve_numeric(family_profile(b), 1.0, b / (2 * a), (0.0, 50.0),
+                                     rel_tol=rel_tol)
+            errors.append(np.max(np.abs(solution.rho(t) - closed_form_subcritical(b, t))))
         steps = [record.args[0] for record in caplog.records]
-        assert steps == [1000, 2000, 4000]
+        assert steps == [32, 64, 128]
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
-        assert np.all((ratios > 12) & (ratios < 20)), ratios
+        assert np.all((ratios > 48) & (ratios < 80)), ratios
 
     def test_mu_on_a_fast_constant_table(self):
         # Magnus steps are exact at constant Omega, so only the limit of
@@ -373,20 +419,29 @@ class TestMagnusRoute:
             assert getattr(solution, name)(t).shape == shape
 
     def test_a_table_past_the_step_cap_takes_dop853(self, caplog):
-        # Omega = 30 (1 + sin(t)/2) sampled every 1.0 over [0, 200], about
-        # 6e3 rad: at the default rel_tol, Magnus steps would pass the cap,
-        # so DOP853 solves the table, restarted at each knot.  At rel_tol
-        # 1e-6 Magnus fits in 204800 steps, and the two routes agree.
-        t = np.arange(0.0, 200.5, 1.0)
-        table = FrequencyProfile.from_table(t, 30.0 * (1.0 + np.sin(t) / 2.0))
+        # At the default rel_tol, Magnus steps on the uneven table would pass
+        # the cap, so DOP853 solves it, restarted at each knot.  At rel_tol
+        # 1e-6 Magnus fits in 131072 steps, and the two routes agree.
+        table = uneven_table()
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
-        exact = solve_numeric(table, 30.0**-0.5, 0.0, (0.0, 200.0))
-        rough = solve_numeric(table, 30.0**-0.5, 0.0, (0.0, 200.0), rel_tol=1e-6)
+        exact = solve_numeric(table, 20.0**-0.5, 0.0, (0.0, 16.35))
+        rough = solve_numeric(table, 20.0**-0.5, 0.0, (0.0, 16.35), rel_tol=1e-6)
         routes = [record.getMessage().split(",")[0] for record in caplog.records]
         assert routes == ["solve_numeric: DOP853", "solve_numeric: Magnus"]
-        s = np.linspace(0.0, 200.0, 2001)
+        s = np.linspace(0.0, 16.35, 2001)
         assert np.max(np.abs(exact.rho(s) - rough.rho(s))) < 1e-8
         assert np.max(np.abs(exact.mu(s) - rough.mu(s))) < 1e-7
+
+    def test_table_with_zero_omega_solves(self, tmp_path):
+        # Omega vanishes at one sample and on a whole segment; the step ends
+        # read |Omega'|/Omega there, and the CLI raises on a division by zero
+        table = tmp_path / "table.csv"
+        table.write_text("0,1\n1,0\n2,1\n3,0\n4,0\n5,1\n")
+        out = tmp_path / "out.csv"
+        assert main(["ermakov", "--omega-table", str(table), "--t-max", "5",
+                     "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(data)) and np.all(data[:, 1] > 0)
 
 
 class TestPhaseBudget:
@@ -453,13 +508,13 @@ class TestNumericSampling:
             np.testing.assert_array_equal(b, c)
 
     def test_one_dense_output_call_per_times_array(self, monkeypatch):
-        from scipy.integrate import OdeSolution
-
+        # A sample is reached by one partial Magnus step from the step end
+        # below it, all samples of an array in one batch
         solution = self.solve()
         calls = []
-        evaluate = OdeSolution.__call__
-        monkeypatch.setattr(OdeSolution, "__call__",
-                            lambda self, t: calls.append(1) or evaluate(self, t))
+        steps = ermakov._magnus_steps
+        monkeypatch.setattr(ermakov, "_magnus_steps",
+                            lambda *args: calls.append(1) or steps(*args))
         profile, t = family_profile(2.0), np.linspace(0.0, 10.0, 101)
         scale = LogScale(solution, profile)
         self.sample(solution, t)

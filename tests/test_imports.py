@@ -2,11 +2,11 @@
 
 The closed-form subcommands only evaluate formulas, so importing the
 package and running them must load no scipy module at all; tdse-check
-loads scipy.fft on its first propagation and ermakov --numeric loads
-scipy.integrate on its first solve.  A tabulated profile is solved by
-Magnus steps in numpy, so bohm --omega-table loads no scipy.integrate.
-Each case needs a fresh interpreter, because the test process has long
-since imported scipy.  So does the stderr of a failing run: under pytest,
+loads scipy.fft on its first propagation.  Every numeric solve below the
+Magnus step cap is done in numpy, so ermakov --numeric, ermakov --a/--b
+and bohm --omega-table load no scipy.integrate; only a table past the cap
+loads it, for DOP853.  Each case needs a fresh interpreter, because the
+test process has long since imported scipy.  So does the stderr of a failing run: under pytest,
 numpy warnings are recorded, not printed.
 """
 
@@ -55,13 +55,28 @@ def test_closed_form_subcommands_load_no_scipy(tmp_path):
 
 
 def test_solver_and_propagator_load_their_subpackage_on_first_use(tmp_path):
+    # Omega ramps from 20 to 40 over [0, 10], then stays at 40 for 127
+    # samples 0.05 apart: the Magnus steps would pass the cap
+    t = np.concatenate(([0.0], 10.0 + 0.05 * np.arange(128)))
+    omega = np.concatenate(([20.0], np.full(128, 40.0)))
+    (tmp_path / "table.csv").write_text(
+        "".join(f"{s:.17g},{w:.17g}\n" for s, w in zip(t, omega)))
     (tdse_code, after_tdse), (ermakov_code, after_ermakov) = _loaded_after_each(
         [["tdse-check", "--b", "1", "--t-max", "0.01", "--out", "tdse.csv"],
-         ["ermakov", "--numeric", "--b", "1", "--out", "ermakov.csv"]], tmp_path)
+         ["ermakov", "--omega-table", "table.csv", "--t-max", "16.3",
+          "--rho0", repr(20.0**-0.5), "--out", "ermakov.csv"]], tmp_path)
     assert (tdse_code, ermakov_code) == (0, 0)
     assert "scipy.fft" in after_tdse
     assert "scipy.integrate" not in after_tdse
     assert "scipy.integrate" in after_ermakov
+
+
+def test_smooth_numeric_solves_load_no_integrator(tmp_path):
+    runs = _loaded_after_each(
+        [["ermakov", "--numeric", "--b", "1", "--t-max", "50", "--out", "numeric.csv"],
+         ["ermakov", "--a", "0.8", "--b", "1.2", "--t-max", "5", "--out", "ab.csv"]],
+        tmp_path)
+    assert runs == [(0, set())] * 2
 
 
 def test_table_solve_loads_no_integrator(tmp_path):
