@@ -492,7 +492,7 @@ def _check_flags(args) -> None:
 def main(argv=None) -> int:
     """Run one subcommand.  It writes its --out file and returns None, or
     the message of a failed threshold; main then writes the manifest, and
-    removes the --out file if that write fails."""
+    removes the --out file and any partial manifest if that write fails."""
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
@@ -506,6 +506,8 @@ def main(argv=None) -> int:
                 _write_manifest(args)
             except OSError:
                 os.remove(args.out)
+                if os.path.exists(args.manifest):
+                    os.remove(args.manifest)
                 raise
     except (ValueError, RuntimeError, OSError, FloatingPointError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)

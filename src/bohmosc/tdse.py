@@ -25,9 +25,13 @@ fixed limit, so that wrap-around at the periodic boundary cannot pass
 silently.
 
 The discrete Fourier transform uses the standard wavenumber layout
-k in [-pi/h, pi/h); no transform convention leaks into the API.
-scipy.fft is imported on the first propagation, not with this module, so
-the subcommands that never propagate do not load it.
+k in [-pi/h, pi/h); no transform convention leaks into the API.  Each
+transform is one call of the pocketfft binding under scipy.fft
+(scipy.fft._pocketfft.pypocketfft.c2c) with the normalisation codes that
+scipy.fft.fft and ifft pass, so the bits are theirs; scipy.fft's own
+per-call argument handling costs as much as an n = 512 transform.  The
+binding is imported on the first propagation, not with this module, so
+the subcommands that never propagate do not load scipy.fft.
 """
 
 from __future__ import annotations
@@ -94,9 +98,9 @@ class PropagatorConfig:
 
 
 def _momentum_width(psi: np.ndarray, k: np.ndarray) -> float:
-    import scipy.fft
+    from scipy.fft._pocketfft.pypocketfft import c2c
 
-    spectrum = np.abs(scipy.fft.fft(psi)) ** 2
+    spectrum = np.abs(c2c(psi, (0,), True, 0, None, 1)) ** 2
     total = spectrum.sum()
     if total == 0:
         return 0.0
@@ -120,9 +124,11 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     DEBUG record on the ``bohmosc`` logger: steps, norm drift, phase-wrap
     and momentum ratios, boundary mass, and the seconds spent evaluating
     Omega, building kicks, and in the step loop (the FFT pair, the
-    multiplies and any closing half-kick).
+    multiplies and any closing half-kick).  The FFT pair transforms psi in
+    place through the pocketfft binding under scipy.fft: the forward
+    transform unscaled, the inverse scaled by 1/n.
     """
-    import scipy.fft
+    from scipy.fft._pocketfft.pypocketfft import c2c
 
     if psi0.times.size != 1:
         raise ValueError("psi0 must be a single-time slice")
@@ -234,9 +240,10 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             build_s += built - started
             for step, row in enumerate(sub_kicks, first + sub + 1):
                 kick(psi, row)
-                psi = scipy.fft.fft(psi, overwrite_x=True)
+                # c2c(input, axes, forward, inorm, out, threads)
+                c2c(psi, (0,), True, 0, psi, 1)
                 psi *= exp_kinetic
-                psi = scipy.fft.ifft(psi, overwrite_x=True)
+                c2c(psi, (0,), False, 2, psi, 1)
                 ts = time_of_step.get(step)
                 if ts is None and step < n_steps:
                     continue

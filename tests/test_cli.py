@@ -390,9 +390,10 @@ class TestManifest:
             raise OSError("No space left on device")
 
         monkeypatch.setattr(cli.json, "dump", fail)
-        out = tmp_path / "a.csv"
-        assert main(argv + ["--out", str(out), "--manifest", str(tmp_path / "m.json")]) == 2
+        out, manifest = tmp_path / "a.csv", tmp_path / "m.json"
+        assert main(argv + ["--out", str(out), "--manifest", str(manifest)]) == 2
         assert not out.exists()
+        assert not manifest.exists()
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"bohmosc {argv[0]}: ")
 

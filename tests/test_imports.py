@@ -2,10 +2,11 @@
 
 The closed-form subcommands only evaluate formulas, so importing the
 package and running them must load no scipy module at all; tdse-check
-loads scipy.fft on its first propagation.  Every numeric solve below the
-Magnus step cap is done in numpy, so ermakov --numeric, ermakov --a/--b
-and bohm --omega-table load no scipy.integrate; only a table past the cap
-loads it, for DOP853.  Each case needs a fresh interpreter, because the
+loads scipy.fft, for the pocketfft binding under it
+(scipy.fft._pocketfft.pypocketfft), on its first propagation.  Every
+numeric solve below the Magnus step cap is done in numpy, so ermakov
+--numeric, ermakov --a/--b and bohm --omega-table load no scipy.integrate;
+only a table past the cap loads it, for DOP853.  Each case needs a fresh interpreter, because the
 test process has long since imported scipy.  So does the stderr of a failing run: under pytest,
 numpy warnings are recorded, not printed.
 """
@@ -61,12 +62,16 @@ def test_solver_and_propagator_load_their_subpackage_on_first_use(tmp_path):
     omega = np.concatenate(([20.0], np.full(128, 40.0)))
     (tmp_path / "table.csv").write_text(
         "".join(f"{s:.17g},{w:.17g}\n" for s, w in zip(t, omega)))
-    (tdse_code, after_tdse), (ermakov_code, after_ermakov) = _loaded_after_each(
-        [["tdse-check", "--b", "1", "--t-max", "0.01", "--out", "tdse.csv"],
+    binding = "scipy.fft._pocketfft.pypocketfft"
+    ((closed_code, after_closed), (tdse_code, after_tdse),
+     (ermakov_code, after_ermakov)) = _loaded_after_each(
+        [["ermakov", "--b", "1", "--out", "closed.csv"],
+         ["tdse-check", "--b", "1", "--t-max", "0.01", "--out", "tdse.csv"],
          ["ermakov", "--omega-table", "table.csv", "--t-max", "16.3",
           "--rho0", repr(20.0**-0.5), "--out", "ermakov.csv"]], tmp_path)
-    assert (tdse_code, ermakov_code) == (0, 0)
-    assert "scipy.fft" in after_tdse
+    assert (closed_code, tdse_code, ermakov_code) == (0, 0, 0)
+    assert binding not in after_closed
+    assert {"scipy.fft", binding} <= after_tdse
     assert "scipy.integrate" not in after_tdse
     assert "scipy.integrate" in after_ermakov
 

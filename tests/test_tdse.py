@@ -34,6 +34,27 @@ def ground_state(grid):
     return WavefunctionGrid(grid, np.array([0.0]), psi[None, :])
 
 
+class TestTransform:
+    @pytest.mark.parametrize("n", [2**p for p in range(1, 15)])
+    def test_binding_gives_scipy_fft_bits(self, n):
+        # propagate transforms in place through the binding under scipy.fft
+        # (and _momentum_width into a new array), on every power-of-two grid
+        # up to 2^14: the CLI's default 512 and the benchmark's 4096 among them
+        import scipy.fft
+        from scipy.fft._pocketfft.pypocketfft import c2c
+
+        rng = np.random.default_rng(n)
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for forward, inorm, reference in [(True, 0, scipy.fft.fft),
+                                          (False, 2, scipy.fft.ifft)]:
+            expected = reference(psi)
+            np.testing.assert_array_equal(c2c(psi, (0,), forward, inorm, None, 1),
+                                          expected)
+            work = psi.copy()
+            c2c(work, (0,), forward, inorm, work, 1)
+            np.testing.assert_array_equal(work, expected)
+
+
 class TestPropagatorConfig:
     def test_power_of_two_required(self, static):
         grid = SpatialGrid(-8.0, 8.0, 500)
