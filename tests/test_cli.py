@@ -1,10 +1,13 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import logging
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -22,7 +25,7 @@ from bohmosc import (
     numeric_construction,
     rational_construction,
 )
-from bohmosc import cli
+from bohmosc import cli, floatfmt
 from bohmosc.cli import _write_csv, build_parser, main
 
 
@@ -90,8 +93,9 @@ class TestErmakovCommand:
         assert not caplog.records
         caplog.set_level(logging.DEBUG, logger="bohmosc")
         assert main(argv + ["--out", str(loud)]) == 0
-        (record,) = caplog.records
+        record, written = caplog.records
         assert (record.name, record.levelno) == ("bohmosc.ermakov", logging.DEBUG)
+        assert (written.name, written.levelno) == ("bohmosc.cli", logging.DEBUG)
         steps, rhs_evaluations, residual, bound = record.args
         assert 0 < steps < rhs_evaluations
         assert residual <= bound
@@ -252,7 +256,8 @@ class TestTdseCheckCommand:
         assert not caplog.records
         caplog.set_level(logging.DEBUG, logger="bohmosc")
         assert main(argv + ["--out", str(loud)]) == 0
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("bohmosc.tdse", logging.DEBUG), ("bohmosc.cli", logging.DEBUG)]
         assert loud.read_bytes() == quiet.read_bytes()
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -396,6 +401,35 @@ class TestManifest:
         assert not manifest.exists()
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"bohmosc {argv[0]}: ")
+
+    def test_output_larger_than_a_hash_chunk_keeps_its_digest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_HASH_CHUNK", 4099)
+        out, manifest = tmp_path / "fig1.csv", tmp_path / "m.json"
+        assert main(["fig1", "--out", str(out), "--manifest", str(manifest)]) == 0
+        blob = out.read_bytes()
+        assert len(blob) > 100 * 4099
+        assert json.loads(manifest.read_text())["outputs"] == [
+            {"path": str(out), "bytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}]
+
+    def test_debug_record_leaves_output_and_manifest_unchanged(self, tmp_path, monkeypatch,
+                                                              caplog):
+        argv = ["bohm", "--b", "1", "--nx", "11", "--nt", "3",
+                "--out", "out.csv", "--manifest", "m.json"]
+        for run in ("quiet", "loud"):
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            if run == "loud":
+                assert not caplog.records
+                caplog.set_level(logging.DEBUG, logger="bohmosc")
+            assert main(argv) == 0
+        for name in ("out.csv", "m.json"):
+            assert (tmp_path / "loud" / name).read_bytes() == \
+                (tmp_path / "quiet" / name).read_bytes()
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("bohmosc.cli", logging.DEBUG)
+        rows, size, fallbacks, seconds = record.args
+        assert (rows, size, fallbacks) == (33, (tmp_path / "loud" / "out.csv").stat().st_size, 0)
+        assert seconds >= 0
 
     def test_manifest_without_out_exits_2(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
@@ -618,6 +652,102 @@ class TestWriteCsv:
             with open(path, "rb") as handle:
                 written = handle.read()
         assert written == naive_csv(header, columns)
+
+    @pytest.mark.parametrize("cells", [1, 7, 40, 2**15])
+    def test_blocks_may_split_slices(self, tmp_path, monkeypatch, cells):
+        # blocks of 1, 1, 6 and all 45 rows: the time column's slices of 9
+        # rows and the position row's 9 cells are cut at every offset
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+        t = np.linspace(0.0, 1.0, 5)[:, None]
+        x = np.linspace(-2.0, 2.0, 9)[None, :]
+        columns = [t, x, np.exp(-x**2) * (t - 0.5), np.float64(-0.0), 1e-300 * x + t]
+        header = ["t", "x", "f", "z", "g"]
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), header, columns)
+        assert path.read_bytes() == naive_csv(header, columns)
+
+
+def float_corpus():
+    """Values that test "%.17g", each also negated: random bit patterns
+    over every exponent, subnormals, infinities and NaNs included; every
+    power of ten from 1e-320 to 1e308 with both neighbours; the %g switch
+    points with theirs; +-0; dyadic and decimal fractions; exact ties at
+    the 17th digit; and integers up to 1e17."""
+    rng = np.random.default_rng(20261019)
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99999999999999955e-5,
+                         9.9999999999999995e16, 5e-324, 2.2250738585072014e-308])
+    k = np.arange(1, 2**14)
+    parts = [
+        rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(np.float64),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf),
+        [0.0, np.inf, np.nan, 1.7976931348623157e308],
+        k / 2.0**14, k / 1000.0, k * 0.1, k / 3.0,
+        (4e15 + 2 * np.arange(1000) + 1) / 4,  # ...25 and ...75: ties to even
+        rng.integers(0, 10**17, 50_000).astype(np.float64),
+        np.arange(2.0**15),
+    ]
+    values = np.concatenate([np.asarray(part, np.float64) for part in parts])
+    return np.concatenate([values, -values])
+
+
+def formatted(values, sep=b","):
+    """The kernel's text of values and its count of "%.17g" fallbacks."""
+    canvas = np.empty((values.size, floatfmt.CELL_WORDS), np.uint64)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        fallbacks = floatfmt.format_into(canvas, values, sep)
+    return canvas.tobytes().translate(None, b"\0"), fallbacks
+
+
+def assert_percent_g(text, values):
+    cells = text.split(b",")
+    assert cells.pop() == b""
+    wrong = [(v, cell) for v, cell in zip(values.tolist(), cells) if cell != b"%.17g" % v]
+    assert (len(cells), wrong[:5]) == (values.size, [])
+
+
+class TestFloatText:
+    def test_matches_percent_g_on_a_corpus(self, monkeypatch):
+        # a table of scales built from nothing, grown at both ends by blocks
+        # in shuffled order
+        monkeypatch.setattr(floatfmt, "_scales", functools.cache(floatfmt._Scales))
+        values = float_corpus()
+        assert values.size > 10**5
+        shuffled = np.random.default_rng(7).permutation(values)
+        texts, fallbacks = zip(*(formatted(block) for block in np.array_split(shuffled, 97)))
+        assert_percent_g(b"".join(texts), shuffled)
+        # the listed ties, NaNs and infinities, and the random patterns of
+        # 1e11 to 1e16, whose few fraction bits often end in an exact tie
+        ties = 2 * 1000
+        special = 2 * np.count_nonzero(~np.isfinite(values[:values.size // 2]))
+        assert ties + special <= sum(fallbacks) < values.size // 100
+
+    def test_every_value_through_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(floatfmt, "TIE_MARGIN", 1.0)
+        values = float_corpus()[::97]
+        text, fallbacks = formatted(values)
+        assert fallbacks == values.size
+        assert_percent_g(text, values)
+
+    def test_importing_the_cli_builds_no_table(self):
+        # the CLI loads the kernel on its first write; loaded, it has built
+        # no table and holds no array
+        probe = (
+            "import json, sys, numpy as np, bohmosc.cli as cli\n"
+            "loaded = 'bohmosc.floatfmt' in sys.modules\n"
+            "import bohmosc.floatfmt as f\n"
+            "built = [g.cache_info().currsize\n"
+            "         for g in (f._digit_tables, f._layouts, f._tails, f._scales)]\n"
+            "arrays = [name for module in (f, cli) for name, value in vars(module).items()\n"
+            "          if isinstance(value, np.ndarray)]\n"
+            "print(json.dumps([loaded, built, arrays]))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [False, [0, 0, 0, 0], []]
 
 
 # The CLI contract: any argv the flag grammar allows ends in exit 0, 2 or 3
