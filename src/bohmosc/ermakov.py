@@ -36,23 +36,18 @@ Casas & Ros, BIT 40, 434, 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 smooth profile is one segment of the window, and a table (a profile with
 knots, where Omega has kinks) is its knot segments.  Within each segment
 the step ends equidistribute the monitor Omega + |Omega'|/Omega, and the
-error estimate compares k with 2k steps per segment.  This route is numpy
-only.  A solve that would need more than 2**18 Magnus steps goes to the
-eighth-order Dormand-Prince scheme DOP853 (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.10), restarted at each knot and checked by the
-Wronskian drift at 512 probes.
+error estimate compares k with 2k steps per segment.  This is the only
+route, and it is numpy only; a solve that would need more than 2**21
+steps is refused.
 
 A numeric solution evaluates its states once per times array, so
 sampling rho, rho', rho'' and mu on one array costs one evaluation.
-scipy.integrate is imported on the first DOP853 solve, not with this
-module, so the closed forms and every solve that fits the Magnus route
-never load it; each solve logs one DEBUG record on the
-``bohmosc.ermakov`` logger.
+Each solve logs one DEBUG record on the ``bohmosc.ermakov`` logger.
 
-On the Magnus route each step has determinant 1, so the Wronskian stays 1
-to rounding, and ermakov_residual, (W^2 - 1)/rho^3 for a numeric solution,
-reads rounding only: it is no error estimate there.  The k-vs-2k
-difference in the DEBUG record is.
+Each Magnus step has determinant 1, so the Wronskian stays 1 to rounding,
+and ermakov_residual, (W^2 - 1)/rho^3 for a numeric solution, reads
+rounding only: it is no error estimate here.  The k-vs-2k difference in
+the DEBUG record is.
 """
 
 from __future__ import annotations
@@ -93,28 +88,29 @@ RHO_FLOOR = 1e-8
 # 1.7 rel_tol relative, passed the absolute 1e-8 there.
 REL_TOL = 3e-11
 ABS_TOL = 1e-12
-# DOP853 (scipy) raises a smaller rtol to this floor with a warning, so a
-# run past the Magnus cap would record a tolerance it did not solve at.
-# The Magnus route takes the same floor, so that rel_tol means one thing
-# on both routes.
+# The k-vs-2k gap cannot fall much below the rounding of the states it
+# compares, so a smaller rel_tol can run k up to the step cap and be
+# refused there: with abs_tol 1e-300, b = 2 - 1e-4 over [0, 50] meets
+# 2.2e-14 in 4096 steps but not 1e-14 within 2**21.  At this floor, 100
+# machine epsilons, and the default abs_tol the same window converges in
+# 4096 steps with a rho error of 1.3e-12, and b = 1 in 512 with 1.5e-14.
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
 # Steps grow with the phase of the oscillator, the integral of Omega over
-# the window.  Magnus steps at the default rel_tol take tens per rad over
-# long windows (204800 for a table of 6e3 rad), so a solve of several
-# thousand rad passes their cap and goes to DOP853, which takes about 3
-# steps per rad and keeps about 860 bytes of dense output per step.  So
-# this bounds a solve near 6e4 DOP853 steps, 12 s and 50 MB.  It bounds
-# the work, not the error: at Omega = 1 a solve passes its self-check far
-# beyond it, and is refused all the same.
+# the window: Magnus steps at the default rel_tol take tens per rad over
+# long windows (409600 for a table of Omega = 30(1 + sin(t)/2) over 200,
+# 6e3 rad, from rho = 1).  This bounds the work, not the error: at
+# Omega = 1 a solve of 1e5 rad meets its bound in 262144 steps, and is
+# refused all the same.
 _PHASE_BUDGET = 2e4
 
-# The Magnus route keeps the states of two grids, about 60 bytes per step
-# of the finer one, and builds its steps in blocks, so that the transients
-# of a block stay near 5 MB.  A solve that needs more steps goes to DOP853:
-# up to this cap, trying Magnus first costs it about 0.2 s and no peak
-# memory over what DOP853 takes.
-_MAGNUS_MAX_STEPS = 2**18
+# Magnus steps keep the states of two grids, about 60 bytes per step of
+# the finer one, and are built in blocks, so that the transients of a
+# block stay near 5 MB.  A solve that would need more steps than this is
+# refused.  Within the phase budget the hardest smooth window from
+# rho = 1, W(1 + sin(t)/2) with W = 100 over 190 (1.9e4 rad), takes
+# exactly this many: about 1.7 s and a peak near 250 MB on a 2-core Xeon.
+_MAGNUS_MAX_STEPS = 2**21
 _MAGNUS_BLOCK = 2**14
 # The step ends are read from the monitor at this many probe intervals over
 # all knot segments, and at least one per segment.
@@ -124,12 +120,6 @@ _MONITOR_PROBES = 4096
 # constant Omega, the error control alone would accept steps of many turns
 # there, more than the mu branch rule can read.
 _MAGNUS_MAX_PHASE = 1.0
-
-# The DOP853 residual is the Wronskian drift (W^2 - 1)/rho^3: it reached
-# 13*(rel_tol + abs_tol) on the rational family (rho >= 1, T <= 50), but
-# 1/rho^3 magnifies it where Omega squeezes rho, and the drift grows with
-# the window (at Omega = 6 from rho = 1: 1.8e3 over T = 30, 1.2e4 over 300).
-_RESIDUAL_CHECK_FACTOR = 1e5
 
 
 @dataclass(frozen=True)
@@ -299,8 +289,8 @@ def solve_numeric(
     Solves u'' + Omega^2 u = 0 for u1 = rho0, u1' = rho_dot0 and u2 = 0,
     u2' = 1/rho0 at the window start, so that the Wronskian
     W = u1 u2' - u2 u1' is 1; rel_tol and abs_tol apply to (u1, u1', u2,
-    u2'), and rel_tol below DOP853's floor of 100 machine epsilons
-    (2.2e-14) raises ValueError.  The window is split at the knots of the
+    u2'), and rel_tol below 100 machine epsilons (2.2e-14) raises
+    ValueError.  The window is split at the knots of the
     profile (a table, whose Omega has a kink at each knot; a smooth
     profile has none) into segments, and each segment into k steps whose
     ends equidistribute the monitor Omega + |Omega'|/Omega; each step is
@@ -309,10 +299,7 @@ def solve_numeric(
     at most rel_tol |Y| + abs_tol (|Y| the largest entry of the state
     there), from the least k at which no step spans more than 1 rad of
     phase; the 2k states are kept, and a sample t is reached by one
-    partial step from the start of its step.  A solve that would need
-    more than 2**18 steps is integrated with the eighth-order
-    Dormand-Prince scheme DOP853 instead, restarted at each knot.  Either
-    route gives, at any t,
+    partial step from the start of its step.  At any t,
     rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
     rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
     mu(window start) = 0 and its branch read
@@ -324,17 +311,15 @@ def solve_numeric(
 
     Raises RuntimeError before any step if Omega, estimated at 512
     probes, advances the phase by more than 2e4 rad over the window (a
-    bound on the work, which also refuses windows that would pass); if
-    1/|u'|, which bounds rho from below and equals it at its minima,
-    falls below RHO_FLOOR at a step end (a singular or invalid
-    configuration); or, on the DOP853 route, if the residual, the
-    Wronskian drift (W^2 - 1)/rho^3, fails a self-check at the probes
-    against 1e5*(rel_tol + abs_tol).  The Magnus route keeps W = 1 to
-    rounding, since each of its steps has determinant 1, so there the
-    k-vs-2k difference takes the place of the residual.  Before that
-    check, logs one DEBUG record with the route, the knot segments, the
-    steps, the Omega (or RHS) evaluations and the residual against its
-    bound on the ``bohmosc.ermakov`` logger.
+    bound on the work, which also refuses windows that would pass); if k
+    reaches more than 2**21 steps over the window before the two meet
+    their bound (also a bound on the work); or if 1/|u'|, which bounds
+    rho from below and equals it at its minima, falls below RHO_FLOOR at
+    a step end (a singular or invalid configuration).  Each step has
+    determinant 1, so W stays 1 to rounding, and the k-vs-2k difference
+    takes the place of a residual.  Logs one DEBUG record with the knot
+    segments, the steps, the Omega evaluations and that difference against
+    its bound on the ``bohmosc.ermakov`` logger.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(rho0) and rho0 > 0):
@@ -346,7 +331,7 @@ def solve_numeric(
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
 
-    # Both routes take steps in proportion to the phase of the oscillator,
+    # Magnus steps are taken in proportion to the phase of the oscillator,
     # the integral of Omega, so a window with too much of it is refused
     # before any step is taken.
     probes = t0 + (t1 - t0) * (np.arange(512) + 0.5) / 512
@@ -359,12 +344,7 @@ def solve_numeric(
     start = np.array([[float(rho0), 0.0], [float(rho_dot0), 1.0 / rho0]])
     knots = np.asarray(profile.knots, dtype=float)
     bounds = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
-    magnus = _magnus(profile, start, bounds, rel_tol, abs_tol)
-    if magnus:
-        ts, ys, dense, record = magnus
-    else:
-        ts, ys, dense, nfev = _dop853(profile, start, bounds, rel_tol, abs_tol)
-    route = f"{'Magnus' if magnus else 'DOP853'}, {bounds.size - 1} knot segments"
+    ts, ys, dense, record = _magnus(profile, start, bounds, rel_tol, abs_tol)
 
     # rho can dip below the floor between step ends, where it is not sampled.
     # Since |u'|^2 = rho'^2 + 1/rho^2, 1/|u'| is at most rho and equals it at
@@ -401,7 +381,7 @@ def solve_numeric(
     def states(t):
         t = np.asarray(t, dtype=float)
         if t.size == 0:
-            # Neither dense evaluator takes an empty array.
+            # The dense evaluator takes no empty array.
             return np.empty((4, *t.shape))
         key, value = last[0]
         if key is None or not np.array_equal(key, t):
@@ -430,53 +410,11 @@ def solve_numeric(
         return -0.5 * (angle + 2.0 * np.pi * turns)
 
     rho.x = ts
-    solution = ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
-
-    if not magnus:
-        residual = np.max(np.abs(ermakov_residual(solution, profile, probes)))
-        record = (ts.size - 1, nfev, residual,
-                  _RESIDUAL_CHECK_FACTOR * (rel_tol + abs_tol))
-    # The route is formatted in place, so that record.args stays (steps,
-    # evaluations, residual, bound).
-    _log.debug(f"solve_numeric: {route}, %d steps, %d evaluations, "
-               "residual %.3e against bound %.3e", *record)
-    _, _, residual, tolerance = record
-    if residual > tolerance:
-        raise RuntimeError(
-            f"numeric solution failed the residual self-check: "
-            f"{residual:.3e} > {tolerance:.3e}"
-        )
-    return solution
-
-
-def _dop853(profile, start, bounds, rel_tol, abs_tol):
-    """Step ends, states (u1, u1', u2, u2') there, dense output and RHS
-    evaluations of DOP853 from the state matrix start, restarted at each
-    of the bounds."""
-    from scipy.integrate import OdeSolution, solve_ivp
-
-    def rhs(t, y):
-        # t is a float here, so omega is an np.float64, on which ** 2 would
-        # call pow; omega * omega keeps the bits of squaring an array.
-        omega = profile.omega(t)
-        omega2 = omega * omega
-        return (y[1], -omega2 * y[0], y[3], -omega2 * y[2])
-
-    # At a kink of Omega the high-order steps are rejected again and again;
-    # restarting there costs a fresh initial step instead.
-    ts, ys = [bounds[:1]], [start.T.reshape(4, 1)]
-    interpolants, nfev = [], 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        piece = solve_ivp(rhs, (lo, hi), ys[-1][:, -1], method="DOP853",
-                          rtol=rel_tol, atol=abs_tol, dense_output=True)
-        if not piece.success:
-            raise RuntimeError(f"Ermakov integration failed: {piece.message}")
-        ts.append(piece.t[1:])
-        ys.append(piece.y[:, 1:])
-        interpolants += piece.sol.interpolants
-        nfev += piece.nfev
-    ts = np.concatenate(ts)
-    return ts, np.concatenate(ys, axis=1), OdeSolution(ts, interpolants), nfev
+    # The segments are formatted in place, so that record.args stays (steps,
+    # evaluations, gap, bound).
+    _log.debug(f"solve_numeric: Magnus, {bounds.size - 1} knot segments, %d steps, "
+               "%d evaluations, residual %.3e against bound %.3e", *record)
+    return ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
 
 
 # The three Gauss-Legendre nodes on [0, 1].
@@ -573,8 +511,8 @@ def _grading(profile, bounds):
 def _magnus(profile, start, bounds, rel_tol, abs_tol):
     """Step ends, states (u1, u1', u2, u2') there, dense evaluator and
     (steps, Omega evaluations, error estimate, bound) of the Magnus route
-    over the knot segments between bounds, from the state matrix start;
-    None if that takes more than _MAGNUS_MAX_STEPS steps."""
+    over the knot segments between bounds, from the state matrix start.
+    Raises RuntimeError if that takes more than _MAGNUS_MAX_STEPS steps."""
     ends_at, largest = _grading(profile, bounds)
     segments = bounds.size - 1
     evaluations = 0
@@ -617,7 +555,8 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
                 break
         coarse, k = fine, 2 * k
     else:
-        return None
+        raise RuntimeError(f"Ermakov integration refused: meeting rel_tol needs more "
+                           f"than the cap of {_MAGNUS_MAX_STEPS} Magnus steps")
 
     def dense(t):
         i = np.clip(np.searchsorted(ends, t, side="right") - 1, 0, ends.size - 2)
@@ -633,8 +572,8 @@ def ermakov_residual(solution: ErmakovSolution, profile: FrequencyProfile, t):
 
     For closed forms rho'' is analytic; for numeric solutions it is
     W^2/rho^3 - Omega^2 rho, so the residual is the Wronskian drift
-    (W^2 - 1)/rho^3.  On the Magnus route that drift is zero to rounding
-    by construction, so it does not measure the error there.
+    (W^2 - 1)/rho^3.  Magnus steps keep that drift zero to rounding by
+    construction, so it does not measure the error there.
     """
     t = np.asarray(t, dtype=float)
     rho = solution.rho(t)

@@ -83,10 +83,10 @@ class FrequencyProfile:
         one-line ValueError, naming the label and the first such t, where
         Omega is negative or not finite.
 
-        A float t, np.float64 included, as the Ermakov solver passes it,
-        takes a scalar path: the evaluator gets np.float64(t), so numpy's
-        semantics hold (1/0 is inf, and then an error), and the result is
-        an np.float64 with the bits of the array path.  Any other t is
+        A float t, np.float64 included, takes a scalar path: the evaluator
+        gets np.float64(t), so numpy's semantics hold (1/0 is inf, and then
+        an error), and the result is an np.float64 with the bits of the
+        array path.  Any other t is
         evaluated as an array, and the values are broadcast to its shape,
         so that an evaluator may return one value for all of t.
         """

@@ -532,7 +532,7 @@ class TestCliPlumbing:
         ["ermakov", "--b", "1", "--rel-tol", "1e-3"],
         ["ermakov", "--b", "2", "--abs-tol", "1e-6"],
         ["verify", "--b", "1", "--x-min", "0", "--x-max", "0"],
-        # below DOP853's floor, which would solve at 2.2e-14 instead
+        # below 100 machine epsilons, where the k-vs-2k gap nears rounding
         ["ermakov", "--numeric", "--b", "1", "--t-max", "5", "--rel-tol", "1e-15"],
     ])
     def test_empty_sweep_or_zero_spacing_exits_2(self, tmp_path, capsys, argv):

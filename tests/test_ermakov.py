@@ -37,10 +37,17 @@ def tabulated_rational_profile():
 def uneven_table():
     """Omega ramps from 20 to 40 over [0, 10], then stays at 40 for 127
     samples 0.05 apart.  Every knot segment takes the same number of Magnus
-    steps, so the one long segment sets them for all 128: at the default
-    rel_tol that would be 2**20, four times the cap."""
+    steps, so the one long segment sets them for all 128: from rho = 1 at
+    the default rel_tol that is 2**20 steps."""
     t = np.concatenate(([0.0], 10.0 + 0.05 * np.arange(128)))
     return FrequencyProfile.from_table(t, np.concatenate(([20.0], np.full(128, 40.0))))
+
+
+def write_uneven_table(path):
+    """Write uneven_table as an --omega-table file at path."""
+    knots = np.asarray(uneven_table().knots)
+    np.savetxt(path, np.column_stack([knots, uneven_table().omega(knots)]),
+               delimiter=",", fmt="%.17g")
 
 
 def family_profile(b):
@@ -236,24 +243,6 @@ class TestNumericSolver:
         assert steps % 250 == 0 and steps <= 8000
         assert residual <= bound
 
-    def test_scalar_omega_leaves_the_solve_unchanged(self, caplog):
-        # A table past the Magnus step cap goes to DOP853, whose right-hand
-        # side calls omega with a float t; a stand-in that passes t as an
-        # array takes the array path (32869 RHS evaluations)
-        profile = uneven_table()
-        as_array = SimpleNamespace(omega=lambda t: profile.omega(np.asarray(t)),
-                                   knots=profile.knots)
-        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
-        scalar = solve_numeric(profile, 20.0**-0.5, 0.0, (0.0, 16.35))
-        array = solve_numeric(as_array, 20.0**-0.5, 0.0, (0.0, 16.35))
-        first, second = caplog.records
-        assert "DOP853" in first.getMessage()
-        assert first.args == second.args
-        t = np.linspace(0.0, 16.35, 101)
-        for name in ("rho", "rho_dot", "rho_ddot", "mu"):
-            assert (getattr(scalar, name)(t).tobytes()
-                    == getattr(array, name)(t).tobytes())
-
     def test_smooth_profile_is_one_segment(self, caplog):
         caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
         solve_numeric(family_profile(1.0), 1.0, 1.0 / np.sqrt(3.0), (0.0, 10.0))
@@ -418,19 +407,49 @@ class TestMagnusRoute:
         for name in ("rho", "rho_dot", "rho_ddot", "mu"):
             assert getattr(solution, name)(t).shape == shape
 
-    def test_a_table_past_the_step_cap_takes_dop853(self, caplog):
-        # At the default rel_tol, Magnus steps on the uneven table would pass
-        # the cap, so DOP853 solves it, restarted at each knot.  At rel_tol
-        # 1e-6 Magnus fits in 131072 steps, and the two routes agree.
-        table = uneven_table()
-        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
-        exact = solve_numeric(table, 20.0**-0.5, 0.0, (0.0, 16.35))
-        rough = solve_numeric(table, 20.0**-0.5, 0.0, (0.0, 16.35), rel_tol=1e-6)
-        routes = [record.getMessage().split(",")[0] for record in caplog.records]
-        assert routes == ["solve_numeric: DOP853", "solve_numeric: Magnus"]
+    @pytest.fixture(scope="class")
+    def uneven(self):
+        """The uneven table over [0, 16.35], 2001 times and the oracle's
+        rho and mu there."""
         s = np.linspace(0.0, 16.35, 2001)
-        assert np.max(np.abs(exact.rho(s) - rough.rho(s))) < 1e-8
-        assert np.max(np.abs(exact.mu(s) - rough.mu(s))) < 1e-7
+        u1, _, u2, _ = dop853_restarted_at_knots(uneven_table(), (0.0, 16.35), s)
+        return s, np.hypot(u1, u2), -0.5 * np.unwrap(np.arctan2(u2, u1))
+
+    def test_uneven_table_from_rho_one(self, uneven, caplog):
+        # From rho = 1 Omega squeezes rho to 0.035, where 1/rho^3 magnifies
+        # any Wronskian drift; Magnus steps keep W = 1 and meet their bound
+        # at 2**20 steps, 1.1e-11 off in rho
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        solution = solve_numeric(uneven_table(), 1.0, 0.0, (0.0, 16.35))
+        (record,) = caplog.records
+        assert re.search(r"\bMagnus, 128 knot segments, 1048576 steps\b",
+                         record.getMessage())
+        s, rho, mu = uneven
+        assert np.max(np.abs(solution.rho(s) - rho)) < 1e-8
+        assert np.max(np.abs(solution.mu(s) - mu)) < 1e-7
+
+    def test_cli_solves_the_uneven_table_from_rho_one(self, uneven, tmp_path):
+        table, out = tmp_path / "table.csv", tmp_path / "out.csv"
+        write_uneven_table(table)
+        s, rho, _ = uneven
+        assert main(["ermakov", "--omega-table", str(table), "--t-max", "16.35",
+                     "--samples", str(s.size), "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], s)
+        assert np.max(np.abs(data[:, 1] - rho)) < 1e-8
+
+    def test_past_the_step_cap_is_refused(self, monkeypatch, tmp_path, capsys):
+        # The ramp alone starts at 512 steps per segment, 65536 in all
+        monkeypatch.setattr(ermakov, "_MAGNUS_MAX_STEPS", 2**12)
+        with pytest.raises(RuntimeError, match=r"\bcap of 4096 Magnus steps\b"):
+            solve_numeric(uneven_table(), 1.0, 0.0, (0.0, 16.35))
+        table, out = tmp_path / "table.csv", tmp_path / "out.csv"
+        write_uneven_table(table)
+        assert main(["ermakov", "--omega-table", str(table), "--t-max", "16.35",
+                     "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "cap of 4096 Magnus steps" in line
+        assert not out.exists()
 
     def test_table_with_zero_omega_solves(self, tmp_path):
         # Omega vanishes at one sample and on a whole segment; the step ends

@@ -4,9 +4,9 @@ The closed-form subcommands only evaluate formulas, so importing the
 package and running them must load no scipy module at all; tdse-check
 loads scipy.fft, for the pocketfft binding under it
 (scipy.fft._pocketfft.pypocketfft), on its first propagation.  Every
-numeric solve below the Magnus step cap is done in numpy, so ermakov
---numeric, ermakov --a/--b and bohm --omega-table load no scipy.integrate;
-only a table past the cap loads it, for DOP853.  Each case needs a fresh interpreter, because the
+numeric solve takes Magnus steps in numpy, so ermakov --numeric, ermakov
+--a/--b, ermakov and bohm --omega-table load no scipy.integrate, a table
+of 2**20 steps included.  Each case needs a fresh interpreter, because the
 test process has long since imported scipy.  So does the stderr of a failing run: under pytest,
 numpy warnings are recorded, not printed.
 """
@@ -57,7 +57,7 @@ def test_closed_form_subcommands_load_no_scipy(tmp_path):
 
 def test_solver_and_propagator_load_their_subpackage_on_first_use(tmp_path):
     # Omega ramps from 20 to 40 over [0, 10], then stays at 40 for 127
-    # samples 0.05 apart: the Magnus steps would pass the cap
+    # samples 0.05 apart: from rho = 1 that takes 2**20 Magnus steps
     t = np.concatenate(([0.0], 10.0 + 0.05 * np.arange(128)))
     omega = np.concatenate(([20.0], np.full(128, 40.0)))
     (tmp_path / "table.csv").write_text(
@@ -67,13 +67,13 @@ def test_solver_and_propagator_load_their_subpackage_on_first_use(tmp_path):
      (ermakov_code, after_ermakov)) = _loaded_after_each(
         [["ermakov", "--b", "1", "--out", "closed.csv"],
          ["tdse-check", "--b", "1", "--t-max", "0.01", "--out", "tdse.csv"],
-         ["ermakov", "--omega-table", "table.csv", "--t-max", "16.3",
-          "--rho0", repr(20.0**-0.5), "--out", "ermakov.csv"]], tmp_path)
+         ["ermakov", "--omega-table", "table.csv", "--t-max", "16.35",
+          "--out", "ermakov.csv"]], tmp_path)
     assert (closed_code, tdse_code, ermakov_code) == (0, 0, 0)
     assert binding not in after_closed
     assert {"scipy.fft", binding} <= after_tdse
     assert "scipy.integrate" not in after_tdse
-    assert "scipy.integrate" in after_ermakov
+    assert "scipy.integrate" not in after_ermakov
 
 
 def test_smooth_numeric_solves_load_no_integrator(tmp_path):
