@@ -96,20 +96,16 @@ ABS_TOL = 1e-12
 # 4096 steps with a rho error of 1.3e-12, and b = 1 in 512 with 1.5e-14.
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
-# Steps grow with the phase of the oscillator, the integral of Omega over
-# the window: Magnus steps at the default rel_tol take tens per rad over
-# long windows (409600 for a table of Omega = 30(1 + sin(t)/2) over 200,
-# 6e3 rad, from rho = 1).  This bounds the work, not the error: at
-# Omega = 1 a solve of 1e5 rad meets its bound in 262144 steps, and is
-# refused all the same.
-_PHASE_BUDGET = 2e4
-
-# Magnus steps keep the states of two grids, about 60 bytes per step of
-# the finer one, and are built in blocks, so that the transients of a
-# block stay near 5 MB.  A solve that would need more steps than this is
-# refused.  Within the phase budget the hardest smooth window from
-# rho = 1, W(1 + sin(t)/2) with W = 100 over 190 (1.9e4 rad), takes
-# exactly this many: about 1.7 s and a peak near 250 MB on a 2-core Xeon.
+# The one bound on the work of a solve.  Steps grow with the phase of the
+# oscillator, the integral of Omega: Magnus steps at the default rel_tol
+# take tens per rad over long windows (409600 for a table of
+# Omega = 30(1 + sin(t)/2) over 200, 6e3 rad, from rho = 1), and one per
+# rad where a step is exact.  They keep the states of two grids, about 60
+# bytes per step of the finer one, and are built in blocks, so that the
+# transients of a block stay near 5 MB.  At the cap a solve takes up to
+# about 2 s and 250 MB on a 2-core Xeon: from rho = 1 the smooth
+# W(1 + sin(t)/2) meets its bound there at W = 100 over 190 (1.9e4 rad)
+# in 1.5 s, and is refused there at W = 1000 over 200 after 1.6 s.
 _MAGNUS_MAX_STEPS = 2**21
 _MAGNUS_BLOCK = 2**14
 # The step ends are read from the monitor at this many probe intervals over
@@ -309,37 +305,31 @@ def solve_numeric(
     solution remembers the last array it was given and its states, so
     rho, rho', rho'' and mu on one array cost one evaluation.
 
-    Raises RuntimeError before any step if Omega, estimated at 512
-    probes, advances the phase by more than 2e4 rad over the window (a
-    bound on the work, which also refuses windows that would pass); if k
-    reaches more than 2**21 steps over the window before the two meet
-    their bound (also a bound on the work); or if 1/|u'|, which bounds
-    rho from below and equals it at its minima, falls below RHO_FLOOR at
-    a step end (a singular or invalid configuration).  Each step has
-    determinant 1, so W stays 1 to rounding, and the k-vs-2k difference
-    takes the place of a residual.  Logs one DEBUG record with the knot
-    segments, the steps, the Omega evaluations and that difference against
-    its bound on the ``bohmosc.ermakov`` logger.
+    Raises ValueError before any evaluation of Omega if rho_dot0 or an
+    end of the window is not finite.  Raises RuntimeError if k reaches
+    more than 2**21 steps over the window before the two meet their
+    bound, the one bound on the work (up to about 2 s and 250 MB), and
+    before any step if k and 2k steps from the least k exceed it; or if
+    1/|u'|, which bounds rho from below and equals it at its minima,
+    falls below RHO_FLOOR at a step end (a singular or invalid
+    configuration).  Each step has determinant 1, so W stays 1 to
+    rounding, and the k-vs-2k difference takes the place of a residual.
+    Logs one DEBUG record with the knot segments, the steps, the Omega
+    evaluations and that difference against its bound on the
+    ``bohmosc.ermakov`` logger.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not (np.isfinite(rho0) and rho0 > 0):
         raise ValueError(f"rho0 must be positive, got {rho0}")
+    if not np.all(np.isfinite([rho_dot0, t0, t1])):
+        raise ValueError(f"rho_dot0 and the window must be finite, "
+                         f"got {rho_dot0} and {window}")
     if not (t1 > t0):
         raise ValueError(f"window must have positive length, got {window}")
     if not rel_tol >= _MIN_REL_TOL:
         raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:.3g}, got {rel_tol:g}")
     if not abs_tol > 0:
         raise ValueError("abs_tol must be positive")
-
-    # Magnus steps are taken in proportion to the phase of the oscillator,
-    # the integral of Omega, so a window with too much of it is refused
-    # before any step is taken.
-    probes = t0 + (t1 - t0) * (np.arange(512) + 0.5) / 512
-    phase = (t1 - t0) * float(np.mean(profile.omega(probes)))
-    if phase > _PHASE_BUDGET:
-        raise RuntimeError(f"Ermakov integration refused: Omega advances the "
-                           f"phase by about {phase:.3g} rad over the window, "
-                           f"more than the budget of {_PHASE_BUDGET:g}")
 
     start = np.array([[float(rho0), 0.0], [float(rho_dot0), 1.0 / rho0]])
     knots = np.asarray(profile.knots, dtype=float)
@@ -512,7 +502,8 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
     """Step ends, states (u1, u1', u2, u2') there, dense evaluator and
     (steps, Omega evaluations, error estimate, bound) of the Magnus route
     over the knot segments between bounds, from the state matrix start.
-    Raises RuntimeError if that takes more than _MAGNUS_MAX_STEPS steps."""
+    Raises RuntimeError if that takes more than _MAGNUS_MAX_STEPS steps,
+    before any step if the first comparison does."""
     ends_at, largest = _grading(profile, bounds)
     segments = bounds.size - 1
     evaluations = 0
@@ -538,24 +529,28 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
             found[..., lo + 1:hi + 1] = steps
         return ends, found
 
-    # A step spans 1/k of its segment's monitor, which is at least Omega.
-    k = 1
-    while k * _MAGNUS_MAX_PHASE < largest:
+    # Each pass compares k with 2k steps per segment.  A step spans 1/k of
+    # its segment's monitor, which is at least Omega, so k first doubles
+    # without a step until no step spans more than 1 rad.  A monitor
+    # integral that is too large, infinite or NaN never lets it stop, and
+    # runs it to the cap before any step.
+    k, fine = 1, None
+    while 2 * segments * k <= _MAGNUS_MAX_STEPS:
+        if not k * _MAGNUS_MAX_PHASE >= largest:
+            k *= 2
+            continue
+        coarse = states(k)[1] if fine is None else fine
+        ends, fine = states(2 * k)
+        at_coarse_ends = fine[..., ::2]
+        gaps = np.max(np.abs(at_coarse_ends - coarse), axis=(0, 1))
+        limits = rel_tol * np.max(np.abs(at_coarse_ends), axis=(0, 1)) + abs_tol
+        worst = np.argmax(gaps / limits)
+        gap, bound = gaps[worst], limits[worst]
+        if gap <= bound:
+            break
         k *= 2
-    coarse = None
-    while segments * k <= _MAGNUS_MAX_STEPS:
-        ends, fine = states(k)
-        if coarse is not None:
-            at_coarse_ends = fine[..., ::2]
-            gaps = np.max(np.abs(at_coarse_ends - coarse), axis=(0, 1))
-            limits = rel_tol * np.max(np.abs(at_coarse_ends), axis=(0, 1)) + abs_tol
-            worst = np.argmax(gaps / limits)
-            gap, bound = gaps[worst], limits[worst]
-            if gap <= bound:
-                break
-        coarse, k = fine, 2 * k
     else:
-        raise RuntimeError(f"Ermakov integration refused: meeting rel_tol needs more "
+        raise RuntimeError(f"Ermakov integration refused: the window needs more "
                            f"than the cap of {_MAGNUS_MAX_STEPS} Magnus steps")
 
     def dense(t):

@@ -18,7 +18,6 @@ rejected outright.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,7 +65,8 @@ class FrequencyProfile:
     """Wraps an arbitrary evaluator t -> Omega(t).
 
     Immutable after construction; safe to share across threads.  The
-    evaluator must accept scalars and numpy arrays.  The one contract on
+    evaluator is given a float array, 0-d for a scalar t: omega has one
+    path, and returns a 0-d result as an np.float64.  The one contract on
     Omega is that it is finite and >= 0 wherever it is evaluated; omega
     checks every value it returns against it.  knots holds the times
     where Omega has a kink, the sample times of a table, between which
@@ -83,24 +83,17 @@ class FrequencyProfile:
         one-line ValueError, naming the label and the first such t, where
         Omega is negative or not finite.
 
-        A float t, np.float64 included, takes a scalar path: the evaluator
-        gets np.float64(t), so numpy's semantics hold (1/0 is inf, and then
-        an error), and the result is an np.float64 with the bits of the
-        array path.  Any other t is
-        evaluated as an array, and the values are broadcast to its shape,
-        so that an evaluator may return one value for all of t.
+        t is evaluated as a float array, so numpy's semantics hold (1/0 is
+        inf, and then an error), and the values are broadcast to its shape,
+        so that an evaluator may return one value for all of t.  A scalar
+        t gives a 0-d result, returned as an np.float64.
         """
-        if isinstance(t, float):
-            value = self.evaluator(np.float64(t))
-            if not (math.isfinite(value) and value >= 0):
-                raise self._breach(t)
-            return np.float64(value)
         t = np.asarray(t, dtype=float)
         value = np.broadcast_to(np.asarray(self.evaluator(t), dtype=float), t.shape)
         valid = np.isfinite(value) & (value >= 0)
         if not np.all(valid):
             raise self._breach(t[~valid][0])
-        return value
+        return value[()]
 
     __call__ = omega
 

@@ -463,26 +463,78 @@ class TestMagnusRoute:
         assert np.all(np.isfinite(data)) and np.all(data[:, 1] > 0)
 
 
-class TestPhaseBudget:
-    def test_refused_before_any_step(self):
-        # Omega = 1e6 over [0, 10], as `ermakov --a 1e-6 --b 0` asks: only
-        # the probes are evaluated, and a second evaluation fails the test
-        # at once instead of starting about 3e7 steps
+class TestWorkBound:
+    """The step cap is the one bound on the work of a solve, and a window
+    that cannot fit its first comparison under it is refused before any
+    step."""
+
+    @staticmethod
+    def no_steps(*args):
+        raise AssertionError("a Magnus step was built")
+
+    def test_refused_before_any_step(self, monkeypatch):
+        # Omega = 1e6 over [0, 10], as `ermakov --a 1e-6 --b 0` asks: 1e7 rad
+        # needs 2**24 steps of at most 1 rad.  Only the monitor's probes are
+        # evaluated, and a second evaluation fails the test at once
+        monkeypatch.setattr(ermakov, "_magnus_steps", self.no_steps)
         constant, calls = FrequencyProfile.constant(1e6), []
 
         def omega(t):
-            assert not calls, "Omega evaluated past the probes"
+            assert not calls, "Omega evaluated past the monitor's probes"
             calls.append(np.size(t))
             return constant.omega(t)
 
-        with pytest.raises(RuntimeError, match="budget"):
+        with pytest.raises(RuntimeError, match=r"\bcap of 2097152 Magnus steps\b"):
             solve_numeric(SimpleNamespace(omega=omega, knots=()), 1e-3, 0.0, (0.0, 10.0))
-        assert calls == [512]
+        assert calls == [ermakov._MONITOR_PROBES + 1]
 
-    def test_table_refused_too(self):
+    def test_equilibrium_table_of_1e5_rad_solves(self):
+        # At rho = Omega^(-1/2) the table sits at equilibrium, so rho stays
+        # 1e-2 and mu = -Omega t/2 runs over about 1.6e4 turns
         table = FrequencyProfile.from_table([0.0, 10.0], [1e4, 1e4])
-        with pytest.raises(RuntimeError, match="budget"):
-            solve_numeric(table, 1e-2, 0.0, (0.0, 10.0))
+        solution = solve_numeric(table, 1e-2, 0.0, (0.0, 10.0))
+        t = np.linspace(0.0, 10.0, 1001)
+        assert np.max(np.abs(solution.rho(t) / 1e-2 - 1.0)) < 1e-10
+        assert np.max(np.abs(solution.mu(t) + 5e3 * t)) < 1e-9
+
+    def test_infinite_monitor_integral_is_refused_at_the_cap(self, tmp_path, capsys):
+        # Omega = 1e308 over [0, 10] integrates to inf: one line, not the
+        # OverflowError of doubling k past any float.  The CLI raises on
+        # the overflow itself, which is its one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match=r"\bcap of 2097152 Magnus steps\b"):
+                solve_numeric(FrequencyProfile.constant(1e308), 1.0, 0.0, (0.0, 10.0))
+        out = tmp_path / "out.csv"
+        assert main(["ermakov", "--a", "1e-308", "--b", "0", "--t-max", "10",
+                     "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("bohmosc ermakov: ") and "overflow" in line
+        assert not out.exists()
+
+    def test_first_comparison_past_the_cap_builds_no_step(self, monkeypatch):
+        # 3000 rad start at 4096 steps, and their comparison with 8192
+        # cannot fit under a cap of 4096
+        monkeypatch.setattr(ermakov, "_MAGNUS_MAX_STEPS", 2**12)
+        monkeypatch.setattr(ermakov, "_magnus_steps", self.no_steps)
+        with pytest.raises(RuntimeError, match=r"\bcap of 4096 Magnus steps\b"):
+            solve_numeric(FrequencyProfile.constant(1.0), 1.0, 0.0, (0.0, 3000.0))
+
+    @pytest.mark.parametrize("rho_dot0, window", [
+        (np.nan, (0.0, 1.0)), (np.inf, (0.0, 1.0)),
+        (0.0, (0.0, np.inf)), (0.0, (-np.inf, 1.0)), (0.0, (0.0, np.nan))])
+    def test_non_finite_start_is_refused_before_omega(self, rho_dot0, window):
+        def omega(t):
+            raise AssertionError("Omega evaluated")
+
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_numeric(SimpleNamespace(omega=omega, knots=()), 1.0, rho_dot0, window)
+
+    def test_cli_solves_1e5_rad_at_equilibrium(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["ermakov", "--a", "1", "--b", "0", "--t-max", "100000",
+                     "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.max(np.abs(data[:, 1] - 1.0)) < 1e-10
 
 
 class TestNumericSampling:
