@@ -12,17 +12,17 @@ with the analytically constructed wavefunction is an independent check of
 the whole construction, not a restatement of it.
 
 The closing half-kick of one step and the opening half-kick of the next
-are applied as one kick with the summed coefficients; the halves are kept
-apart only around a sampled slice and after the last step.  Omega is
-evaluated once per block of midpoints, and every midpoint of a block
-passes the phase-wrap guard before any of its steps is taken.  The domain
-is symmetric about x = 0, so x^2 on the left half of the grid mirrors the
-right half: each kick is built on the right half only, for a sub-block of
-steps at once (one outer product, one cos and one sin), and the left half
-takes the reversed row.  Each returned slice must keep its mass in the
-outer eighth of the domain (its outer sixteenth at each end) below a
-fixed limit, so that wrap-around at the periodic boundary cannot pass
-silently.
+are applied as one kick with the summed coefficients; a sampled slice
+takes its closing half on its own copy, so sampling never changes the
+trajectory.  Omega is evaluated once per block of midpoints, and every
+midpoint of a block passes the phase-wrap guard before any of its steps
+is taken.  The domain is symmetric about x = 0, so x^2 on the left half
+of the grid mirrors the right half: each kick is built on the right half
+only, for a sub-block of steps at once (one outer product, one cos and
+one sin), and the left half takes the reversed row.  Each returned slice
+must keep its mass in the outer eighth of the domain (its outer
+sixteenth at each end) below a fixed limit, so that wrap-around at the
+periodic boundary cannot pass silently.
 
 The discrete Fourier transform uses the standard wavenumber layout
 k in [-pi/h, pi/h); no transform convention leaks into the API.  Each
@@ -97,16 +97,6 @@ class PropagatorConfig:
             raise ValueError(f"dt must be finite and nonzero, got {self.dt}")
 
 
-def _momentum_width(psi: np.ndarray, k: np.ndarray) -> float:
-    from scipy.fft._pocketfft.pypocketfft import c2c
-
-    spectrum = np.abs(c2c(psi, (0,), True, 0, None, 1)) ** 2
-    total = spectrum.sum()
-    if total == 0:
-        return 0.0
-    return float(np.sqrt((k * k * spectrum).sum() / total))
-
-
 def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
               t_end: float, sample_times=None) -> WavefunctionGrid:
     """Propagate a single-time slice to t_end, optionally sampling on the way.
@@ -124,9 +114,9 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     DEBUG record on the ``bohmosc`` logger: steps, norm drift, phase-wrap
     and momentum ratios, boundary mass, and the seconds spent evaluating
     Omega, building kicks, and in the step loop (the FFT pair, the
-    multiplies and any closing half-kick).  The FFT pair transforms psi in
-    place through the pocketfft binding under scipy.fft: the forward
-    transform unscaled, the inverse scaled by 1/n.
+    multiplies and each sampled copy's closing half-kick).  The FFT pair
+    transforms psi in place through the pocketfft binding under
+    scipy.fft: the forward transform unscaled, the inverse scaled by 1/n.
     """
     from scipy.fft._pocketfft.pypocketfft import c2c
 
@@ -157,7 +147,9 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         raise ValueError(f"psi0 is not normalized: int |psi|^2 dx = {float(norm0)}")
 
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=h)
-    sigma_k = _momentum_width(psi, k)
+    # c2c(input, axes, forward, inorm, out, threads)
+    spectrum = np.abs(c2c(psi, (0,), True, 0, None, 1)) ** 2
+    sigma_k = float(np.sqrt((k * k * spectrum).sum() / spectrum.sum()))
     cutoff = np.pi / h
     if cutoff < _MOMENTUM_MARGIN * sigma_k:
         raise ValueError(
@@ -180,7 +172,6 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             time_of_step[j] = ts
         if not time_of_step:
             raise ValueError("sample_times is empty")
-    sampled = np.array(list(time_of_step))
 
     half = grid.n // 2
     x2 = x[half:] * x[half:]
@@ -207,7 +198,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     out_times, out_psi = [], []
     worst_wrap = 0.0
     omega_s = build_s = loop_s = 0.0
-    pending = 0.0  # coefficient of the closing half-kick not yet applied
+    pending = 0.0  # the previous step's closing half-kick coefficient
     for first in range(0, n_steps, _COEFF_BLOCK):
         started = perf_counter()
         t_mid = t0 + (np.arange(first, min(first + _COEFF_BLOCK, n_steps)) + 0.5) * dt
@@ -224,14 +215,11 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         worst_wrap = max(worst_wrap, float(wrap.max()))
 
         # sums[i] is the kick before step first + 1 + i: the previous step's
-        # closing half fused with this step's opening half, unless the
-        # previous step was sampled.
+        # closing half fused with this step's opening half.
         sums = coeffs.copy()
         sums[1:] += coeffs[:-1]
         sums[0] += pending
-        split = sampled[(sampled > first) & (sampled < first + coeffs.size)] - first
-        sums[split] = coeffs[split]
-        pending = 0.0 if first + coeffs.size in time_of_step else float(coeffs[-1])
+        pending = float(coeffs[-1])
 
         for sub in range(0, coeffs.size, rows):
             started = perf_counter()
@@ -240,17 +228,16 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             build_s += built - started
             for step, row in enumerate(sub_kicks, first + sub + 1):
                 kick(psi, row)
-                # c2c(input, axes, forward, inorm, out, threads)
                 c2c(psi, (0,), True, 0, psi, 1)
                 psi *= exp_kinetic
                 c2c(psi, (0,), False, 2, psi, 1)
                 ts = time_of_step.get(step)
-                if ts is None and step < n_steps:
-                    continue
-                kick(psi, half_kicks(coeffs[step - first - 1:step - first], closing)[0])
                 if ts is not None:
+                    sample = psi.copy()
+                    j = step - first
+                    kick(sample, half_kicks(coeffs[j - 1:j], closing)[0])
                     out_times.append(ts)
-                    out_psi.append(psi.copy())
+                    out_psi.append(sample)
             loop_s += perf_counter() - built
 
     drift = abs(float(np.linalg.norm(psi)) - l2_0) / l2_0

@@ -248,6 +248,15 @@ class TestTdseCheckCommand:
         # an unreachable bar must trip the threshold exit code
         assert main(base + ["--min-fidelity", "1.1"]) == 3
 
+    def test_last_row_does_not_depend_on_samples(self, tmp_path):
+        rows = set()
+        for samples in ["2", "3", "11"]:
+            out = tmp_path / f"samples{samples}.csv"
+            assert main(["tdse-check", "--b", "1", "--t-max", "0.2", "--dt", "1e-3",
+                         "--samples", samples, "--out", str(out)]) == 0
+            rows.add(out.read_bytes().splitlines()[-1])
+        assert len(rows) == 1
+
     def test_debug_log_leaves_csv_unchanged(self, tmp_path, caplog):
         argv = ["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", "1e-3",
                 "--samples", "3"]

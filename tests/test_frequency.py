@@ -144,7 +144,7 @@ SCALAR_CASES = {
 
 
 class TestScalarPath:
-    """A float t skips the array checks; its value must not change."""
+    """A float or np.float64 t gives the array path's bits."""
 
     @pytest.mark.parametrize("name", SCALAR_CASES)
     def test_bits_equal_the_array_path(self, name):

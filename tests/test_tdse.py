@@ -38,8 +38,9 @@ class TestTransform:
     @pytest.mark.parametrize("n", [2**p for p in range(1, 15)])
     def test_binding_gives_scipy_fft_bits(self, n):
         # propagate transforms in place through the binding under scipy.fft
-        # (and _momentum_width into a new array), on every power-of-two grid
-        # up to 2^14: the CLI's default 512 and the benchmark's 4096 among them
+        # (and psi0's momentum spectrum into a new array), on every
+        # power-of-two grid up to 2^14: the CLI's default 512 and the
+        # benchmark's 4096 among them
         import scipy.fft
         from scipy.fft._pocketfft.pypocketfft import c2c
 
@@ -322,6 +323,29 @@ class TestFusedLoop:
         expected = strang_reference(psi0, config, t_end, sample_steps)
         assert np.max(np.abs(out.psi - expected)) <= 1e-12
         np.testing.assert_array_equal(psi0.psi, before)
+
+    @pytest.mark.parametrize("t_start, dt, sample_steps", [
+        (0.0, 1e-3, [2, 3, 50]),                     # consecutive
+        (0.5, -1e-3, [57, 60, 73]),                  # backward
+        (1.0, -1e-3, [_KICK_ROWS - 1, _KICK_ROWS,   # backward across a
+                      _KICK_ROWS + 1]),              # kick sub-block edge
+        (0.0, 1e-3, [_COEFF_BLOCK - 1, _COEFF_BLOCK,  # across an Omega
+                     _COEFF_BLOCK + 3]),              # block edge
+    ])
+    def test_sampling_leaves_the_trajectory_unchanged(self, sub1, t_start, dt,
+                                                      sample_steps):
+        # each sampled slice is the final slice of the run that ends there,
+        # bit for bit, so a slice's value does not depend on the others
+        grid = SpatialGrid(-16.0, 16.0, 128)
+        psi0 = sub1.psi(grid, t_start)
+        config = PropagatorConfig(grid=grid, dt=dt, profile=sub1.profile)
+        sample_times = [t_start + j * dt for j in sample_steps]
+        out = propagate(psi0, config, sample_times[-1], sample_times=sample_times)
+        for j, t, sampled in zip(sample_steps, sample_times, out.psi):
+            assert (t - t_start) / j == dt  # the shorter run takes the same steps
+            alone = propagate(psi0, config, t)
+            np.testing.assert_array_equal(alone.times, [t])
+            assert np.array_equal(sampled, alone.psi[0])
 
     def test_final_slice_without_samples(self, sub1):
         grid = SpatialGrid(-16.0, 16.0, 128)
