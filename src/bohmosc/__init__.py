@@ -14,7 +14,6 @@ from .frequency import (
     classify_rational,
 )
 from .ermakov import (
-    LogScale,
     closed_form_critical,
     closed_form_subcritical,
     critical_solution,
@@ -57,7 +56,6 @@ __all__ = [
     "FrequencyProfile",
     "Regime",
     "classify_rational",
-    "LogScale",
     "closed_form_critical",
     "closed_form_subcritical",
     "critical_solution",

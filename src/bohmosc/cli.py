@@ -25,7 +25,8 @@ subcommand returns, at exit 0 or 3, and if that write fails, removes the
 file itself, and an --out or --manifest path that names a directory or
 lies in one that does not exist, are refused before any work.
 verify's level l has (nx - 1) * 2^l + 1 grid points and time step
-dt / 2^l.  Exit codes: 0 on success, 2 for flag or domain errors, 3 for
+dt / 2^l, at most 2^22 + 1 points; tdse-check takes at most 2^22 steps.
+Exit codes: 0 on success, 2 for flag or domain errors, 3 for
 verification-threshold failures.
 """
 
@@ -70,6 +71,11 @@ _log = logging.getLogger(__name__)
 # Cells formatted per block of rows, and bytes hashed per read.
 _BLOCK_CELLS = 2**14
 _HASH_CHUNK = 2**20
+
+# The one bound on verify's work: points of its finest level, whose
+# probes' (3, n_x) stacks set the peak memory, about 200 bytes a point
+# (820 MB at the cap, 3-4 s for one probe on a 2-core Xeon).
+_MAX_LEVEL_POINTS = 2**22 + 1
 
 _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 
@@ -242,11 +248,12 @@ def _construction_from_args(args, t_max: float):
 def _cmd_ermakov(args) -> None:
     times = np.linspace(0.0, args.t_max, _count(args.samples, "--samples"))
     construction = _construction_from_args(args, args.t_max)
-    solution, scale = construction.solution, construction.scale
+    solution = construction.solution
     _write_csv(args.out, ["t", "rho", "rho_dot", "nu", "nu_dot",
                           "nu_ddot", "residual"],
                [times, solution.rho(times), solution.rho_dot(times),
-                scale.nu(times), scale.nu_dot(times), scale.nu_ddot(times),
+                construction.nu(times), construction.nu_dot(times),
+                construction.nu_ddot(times),
                 ermakov_residual(solution, construction.profile, times)])
 
 
@@ -263,16 +270,15 @@ def _field_sweep(args):
 
 def _cmd_bohm(args) -> None:
     construction, t, x = _field_sweep(args)
-    scale = construction.scale
     _write_csv(args.out, ["t", "x", "V_B", "V", "A", "S"],
-               [t, x, bohm_potential_gaussian(x, t, scale),
+               [t, x, bohm_potential_gaussian(x, t, construction),
                 classical_potential(construction.profile, x, t),
-                amplitude_gaussian(x, t, scale), construction.field.S(x, t)])
+                amplitude_gaussian(x, t, construction), construction.S(x, t)])
 
 
 def _cmd_wavefunction(args) -> None:
     construction, t, x = _field_sweep(args)
-    psi = wavefunction(x, t, construction.field)
+    psi = wavefunction(x, t, construction)
     _write_csv(args.out, ["t", "x", "re_psi", "im_psi", "abs2_psi"],
                [t, x, psi.real, psi.imag, np.abs(psi) ** 2])
 
@@ -282,12 +288,16 @@ def _cmd_wavefunction(args) -> None:
 def _cmd_verify(args) -> str | None:
     if args.refine < 1:
         raise ValueError("--refine needs at least one level")
+    intervals = _count(args.nx, "--nx", 2) - 1
+    # 2**64 intervals would be past any cap
+    if intervals * 2**min(args.refine - 1, 64) + 1 > _MAX_LEVEL_POINTS:
+        raise ValueError(f"--refine {args.refine} from --nx {args.nx} gives the "
+                         f"finest level more than {_MAX_LEVEL_POINTS} points")
     construction = _construction_from_args(args, args.t_max)
     if not args.x_max > args.x_min:
         raise ValueError(f"need --x-max > --x-min, got [{args.x_min}, {args.x_max}]")
     n_probes = _count(args.nt, "--nt")
     probes = np.linspace(args.t_max / n_probes, args.t_max, n_probes)
-    intervals = _count(args.nx, "--nx", 2) - 1
 
     def level_report(level: int) -> dict:
         # Each level halves h and dt, so the grids nest.

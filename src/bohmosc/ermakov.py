@@ -1,4 +1,4 @@
-"""Solutions of the auxiliary Ermakov equation and their log-scale fields.
+"""Solutions of the auxiliary Ermakov equation.
 
 The whole construction hinges on one nonlinear ODE for the scale function
 rho(t) > 0,
@@ -14,9 +14,9 @@ there are two closed forms:
       rho(t) = sqrt(1+2t) sqrt(1 + ln^2(1+2t)/4)
 
 Everything downstream consumes rho through nu = ln(rho) and its first two
-derivatives, bundled here as a LogScale.  nu_ddot is always reconstructed
-through the ODE itself (rho'' = 1/rho^3 - Omega^2 rho) rather than by
-numerical differentiation.
+derivatives, which madelung.Construction evaluates.  nu_ddot is always
+reconstructed through the ODE itself (rho'' = 1/rho^3 - Omega^2 rho)
+rather than by numerical differentiation.
 
 Each solution also carries the phase integral mu(t) = -int_0^t ds/(2 rho^2),
 in closed form on both rational branches:
@@ -62,7 +62,6 @@ from .frequency import FrequencyProfile, Regime, classify_rational
 
 __all__ = [
     "ErmakovSolution",
-    "LogScale",
     "subcritical_parameters",
     "closed_form_subcritical",
     "closed_form_critical",
@@ -136,28 +135,6 @@ class ErmakovSolution:
     rho_dot: Callable
     rho_ddot: Callable
     mu: Callable
-
-
-@dataclass(frozen=True)
-class LogScale:
-    """nu = ln(rho) of a solution and its derivatives nu' = rho'/rho and
-    nu'' = (rho rho'' - rho'^2)/rho^2, with rho'' reconstructed through the
-    ODE of the profile."""
-
-    solution: ErmakovSolution
-    profile: FrequencyProfile
-
-    def nu(self, t):
-        return np.log(self.solution.rho(t))
-
-    def nu_dot(self, t):
-        return self.solution.rho_dot(t) / self.solution.rho(t)
-
-    def nu_ddot(self, t):
-        rho = self.solution.rho(t)
-        rho_dot = self.solution.rho_dot(t)
-        rho_ddot = rho**-3 - np.square(self.profile.omega(t)) * rho
-        return (rho * rho_ddot - rho_dot * rho_dot) / (rho * rho)
 
 
 def subcritical_parameters(b: float) -> tuple:

@@ -35,7 +35,6 @@ from .ermakov import (
     ABS_TOL,
     REL_TOL,
     ErmakovSolution,
-    LogScale,
     critical_solution,
     solve_numeric,
     subcritical_parameters,
@@ -45,7 +44,6 @@ from .ermakov import (
 __all__ = [
     "SpatialGrid",
     "WavefunctionGrid",
-    "PhaseField",
     "Construction",
     "amplitude_gaussian",
     "amplitude_gaussian_dx",
@@ -133,73 +131,105 @@ class WavefunctionGrid:
 
 
 @dataclass(frozen=True)
-class PhaseField:
-    """Quadratic phase S(x,t) = x^2 nu_dot(t)/2 + mu(t), with mu(0) = 0.
+class Construction:
+    """The solution of one frequency profile and the fields built from it.
 
-    mu is the phase integral of the scale's ErmakovSolution, pinned by
-    mu_dot = -exp(-2 nu)/2 = -1/(2 rho^2); the integration constant
-    mu(0) = 0 is a convention (a global phase is physically irrelevant but
-    must be fixed for reproducibility).
+    nu = ln(rho) and its derivatives nu' = rho'/rho and
+    nu'' = (rho rho'' - rho'^2)/rho^2, with rho'' reconstructed through the
+    ODE of the profile, give the quadratic phase
+    S(x,t) = x^2 nu_dot(t)/2 + mu(t).  mu is the phase integral of the
+    solution, pinned by mu_dot = -exp(-2 nu)/2 = -1/(2 rho^2); the
+    integration constant mu(0) = 0 is a convention (a global phase is
+    physically irrelevant but must be fixed for reproducibility).
     """
 
-    scale: LogScale
+    profile: FrequencyProfile
+    solution: ErmakovSolution
+
+    # perfbench/jobs.py reads .scale; it goes with ROADMAP item 6.
+    @property
+    def scale(self) -> Construction:
+        return self
+
+    def nu(self, t):
+        return np.log(self.solution.rho(t))
+
+    def nu_dot(self, t):
+        return self.solution.rho_dot(t) / self.solution.rho(t)
+
+    def nu_ddot(self, t):
+        rho = self.solution.rho(t)
+        rho_dot = self.solution.rho_dot(t)
+        rho_ddot = rho**-3 - np.square(self.profile.omega(t)) * rho
+        return (rho * rho_ddot - rho_dot * rho_dot) / (rho * rho)
 
     def S(self, x, t):
-        return (0.5 * np.asarray(x, dtype=float) ** 2 * self.scale.nu_dot(t)
-                + self.scale.solution.mu(t))
+        return (0.5 * np.asarray(x, dtype=float) ** 2 * self.nu_dot(t)
+                + self.solution.mu(t))
 
     def S_x(self, x, t):
-        return np.asarray(x, dtype=float) * self.scale.nu_dot(t)
+        return np.asarray(x, dtype=float) * self.nu_dot(t)
 
     def S_xx(self, t):
-        return self.scale.nu_dot(t)
+        return self.nu_dot(t)
 
     def S_t(self, x, t):
-        mu_dot = -0.5 * np.exp(-2.0 * self.scale.nu(t))
-        return 0.5 * np.asarray(x, dtype=float) ** 2 * self.scale.nu_ddot(t) + mu_dot
+        mu_dot = -0.5 * np.exp(-2.0 * self.nu(t))
+        return 0.5 * np.asarray(x, dtype=float) ** 2 * self.nu_ddot(t) + mu_dot
+
+    def psi(self, grid: SpatialGrid, times) -> WavefunctionGrid:
+        """psi sampled on the grid at the given times, one row per time."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return WavefunctionGrid(grid=grid, times=times,
+                                psi=wavefunction(grid.x, times[:, None], self))
 
 
-def amplitude_gaussian(x, t, scale: LogScale):
+# perfbench/spans.py wraps PhaseField.S; it goes with ROADMAP item 6.
+PhaseField = Construction
+
+
+def amplitude_gaussian(x, t, construction: Construction):
     """Dilated Gaussian amplitude pi^(-1/4) exp(-x^2 e^(-2nu)/2 - nu/2).
 
     At nu = 0 this is the initial condition A0(x) = pi^(-1/4) exp(-x^2/2);
     the L2 norm is 1 for every nu (the dilation is unitary).
     """
     x = np.asarray(x, dtype=float)
-    nu = scale.nu(t)
+    nu = construction.nu(t)
     return _PI_MQUARTER * np.exp(-0.5 * x * x * np.exp(-2.0 * nu) - 0.5 * nu)
 
 
-def amplitude_gaussian_dx(x, t, scale: LogScale):
+def amplitude_gaussian_dx(x, t, construction: Construction):
     """Spatial derivative A' = -x e^(-2nu) A of the Gaussian amplitude."""
     x = np.asarray(x, dtype=float)
-    return -x * np.exp(-2.0 * scale.nu(t)) * amplitude_gaussian(x, t, scale)
+    return (-x * np.exp(-2.0 * construction.nu(t))
+            * amplitude_gaussian(x, t, construction))
 
 
-def amplitude_gaussian_dt(x, t, scale: LogScale):
+def amplitude_gaussian_dt(x, t, construction: Construction):
     """Time derivative A_t = nu_dot (x^2 e^(-2nu) - 1/2) A of the Gaussian amplitude."""
     x = np.asarray(x, dtype=float)
-    nu = scale.nu(t)
+    nu = construction.nu(t)
     return (
-        scale.nu_dot(t)
+        construction.nu_dot(t)
         * (x * x * np.exp(-2.0 * nu) - 0.5)
-        * amplitude_gaussian(x, t, scale)
+        * amplitude_gaussian(x, t, construction)
     )
 
 
-def wavefunction(x, t, field: PhaseField) -> np.ndarray:
-    """psi(x,t) = A(x,t) exp(i S(x,t)) on the broadcast of x and t, with A
-    from the field's scale."""
-    return amplitude_gaussian(x, t, field.scale) * np.exp(1j * field.S(x, t))
+def wavefunction(x, t, construction: Construction) -> np.ndarray:
+    """psi(x,t) = A(x,t) exp(i S(x,t)) on the broadcast of x and t."""
+    return (amplitude_gaussian(x, t, construction)
+            * np.exp(1j * construction.S(x, t)))
 
 
-def bohm_potential_gaussian(x, t, scale: LogScale):
+def bohm_potential_gaussian(x, t, construction: Construction):
     """V_B(x,t) = -x^2 e^(-4 nu)/2 + e^(-2 nu)/2 for the Gaussian amplitude.
 
     Zero crossings sit at |x| = e^(nu); V_B(0,0) = 1/2 when rho(0) = 1.
     """
     x = np.asarray(x, dtype=float)
-    e2 = np.exp(-2.0 * scale.nu(t))
+    e2 = np.exp(-2.0 * construction.nu(t))
     return -0.5 * x * x * e2 * e2 + 0.5 * e2
 
 
@@ -256,29 +286,6 @@ def classical_potential(profile: FrequencyProfile, x, t):
     """V(x,t) = Omega^2(t) x^2 / 2."""
     x = np.asarray(x, dtype=float)
     return 0.5 * np.square(profile.omega(t)) * x * x
-
-
-@dataclass(frozen=True)
-class Construction:
-    """The solution of one frequency profile, with the log scale and phase
-    field built from it."""
-
-    profile: FrequencyProfile
-    solution: ErmakovSolution
-
-    @property
-    def scale(self) -> LogScale:
-        return LogScale(self.solution, self.profile)
-
-    @property
-    def field(self) -> PhaseField:
-        return PhaseField(self.scale)
-
-    def psi(self, grid: SpatialGrid, times) -> WavefunctionGrid:
-        """psi sampled on the grid at the given times, one row per time."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return WavefunctionGrid(grid=grid, times=times,
-                                psi=wavefunction(grid.x, times[:, None], self.field))
 
 
 def rational_construction(b: float) -> Construction:

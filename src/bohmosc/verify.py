@@ -248,20 +248,19 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
                          f"got shape {probes.shape}")
     probes = probes.reshape(-1)
     x = grid.x
-    scale, field, profile = construction.scale, construction.field, construction.profile
 
     per_block = max(1, _BLOCK_POINTS // (3 * grid.n))
     worst = np.zeros(5)
     for start in range(0, probes.size, per_block):
         block = probes[start:start + per_block, None, None]
         column = np.concatenate([block - dt, block, block + dt], axis=1)
-        a = amplitude_gaussian(x, column, scale)
-        s = field.S(x, column)
+        a = amplitude_gaussian(x, column, construction)
+        s = construction.S(x, column)
         psi = 1j * s
         np.exp(psi, out=psi)
         psi *= a
-        v = classical_potential(profile, x, block)
-        v_b = bohm_potential_gaussian(x, block, scale)
+        v = classical_potential(construction.profile, x, block)
+        v_b = bohm_potential_gaussian(x, block, construction)
 
         tail_mask = _tail_mask(np.abs(psi))
         se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order,

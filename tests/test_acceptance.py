@@ -104,20 +104,20 @@ def test_criterion_3_bohm_potential_consistency_triangle():
     sub = rational_construction(1.0)
     dev_sub = max(
         float(np.max(np.abs(bohm_potential_subcritical(1.0, x, t)
-                            - bohm_potential_gaussian(x, t, sub.scale))))
+                            - bohm_potential_gaussian(x, t, sub))))
         for t in times)
     crit = rational_construction(2.0)
     dev_crit = max(
         float(np.max(np.abs(bohm_potential_critical(x, t)
-                            - bohm_potential_gaussian(x, t, crit.scale))))
+                            - bohm_potential_gaussian(x, t, crit))))
         for t in times)
 
     errors = []
     for n in (257, 513, 1025):
         grid = SpatialGrid(-8.0, 8.0, n)
-        amplitude = amplitude_gaussian(grid.x, 1.0, sub.scale)
+        amplitude = amplitude_gaussian(grid.x, 1.0, sub)
         fd = bohm_potential_from_amplitude(amplitude, grid)
-        exact = bohm_potential_gaussian(grid.x, 1.0, sub.scale)
+        exact = bohm_potential_gaussian(grid.x, 1.0, sub)
         inner = slice(1, -1)
         errors.append(float(np.max(np.abs(fd[inner] - exact[inner]))))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]

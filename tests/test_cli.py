@@ -25,7 +25,7 @@ from bohmosc import (
     numeric_construction,
     rational_construction,
 )
-from bohmosc import cli, floatfmt
+from bohmosc import cli, floatfmt, tdse
 from bohmosc.cli import _write_csv, build_parser, main
 
 
@@ -114,11 +114,10 @@ def assert_surface_matches_scalar(tmp_path, flags, construction):
     assert data.shape == (33, 6)
     np.testing.assert_array_equal(data[:, 0], np.repeat([0.0, 1.0, 2.0], 11))
     np.testing.assert_array_equal(data[:, 1], np.tile(np.linspace(-5.0, 5.0, 11), 3))
-    scale, profile = construction.scale, construction.profile
-    expected = [[bohm_potential_gaussian(x, t, scale),
-                 classical_potential(profile, x, t),
-                 amplitude_gaussian(x, t, scale),
-                 construction.field.S(x, t)] for t, x in data[:, :2]]
+    expected = [[bohm_potential_gaussian(x, t, construction),
+                 classical_potential(construction.profile, x, t),
+                 amplitude_gaussian(x, t, construction),
+                 construction.S(x, t)] for t, x in data[:, :2]]
     np.testing.assert_array_equal(data[:, 2:], np.array(expected))
     origin = data[(data[:, 0] == 0.0) & (data[:, 1] == 0.0)][0]
     assert origin[2] == pytest.approx(0.5)            # V_B(0,0)
@@ -221,6 +220,28 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert capsys.readouterr() == (out.read_text(), "")
 
+    def test_finest_level_past_the_cap_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        # from --nx 65, level l has 64 * 2**l + 1 points: level 2 is at a
+        # cap of 257, level 3 past it
+        monkeypatch.setattr(cli, "_MAX_LEVEL_POINTS", 257)
+        at_cap, past = tmp_path / "at_cap.json", tmp_path / "past.json"
+        assert main(["verify", "--b", "1", "--nx", "65", "--refine", "3",
+                     "--out", str(at_cap)]) == 0
+        assert json.loads(at_cap.read_text())["levels"][-1]["n_x"] == 257
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work started past the cap")
+
+        monkeypatch.setattr(cli, "_construction_from_args", no_work)
+        monkeypatch.setattr(cli, "build_residual_report", no_work)
+        assert main(["verify", "--b", "1", "--nx", "65", "--refine", "4",
+                     "--out", str(past)]) == 2
+        assert not past.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "bohmosc verify: --refine 4 from --nx 65 gives the finest level "
+            "more than 257 points"]
+
     def test_failed_threshold_still_prints_the_report(self, capsys):
         assert main(["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"]) == 3
         printed, err = capsys.readouterr()
@@ -256,6 +277,17 @@ class TestTdseCheckCommand:
                          "--samples", samples, "--out", str(out)]) == 0
             rows.add(out.read_bytes().splitlines()[-1])
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("dt, steps", [("1e-3", "100"), ("1e-320", "inf")])
+    def test_past_the_step_cap_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       dt, steps):
+        monkeypatch.setattr(tdse, "_MAX_STEPS", 99)
+        out = tmp_path / "t.csv"
+        assert main(["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", dt,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"bohmosc tdse-check: {steps} steps are more than the cap of 99"]
 
     def test_debug_log_leaves_csv_unchanged(self, tmp_path, caplog):
         argv = ["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", "1e-3",

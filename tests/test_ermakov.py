@@ -7,7 +7,6 @@ import pytest
 
 from bohmosc import (
     FrequencyProfile,
-    LogScale,
     Regime,
     bohm_potential_subcritical,
     classify_rational,
@@ -23,6 +22,7 @@ from bohmosc import (
 )
 from bohmosc import ermakov
 from bohmosc.cli import main
+from bohmosc.madelung import Construction
 
 
 def tabulated_rational_profile():
@@ -580,17 +580,19 @@ class TestNumericSampling:
 
     def test_one_dense_output_call_per_times_array(self, monkeypatch):
         # A sample is reached by one partial Magnus step from the step end
-        # below it, all samples of an array in one batch
+        # below it, all samples of an array in one batch, also when the
+        # construction samples nu, its derivatives and S
         solution = self.solve()
         calls = []
         steps = ermakov._magnus_steps
         monkeypatch.setattr(ermakov, "_magnus_steps",
                             lambda *args: calls.append(1) or steps(*args))
         profile, t = family_profile(2.0), np.linspace(0.0, 10.0, 101)
-        scale = LogScale(solution, profile)
+        construction = Construction(profile, solution)
         self.sample(solution, t)
-        for field in (scale.nu, scale.nu_dot, scale.nu_ddot):
+        for field in (construction.nu, construction.nu_dot, construction.nu_ddot):
             field(t)
+        construction.S(0.5, t)
         ermakov_residual(solution, profile, t)
         assert len(calls) == 1
         self.sample(solution, t[::2])
@@ -598,37 +600,39 @@ class TestNumericSampling:
 
 
 class TestLogScale:
+    """nu = ln(rho) and its derivatives, as a Construction evaluates them."""
+
     def test_static_case_vanishes(self):
-        scale = LogScale(subcritical_solution(0.0), family_profile(0.0))
+        c = Construction(family_profile(0.0), subcritical_solution(0.0))
         t = np.linspace(0.0, 10.0, 65)
-        assert np.max(np.abs(scale.nu(t))) < 1e-15
-        assert np.max(np.abs(scale.nu_dot(t))) < 1e-15
-        assert np.max(np.abs(scale.nu_ddot(t))) < 1e-15
+        assert np.max(np.abs(c.nu(t))) < 1e-15
+        assert np.max(np.abs(c.nu_dot(t))) < 1e-15
+        assert np.max(np.abs(c.nu_ddot(t))) < 1e-15
 
     def test_initial_slope_b1(self):
-        scale = LogScale(subcritical_solution(1.0), family_profile(1.0))
-        assert scale.nu(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert scale.nu_dot(0.0) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-14)
+        c = Construction(family_profile(1.0), subcritical_solution(1.0))
+        assert c.nu(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert c.nu_dot(0.0) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-14)
 
     @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
     def test_matches_expanded_log_form(self, b):
         # nu(t) = -ln(1-b^2/4)/4 + ln(sqrt(1-b^2/4) + b t)/2
-        scale = LogScale(subcritical_solution(b), family_profile(b))
+        c = Construction(family_profile(b), subcritical_solution(b))
         t = np.linspace(0.0, 10.0, 257)
         disc = 1.0 - b * b / 4.0
         reference = -0.25 * np.log(disc) + 0.5 * np.log(np.sqrt(disc) + b * t)
-        assert np.max(np.abs(scale.nu(t) - reference)) < 1e-12
+        assert np.max(np.abs(c.nu(t) - reference)) < 1e-12
 
     def test_nu_dot_consistency_with_finite_differences(self):
-        scale = LogScale(critical_solution(), family_profile(2.0))
+        c = Construction(family_profile(2.0), critical_solution())
         t = np.linspace(0.2, 8.0, 29)
         h = 1e-6
-        fd = (scale.nu(t + h) - scale.nu(t - h)) / (2 * h)
-        assert np.max(np.abs(fd - scale.nu_dot(t))) < 1e-9
+        fd = (c.nu(t + h) - c.nu(t - h)) / (2 * h)
+        assert np.max(np.abs(fd - c.nu_dot(t))) < 1e-9
 
     def test_nu_ddot_consistency_with_finite_differences(self):
-        scale = LogScale(critical_solution(), family_profile(2.0))
+        c = Construction(family_profile(2.0), critical_solution())
         t = np.linspace(0.2, 8.0, 29)
         h = 1e-4
-        fd = (scale.nu(t + h) - 2 * scale.nu(t) + scale.nu(t - h)) / h**2
-        assert np.max(np.abs(fd - scale.nu_ddot(t))) < 1e-7
+        fd = (c.nu(t + h) - 2 * c.nu(t) + c.nu(t - h)) / h**2
+        assert np.max(np.abs(fd - c.nu_ddot(t))) < 1e-7

@@ -54,36 +54,36 @@ class TestSpatialGrid:
 
 class TestGaussianAmplitude:
     def test_peak_value_at_start(self, sub1):
-        assert amplitude_gaussian(0.0, 0.0, sub1.scale) == pytest.approx(
+        assert amplitude_gaussian(0.0, 0.0, sub1) == pytest.approx(
             PI_MQUARTER, rel=1e-15)
 
     def test_reduces_to_initial_profile_at_nu_zero(self, static):
         x = np.linspace(-6, 6, 101)
         expected = PI_MQUARTER * np.exp(-0.5 * x * x)
         np.testing.assert_allclose(
-            amplitude_gaussian(x, 3.0, static.scale), expected, atol=1e-15)
+            amplitude_gaussian(x, 3.0, static), expected, atol=1e-15)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
     def test_unit_mass_for_any_dilation(self, sub1, t):
         grid = SpatialGrid(-24.0, 24.0, 2048)
-        a = amplitude_gaussian(grid.x, t, sub1.scale)
+        a = amplitude_gaussian(grid.x, t, sub1)
         assert np.trapezoid(a * a, grid.x) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_space_derivative(self, sub1):
         x = np.linspace(-4, 4, 41)
         h = 1e-6
-        fd = (amplitude_gaussian(x + h, 1.0, sub1.scale)
-              - amplitude_gaussian(x - h, 1.0, sub1.scale)) / (2 * h)
+        fd = (amplitude_gaussian(x + h, 1.0, sub1)
+              - amplitude_gaussian(x - h, 1.0, sub1)) / (2 * h)
         np.testing.assert_allclose(
-            amplitude_gaussian_dx(x, 1.0, sub1.scale), fd, atol=1e-9)
+            amplitude_gaussian_dx(x, 1.0, sub1), fd, atol=1e-9)
 
     def test_analytic_time_derivative(self, sub1):
         x = np.linspace(-4, 4, 41)
         h = 1e-6
-        fd = (amplitude_gaussian(x, 1.0 + h, sub1.scale)
-              - amplitude_gaussian(x, 1.0 - h, sub1.scale)) / (2 * h)
+        fd = (amplitude_gaussian(x, 1.0 + h, sub1)
+              - amplitude_gaussian(x, 1.0 - h, sub1)) / (2 * h)
         np.testing.assert_allclose(
-            amplitude_gaussian_dt(x, 1.0, sub1.scale), fd, atol=1e-9)
+            amplitude_gaussian_dt(x, 1.0, sub1), fd, atol=1e-9)
 
 
 class TestPhase:
@@ -127,17 +127,17 @@ class TestPhase:
 
     def test_static_phase_is_minus_half_t(self, static):
         t = np.linspace(0.0, 10.0, 33)
-        np.testing.assert_allclose(static.field.S(0.0, t), -0.5 * t, atol=1e-15)
-        assert static.field.S(2.0, 1.0) == pytest.approx(-0.5)
+        np.testing.assert_allclose(static.S(0.0, t), -0.5 * t, atol=1e-15)
+        assert static.S(2.0, 1.0) == pytest.approx(-0.5)
 
     def test_initial_phase_curvature_b1(self, sub1):
         # S(x,0) = x^2/(2 sqrt(3)) since nu_dot(0) = 1/sqrt(3)
         x = np.linspace(-3, 3, 13)
         np.testing.assert_allclose(
-            sub1.field.S(x, 0.0), x * x / (2 * np.sqrt(3.0)), atol=1e-14)
+            sub1.S(x, 0.0), x * x / (2 * np.sqrt(3.0)), atol=1e-14)
 
     def test_phase_at_origin_starts_at_zero(self, sub1):
-        assert sub1.field.S(0.0, 0.0) == 0.0
+        assert sub1.S(0.0, 0.0) == 0.0
 
 
 class TestWavefunction:
@@ -179,29 +179,29 @@ class TestWavefunction:
 
 class TestBohmPotential:
     def test_value_at_origin_start(self, sub1, crit):
-        assert bohm_potential_gaussian(0.0, 0.0, sub1.scale) == pytest.approx(0.5)
+        assert bohm_potential_gaussian(0.0, 0.0, sub1) == pytest.approx(0.5)
         assert bohm_potential_subcritical(1.0, 0.0, 0.0) == 0.5
         assert bohm_potential_critical(0.0, 0.0) == 0.5
 
     def test_zero_crossing_at_exp_nu(self, sub1):
         for t in (0.0, 1.0, 4.0):
-            root = np.exp(sub1.scale.nu(t))
-            assert abs(bohm_potential_gaussian(root, t, sub1.scale)) < 1e-14
-            assert abs(bohm_potential_gaussian(-root, t, sub1.scale)) < 1e-14
+            root = np.exp(sub1.nu(t))
+            assert abs(bohm_potential_gaussian(root, t, sub1)) < 1e-14
+            assert abs(bohm_potential_gaussian(-root, t, sub1)) < 1e-14
 
     def test_subcritical_closed_form_matches_general(self, sub1):
         x = np.linspace(-5, 5, 201)
         for t in np.linspace(0.0, 6.0, 25):
             np.testing.assert_allclose(
                 bohm_potential_subcritical(1.0, x, t),
-                bohm_potential_gaussian(x, t, sub1.scale), atol=1e-12)
+                bohm_potential_gaussian(x, t, sub1), atol=1e-12)
 
     def test_critical_closed_form_matches_general(self, crit):
         x = np.linspace(-5, 5, 201)
         for t in np.linspace(0.0, 6.0, 25):
             np.testing.assert_allclose(
                 bohm_potential_critical(x, t),
-                bohm_potential_gaussian(x, t, crit.scale), atol=1e-12)
+                bohm_potential_gaussian(x, t, crit), atol=1e-12)
 
     def test_critical_value_log_two_point(self):
         # ln(1+2t) = 2 at t=(e^2-1)/2: V_B(0) = 1/(2 e^2 * 2)
@@ -224,9 +224,9 @@ class TestBohmPotential:
         errors = []
         for n in (257, 513, 1025):
             grid = SpatialGrid(-8.0, 8.0, n)
-            a = amplitude_gaussian(grid.x, 0.0, static.scale)
+            a = amplitude_gaussian(grid.x, 0.0, static)
             vb = bohm_potential_from_amplitude(a, grid)
-            exact = bohm_potential_gaussian(grid.x, 0.0, static.scale)
+            exact = bohm_potential_gaussian(grid.x, 0.0, static)
             inner = slice(1, -1)
             diff = np.abs(vb[inner] - exact[inner])
             errors.append(float(diff.max()))
@@ -247,7 +247,7 @@ class TestBohmPotential:
 
     def test_nodes_are_masked(self, static):
         grid = SpatialGrid(-12.0, 12.0, 513)
-        a = amplitude_gaussian(grid.x, 0.0, static.scale)
+        a = amplitude_gaussian(grid.x, 0.0, static)
         vb = bohm_potential_from_amplitude(a, grid)
         # Gaussian tails below 1e-12 at |x| ~ 7.4 must be masked out
         assert vb.mask[0] and vb.mask[-1]
@@ -258,10 +258,10 @@ class TestBohmPotential:
         x = np.linspace(-8.0, 8.0, 257)
         delta = 1e-5
         for t in (0.5, 1.0, 3.0):
-            s_t = (sub1.field.S(x, t + delta)
-                   - sub1.field.S(x, t - delta)) / (2 * delta)
-            closure = (0.5 * sub1.field.S_x(x, t) ** 2
-                       + bohm_potential_gaussian(x, t, sub1.scale)
+            s_t = (sub1.S(x, t + delta)
+                   - sub1.S(x, t - delta)) / (2 * delta)
+            closure = (0.5 * sub1.S_x(x, t) ** 2
+                       + bohm_potential_gaussian(x, t, sub1)
                        + classical_potential(sub1.profile, x, t)
                        + s_t)
             assert np.max(np.abs(closure)) < 1e-9
@@ -310,7 +310,7 @@ class TestConstructionProperties:
     def test_rational_construction_invariants(self, b):
         c = rational_construction(b)
         assert c.solution.rho(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert c.field.S(0.0, 0.0) == 0.0
+        assert c.S(0.0, 0.0) == 0.0
 
         # the Gaussian widens with rho, up to ~1e3 near b = 2, so size the
         # grid per time

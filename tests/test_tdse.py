@@ -13,6 +13,7 @@ from bohmosc import (
     propagate,
     rational_construction,
 )
+from bohmosc import tdse
 from bohmosc.tdse import _COEFF_BLOCK, _KICK_POINTS
 
 # Steps per kick sub-block on the 128-point grid of TestFusedLoop.
@@ -264,6 +265,21 @@ class TestGuards:
         with pytest.raises(ValueError, match=r"at t=0\.3005;"):
             propagate(ground_state(grid), config, 1.0)
         assert calls == [1000]  # one block of midpoints, no step taken
+
+    def test_past_the_step_cap_is_refused_before_any_transform(
+            self, static, monkeypatch):
+        grid = SpatialGrid()
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+        monkeypatch.setattr(tdse, "_MAX_STEPS", 1000)
+        assert propagate(ground_state(grid), config, 1.0).times[0] == 1.0
+
+        def no_transform(*_args):
+            raise AssertionError("a transform ran past the cap")
+
+        monkeypatch.setattr(tdse, "_MAX_STEPS", 999)
+        monkeypatch.setattr("scipy.fft._pocketfft.pypocketfft.c2c", no_transform)
+        with pytest.raises(ValueError, match="^1000 steps .* the cap of 999$"):
+            propagate(ground_state(grid), config, 1.0)
 
     def test_table_ending_early_raises_before_any_step(self):
         table = FrequencyProfile.from_table([0.0, 0.5], [1.0, 1.0])

@@ -22,13 +22,12 @@ from bohmosc import (
 def sample_families(construction, x, t, dt):
     """psi, A, S, V, V_B sampled at (t-dt, t, t+dt)."""
     times = np.array([t - dt, t, t + dt])
-    scale, field, profile = (construction.scale, construction.field,
-                             construction.profile)
-    a = np.stack([amplitude_gaussian(x, tj, scale) for tj in times])
-    s = np.stack([field.S(x, tj) for tj in times])
+    a = np.stack([amplitude_gaussian(x, tj, construction) for tj in times])
+    s = np.stack([construction.S(x, tj) for tj in times])
     psi = a * np.exp(1j * s)
-    v = np.stack([classical_potential(profile, x, tj) for tj in times])
-    v_b = np.stack([bohm_potential_gaussian(x, tj, scale) for tj in times])
+    v = np.stack([classical_potential(construction.profile, x, tj)
+                  for tj in times])
+    v_b = np.stack([bohm_potential_gaussian(x, tj, construction) for tj in times])
     return psi, a, s, v, v_b
 
 
@@ -91,10 +90,9 @@ class TestContinuityResidual:
         _, a, _, _, _ = sample_families(sub1, x, t, dt)
         keep = (a > 1e-10 * a.max())[1, 2:-2]
         x, a = x[2:-2], a[1, 2:-2]
-        scale, field = sub1.scale, sub1.field
-        residual = ((2.0 * amplitude_gaussian_dx(x, t, scale) * field.S_x(x, t)
-                     + a * field.S_xx(t)) / 2.0
-                    + amplitude_gaussian_dt(x, t, scale))
+        residual = ((2.0 * amplitude_gaussian_dx(x, t, sub1) * sub1.S_x(x, t)
+                     + a * sub1.S_xx(t)) / 2.0
+                    + amplitude_gaussian_dt(x, t, sub1))
         assert np.max(np.abs(residual[keep])) < 1e-8
 
     def test_static_fields_vanish(self, static):
@@ -131,10 +129,9 @@ class TestQhjeResidual:
         # row and interior points that qhje_residual checks
         x = np.linspace(-8.0, 8.0, 513)[2:-2]
         t = 1.0
-        field = sub1.field
-        residual = (field.S_x(x, t) ** 2 / 2.0
-                    + bohm_potential_gaussian(x, t, sub1.scale)
-                    + classical_potential(sub1.profile, x, t) + field.S_t(x, t))
+        residual = (sub1.S_x(x, t) ** 2 / 2.0
+                    + bohm_potential_gaussian(x, t, sub1)
+                    + classical_potential(sub1.profile, x, t) + sub1.S_t(x, t))
         assert np.max(np.abs(residual)) < 1e-9
 
     def test_static_case_closes(self, static):
@@ -215,10 +212,10 @@ class TestResidualReport:
         times = np.array([t - dt, t, t + dt])
         x, column = grid.x, times[:, None]
         psi = sub1.psi(grid, times).psi
-        a = amplitude_gaussian(x, column, sub1.scale)
-        s = sub1.field.S(x, column)
+        a = amplitude_gaussian(x, column, sub1)
+        s = sub1.S(x, column)
         v = classical_potential(sub1.profile, x, column)
-        v_b = bohm_potential_gaussian(x, column, sub1.scale)
+        v_b = bohm_potential_gaussian(x, column, sub1)
         se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order)
         expected = ResidualReport(
             se_residual_l2=se_l2,
