@@ -43,7 +43,6 @@ from .verify import (
     ResidualReport,
     build_residual_report,
     continuity_residual,
-    normalization,
     qhje_residual,
     schrodinger_residual,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "ResidualReport",
     "build_residual_report",
     "continuity_residual",
-    "normalization",
     "qhje_residual",
     "schrodinger_residual",
     "PropagatorConfig",

@@ -25,7 +25,15 @@ subcommand returns, at exit 0 or 3, and if that write fails, removes the
 file itself, and an --out or --manifest path that names a directory or
 lies in one that does not exist, are refused before any work.
 verify's level l has (nx - 1) * 2^l + 1 grid points and time step
-dt / 2^l, at most 2^22 + 1 points; tdse-check takes at most 2^22 steps.
+dt / 2^l.  Each subcommand's work and memory are bounded before any work,
+with one line and exit 2 past the bound; peaks and times are those of a
+2-core Xeon.  verify takes at most 2^22 + 1 points at its finest level
+(820 MB) and 2^24 probe points, --nt times the points of every level
+(7 s from the default --nx, 25 s from --nx 16); ermakov at most 2^21
+samples and bohm and wavefunction 2^21 cells (675 MB and 8 s on a
+numeric profile); tdse-check at most 2^22 cells of --samples by --n
+(440 MB) and 2^31 / max(n, 512) steps, about a minute at n <= 4096 and
+4-5 minutes at n = 2^21.
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for
 verification-threshold failures.
 """
@@ -72,10 +80,19 @@ _log = logging.getLogger(__name__)
 _BLOCK_CELLS = 2**14
 _HASH_CHUNK = 2**20
 
-# The one bound on verify's work: points of its finest level, whose
-# probes' (3, n_x) stacks set the peak memory, about 200 bytes a point
-# (820 MB at the cap, 3-4 s for one probe on a 2-core Xeon).
+# verify's memory: points of its finest level, whose probes' (3, n_x)
+# stacks set the peak, about 200 bytes a point (820 MB at the cap).
 _MAX_LEVEL_POINTS = 2**22 + 1
+# verify's work: probe times times the points summed over all levels,
+# 7 s at the cap from the default --nx, 25 s from --nx 16.
+_MAX_PROBE_POINTS = 2**24
+# Samples of an ermakov table and cells of a bohm or wavefunction sweep.
+# A numeric profile holds about 320 bytes a time sampled (675 MB at the
+# cap), a closed form under 100 bytes a cell; up to 8 s at the cap.
+_MAX_TABLE_POINTS = 2**21
+# Cells of tdse-check's (samples, n) stacks: 16 bytes each in the
+# propagated and the reference stack, about 100 in all (440 MB at the cap).
+_MAX_TDSE_CELLS = 2**22
 
 _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 
@@ -144,7 +161,7 @@ def _write_csv(path: str, header, columns) -> None:
                 if kind == "slice":
                     block[:, j] = np.take(source, lines // width, axis=0)
                 elif kind == "file":
-                    block[:, j] = np.take(source, lines, axis=0, mode="wrap")
+                    block[:, j] = np.take(source, lines % width, axis=0)
                 else:
                     fallbacks += format_into(block[:, j], source[start:stop], seps[j])
             text = buffer.translate(None, b"\0")
@@ -246,7 +263,10 @@ def _construction_from_args(args, t_max: float):
 # ----------------------------------------------------------------- ermakov
 
 def _cmd_ermakov(args) -> None:
-    times = np.linspace(0.0, args.t_max, _count(args.samples, "--samples"))
+    if _count(args.samples, "--samples") > _MAX_TABLE_POINTS:
+        raise ValueError(f"--samples {args.samples} is more than the cap of "
+                         f"{_MAX_TABLE_POINTS}")
+    times = np.linspace(0.0, args.t_max, args.samples)
     construction = _construction_from_args(args, args.t_max)
     solution = construction.solution
     _write_csv(args.out, ["t", "rho", "rho_dot", "nu", "nu_dot",
@@ -262,9 +282,13 @@ def _cmd_ermakov(args) -> None:
 def _field_sweep(args):
     """Construction, (n_t, 1) time column and (1, n_x) position row of a
     bohm/wavefunction sweep."""
+    n_t, n_x = _count(args.nt, "--nt"), _count(args.nx, "--nx")
+    if n_t * n_x > _MAX_TABLE_POINTS:
+        raise ValueError(f"--nt {n_t} by --nx {n_x} gives more than "
+                         f"{_MAX_TABLE_POINTS} cells")
     construction = _construction_from_args(args, args.t_max)
-    t = np.linspace(0.0, args.t_max, _count(args.nt, "--nt"))[:, None]
-    x = np.linspace(args.x_min, args.x_max, _count(args.nx, "--nx"))[None, :]
+    t = np.linspace(0.0, args.t_max, n_t)[:, None]
+    x = np.linspace(args.x_min, args.x_max, n_x)[None, :]
     return construction, t, x
 
 
@@ -286,17 +310,20 @@ def _cmd_wavefunction(args) -> None:
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(args) -> str | None:
-    if args.refine < 1:
-        raise ValueError("--refine needs at least one level")
+    _count(args.refine, "--refine")
     intervals = _count(args.nx, "--nx", 2) - 1
     # 2**64 intervals would be past any cap
     if intervals * 2**min(args.refine - 1, 64) + 1 > _MAX_LEVEL_POINTS:
         raise ValueError(f"--refine {args.refine} from --nx {args.nx} gives the "
                          f"finest level more than {_MAX_LEVEL_POINTS} points")
+    n_probes = _count(args.nt, "--nt")
+    # every probe samples every level, of (nx - 1) * 2^l + 1 points
+    if n_probes * (intervals * (2**args.refine - 1) + args.refine) > _MAX_PROBE_POINTS:
+        raise ValueError(f"--nt {args.nt} on --refine {args.refine} from --nx "
+                         f"{args.nx} gives more than {_MAX_PROBE_POINTS} probe points")
     construction = _construction_from_args(args, args.t_max)
     if not args.x_max > args.x_min:
         raise ValueError(f"need --x-max > --x-min, got [{args.x_min}, {args.x_max}]")
-    n_probes = _count(args.nt, "--nt")
     probes = np.linspace(args.t_max / n_probes, args.t_max, n_probes)
 
     def level_report(level: int) -> dict:
@@ -348,8 +375,10 @@ def _auto_half_width(construction, t_max: float) -> float:
 
 
 def _cmd_tdse_check(args) -> str | None:
-    if args.samples < 2:
-        raise ValueError("--samples needs at least 2 (t=0 plus one probe)")
+    _count(args.samples, "--samples", 2)
+    if args.samples * args.n > _MAX_TDSE_CELLS:
+        raise ValueError(f"--samples {args.samples} at --n {args.n} give more than "
+                         f"{_MAX_TDSE_CELLS} cells")
     construction = _construction_from_args(args, args.t_max)
     if args.x_max is None:
         half_width = _auto_half_width(construction, args.t_max)
@@ -362,7 +391,7 @@ def _cmd_tdse_check(args) -> str | None:
     psi0 = construction.psi(grid, 0.0)
     propagated = propagate(psi0, config, args.t_max, sample_times=times[1:])
     reference = construction.psi(grid, times[1:])
-    fidelities = np.atleast_1d(fidelity(reference, propagated))
+    fidelities = fidelity(reference, propagated)
     norms = np.concatenate([psi0.norms(), propagated.norms()])
 
     _write_csv(args.out, ["t", "fidelity", "norm_error"],

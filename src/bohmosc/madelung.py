@@ -170,9 +170,6 @@ class Construction:
     def S_x(self, x, t):
         return np.asarray(x, dtype=float) * self.nu_dot(t)
 
-    def S_xx(self, t):
-        return self.nu_dot(t)
-
     def S_t(self, x, t):
         mu_dot = -0.5 * np.exp(-2.0 * self.nu(t))
         return 0.5 * np.asarray(x, dtype=float) ** 2 * self.nu_ddot(t) + mu_dot

@@ -58,9 +58,10 @@ _MOMENTUM_MARGIN = 6.0
 
 _NORM_DRIFT_LIMIT = 1e-10
 
-# The one bound on a run's work: at the cap a run takes about 1 minute at
-# n = 512 and 6-8 at n = 4096 on a 2-core Xeon, in memory fixed by n.
-_MAX_STEPS = 2**22
+# The one bound on a run's work: steps times max(n, 512) grid points, so
+# 2**22 steps at n <= 512 and 2**19 at n = 4096, each about a minute on a
+# 2-core Xeon, in memory fixed by n.
+_MAX_STEP_POINTS = 2**31
 
 # Largest |psi|^2 h mass allowed at a returned slice in the outer eighth
 # of the domain (its outer sixteenth at each end).  The acceptance and
@@ -107,7 +108,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
 
     The number of steps is (t_end - start)/dt rounded to the nearest
     integer, which must reproduce the span to within 1e-9 and be at most
-    _MAX_STEPS = 2**22 (checked before any transform); sample times
+    2**31 / max(n, 512) (checked before any transform); sample times
     must fall on step boundaries and strictly advance in the direction of
     dt.  Returns a WavefunctionGrid holding the requested sample times, or
     the single final slice if none are given.  Raises if a returned slice
@@ -140,8 +141,10 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         raise ValueError(f"dt={config.dt} points away from t_end={t_end}")
 
     steps = span / config.dt  # inf where dt is subnormal
-    if not steps < _MAX_STEPS + 0.5:
-        raise ValueError(f"{steps:.6g} steps are more than the cap of {_MAX_STEPS}")
+    max_steps = _MAX_STEP_POINTS // max(grid.n, 512)
+    if not steps < max_steps + 0.5:
+        raise ValueError(f"{steps:.6g} steps are more than the cap of {max_steps} "
+                         f"at n = {grid.n}")
     n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(abs(span), 1.0):
         raise ValueError(
@@ -150,7 +153,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     dt = span / n_steps
 
     psi = psi0.psi[0].astype(complex)
-    norm0 = np.trapezoid(np.abs(psi) ** 2, x)
+    norm0 = psi0.norms()[0]
     if not abs(norm0 - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError(f"psi0 is not normalized: int |psi|^2 dx = {float(norm0)}")
 
@@ -277,10 +280,10 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
 
 
 def fidelity(psi_a: WavefunctionGrid, psi_b: WavefunctionGrid):
-    """|int psi_a* psi_b dx| / (||psi_a|| ||psi_b||), in [0, 1].
+    """|int psi_a* psi_b dx| / (||psi_a|| ||psi_b||) per time, in [0, 1].
 
-    Insensitive to global phase.  For multi-time grids with matching
-    times, returns one value per time.
+    Insensitive to global phase.  Returns an array with one value per
+    time, a single-time pair included.
     """
     if psi_a.grid != psi_b.grid:
         raise ValueError("fidelity requires a common grid")
@@ -289,5 +292,4 @@ def fidelity(psi_a: WavefunctionGrid, psi_b: WavefunctionGrid):
     x = psi_a.grid.x
     overlap = np.abs(np.trapezoid(np.conj(psi_a.psi) * psi_b.psi, x, axis=1))
     norms = np.sqrt(psi_a.norms() * psi_b.norms())
-    values = overlap / norms
-    return float(values[0]) if values.size == 1 else values
+    return overlap / norms

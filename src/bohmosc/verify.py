@@ -4,7 +4,7 @@ Independent of how the fields were constructed, this module asks whether
 sampled psi, A, S actually satisfy, in units hbar = m = 1,
 
     Schrodinger:   i psi_t + psi_xx/2 - V psi          = 0
-    continuity:    (2 A_x S_x + A S_xx)/2 + A_t        = 0
+    continuity:    (2 A_x S_x + A (S_x)_x)/2 + A_t    = 0
     QHJE:          S_x^2/2 + V_B + V + S_t             = 0
 
 using central differences in t and x.  Stencils are second order by
@@ -31,6 +31,7 @@ import numpy as np
 from .madelung import (
     Construction,
     SpatialGrid,
+    WavefunctionGrid,
     amplitude_gaussian,
     bohm_potential_gaussian,
     classical_potential,
@@ -41,7 +42,6 @@ __all__ = [
     "schrodinger_residual",
     "continuity_residual",
     "qhje_residual",
-    "normalization",
     "build_residual_report",
 ]
 
@@ -168,7 +168,7 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
 
 
 def continuity_residual(a, s, x, dt: float, space_order: int = 2) -> float:
-    """Max norm of (2 A_x S_x + A S_xx)/2 + A_t, by central differences.
+    """Max norm of (2 A_x S_x + A (S_x)_x)/2 + A_t, by central differences.
 
     a, s: (..., n_t, n_x) families at uniform dt; the max is the worst
     over every family, each masked by the tail of its own amplitude.
@@ -225,13 +225,6 @@ def qhje_residual(s, v_b, v, x, dt: float, mask=None) -> float:
     return float(np.max(np.abs(residual)))
 
 
-def normalization(psi, x):
-    """Trapezoidal int |psi|^2 dx over the last axis of psi samples at x;
-    WavefunctionGrid.norms() is the same integral per stored time."""
-    psi = np.asarray(psi)
-    return np.trapezoid(np.abs(psi) ** 2, np.asarray(x, dtype=float), axis=-1)
-
-
 def build_residual_report(construction: Construction, grid: SpatialGrid,
                           t, dt: float, space_order: int = 2) -> ResidualReport:
     """Sample the constructed fields at (t-dt, t, t+dt) and run every check.
@@ -267,7 +260,8 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
                                              mask=tail_mask)
         cont_max = continuity_residual(a, s, x, dt, space_order=space_order)
         qhje_max = qhje_residual(s, v_b, v, x, dt, mask=tail_mask)
-        norm_error = np.max(np.abs(normalization(psi[:, 1], x) - 1.0))
+        norms = WavefunctionGrid(grid, block.ravel(), psi[:, 1]).norms()
+        norm_error = np.max(np.abs(norms - 1.0))
         np.maximum(worst, (se_l2, se_max, cont_max, qhje_max, norm_error), out=worst)
 
     se_l2, se_max, cont_max, qhje_max, norm_error = map(float, worst)

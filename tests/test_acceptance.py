@@ -171,8 +171,7 @@ def test_criterion_5_tdse_oracle(tdse_runs):
     detail = []
     passed = True
     for label, (_, propagated, reference) in tdse_runs.items():
-        values = fidelity(reference, propagated)
-        worst = float(np.min(np.atleast_1d(values)))
+        worst = float(np.min(fidelity(reference, propagated)))
         detail.append(f"{label} min fidelity {worst:.9f}")
         passed = passed and worst >= 1.0 - 1e-6
     report(5, "split-step fidelity >= 1 - 1e-6 on [0,5] for both branches",
@@ -181,7 +180,7 @@ def test_criterion_5_tdse_oracle(tdse_runs):
 
 def test_criterion_6_static_regression(static_run):
     psi0, final = static_run
-    value = fidelity(psi0, final)
+    value = float(fidelity(psi0, final)[0])
     overlap = np.trapezoid(np.conj(psi0.psi[0]) * final.psi[0],
                            psi0.grid.x)
     phase_error = abs(float(np.angle(overlap)) - (-np.pi / 2.0))

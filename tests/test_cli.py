@@ -38,6 +38,10 @@ def header_of(path):
         return handle.readline().strip().split(",")
 
 
+def no_work(*_args, **_kwargs):
+    raise AssertionError("work started past the cap")
+
+
 class TestErmakovCommand:
     def test_closed_form_table(self, tmp_path):
         out = tmp_path / "ermakov.csv"
@@ -49,6 +53,21 @@ class TestErmakovCommand:
         assert data.shape == (101, 7)
         assert data[0, 1] == pytest.approx(1.0, abs=1e-15)  # rho(0)=1
         assert np.max(np.abs(data[:, 6])) < 1e-12           # residual column
+
+    def test_samples_past_the_cap_are_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_TABLE_POINTS", 11)
+        at_cap, past = tmp_path / "at_cap.csv", tmp_path / "past.csv"
+        assert main(["ermakov", "--b", "1", "--samples", "11",
+                     "--out", str(at_cap)]) == 0
+        assert read_csv(at_cap).shape == (11, 7)
+        monkeypatch.setattr(cli, "_construction_from_args", no_work)
+        monkeypatch.setattr(np, "linspace", no_work)
+        assert main(["ermakov", "--b", "1", "--samples", "12",
+                     "--out", str(past)]) == 2
+        assert not past.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "bohmosc ermakov: --samples 12 is more than the cap of 11"]
 
     def test_numeric_flag_matches_closed_form(self, tmp_path):
         closed, numeric = tmp_path / "closed.csv", tmp_path / "numeric.csv"
@@ -151,6 +170,22 @@ class TestBohmCommand:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["bohm", "wavefunction"])
+    def test_cells_past_the_cap_are_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_MAX_TABLE_POINTS", 33)
+        at_cap, past = tmp_path / "at_cap.csv", tmp_path / "past.csv"
+        assert main([command, "--b", "1", "--nt", "3", "--nx", "11",
+                     "--out", str(at_cap)]) == 0
+        assert read_csv(at_cap).shape[0] == 33
+        monkeypatch.setattr(cli, "_construction_from_args", no_work)
+        monkeypatch.setattr(np, "linspace", no_work)
+        assert main([command, "--b", "1", "--nt", "3", "--nx", "12",
+                     "--out", str(past)]) == 2
+        assert not past.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"bohmosc {command}: --nt 3 by --nx 12 gives more than 33 cells"]
+
     def test_critical_flag(self, tmp_path):
         out = tmp_path / "bohm.csv"
         assert main(["bohm", "--critical", "--nx", "5", "--nt", "2",
@@ -229,10 +264,6 @@ class TestVerifyCommand:
         assert main(["verify", "--b", "1", "--nx", "65", "--refine", "3",
                      "--out", str(at_cap)]) == 0
         assert json.loads(at_cap.read_text())["levels"][-1]["n_x"] == 257
-
-        def no_work(*_args, **_kwargs):
-            raise AssertionError("work started past the cap")
-
         monkeypatch.setattr(cli, "_construction_from_args", no_work)
         monkeypatch.setattr(cli, "build_residual_report", no_work)
         assert main(["verify", "--b", "1", "--nx", "65", "--refine", "4",
@@ -241,6 +272,25 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.splitlines() == [
             "bohmosc verify: --refine 4 from --nx 65 gives the finest level "
             "more than 257 points"]
+
+    def test_probe_points_past_the_cap_are_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        # from --nx 65, two levels have 65 + 129 points: three probes are
+        # at a cap of 582, four past it
+        monkeypatch.setattr(cli, "_MAX_PROBE_POINTS", 582)
+        at_cap, past = tmp_path / "at_cap.json", tmp_path / "past.json"
+        assert main(["verify", "--b", "1", "--nx", "65", "--refine", "2", "--nt", "3",
+                     "--out", str(at_cap)]) == 0
+        assert len(json.loads(at_cap.read_text())["t_probes"]) == 3
+        monkeypatch.setattr(cli, "_construction_from_args", no_work)
+        monkeypatch.setattr(cli, "build_residual_report", no_work)
+        monkeypatch.setattr(np, "linspace", no_work)
+        assert main(["verify", "--b", "1", "--nx", "65", "--refine", "2", "--nt", "4",
+                     "--out", str(past)]) == 2
+        assert not past.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "bohmosc verify: --nt 4 on --refine 2 from --nx 65 gives more than "
+            "582 probe points"]
 
     def test_failed_threshold_still_prints_the_report(self, capsys):
         assert main(["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"]) == 3
@@ -281,13 +331,27 @@ class TestTdseCheckCommand:
     @pytest.mark.parametrize("dt, steps", [("1e-3", "100"), ("1e-320", "inf")])
     def test_past_the_step_cap_exits_2(self, tmp_path, capsys, monkeypatch,
                                        dt, steps):
-        monkeypatch.setattr(tdse, "_MAX_STEPS", 99)
+        monkeypatch.setattr(tdse, "_MAX_STEP_POINTS", 99 * 512)
         out = tmp_path / "t.csv"
         assert main(["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", dt,
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [
-            f"bohmosc tdse-check: {steps} steps are more than the cap of 99"]
+            f"bohmosc tdse-check: {steps} steps are more than the cap of 99 at n = 512"]
+
+    def test_cells_past_the_cap_are_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_TDSE_CELLS", 3 * 512)
+        at_cap, past = tmp_path / "at_cap.csv", tmp_path / "past.csv"
+        argv = ["tdse-check", "--b", "1", "--t-max", "0.2", "--dt", "1e-3"]
+        assert main(argv + ["--samples", "3", "--out", str(at_cap)]) == 0
+        assert read_csv(at_cap).shape == (3, 3)
+        monkeypatch.setattr(cli, "_construction_from_args", no_work)
+        monkeypatch.setattr(cli, "SpatialGrid", no_work)
+        assert main(argv + ["--samples", "4", "--out", str(past)]) == 2
+        assert not past.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "bohmosc tdse-check: --samples 4 at --n 512 give more than 1536 cells"]
 
     def test_debug_log_leaves_csv_unchanged(self, tmp_path, caplog):
         argv = ["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", "1e-3",

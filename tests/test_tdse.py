@@ -126,7 +126,7 @@ class TestOracleAgreement:
         for dt in (2.5e-3, 1.25e-3):
             config = PropagatorConfig(grid=grid, dt=dt, profile=sub1.profile)
             out = propagate(sub1.psi(grid, 0.0), config, 1.0)
-            defects.append(1.0 - fidelity(sub1.psi(grid, 1.0), out))
+            defects.append(1.0 - fidelity(sub1.psi(grid, 1.0), out)[0])
         assert defects[0] > 0
         assert defects[0] / max(defects[1], 1e-16) > 3.5
 
@@ -167,6 +167,12 @@ class TestFidelity:
         odd_raw = odd_raw / np.sqrt(np.trapezoid(odd_raw**2, grid.x))
         odd = WavefunctionGrid(grid, np.array([0.0]), odd_raw[None, :] + 0j)
         assert fidelity(even, odd) < 1e-12
+
+    def test_one_value_per_time(self, sub1):
+        grid = SpatialGrid()
+        for times in ([1.0], [0.0, 1.0, 2.0]):
+            values = fidelity(sub1.psi(grid, times), sub1.psi(grid, times))
+            assert isinstance(values, np.ndarray) and values.shape == (len(times),)
 
     def test_requires_common_grid(self, static):
         a = ground_state(SpatialGrid())
@@ -268,18 +274,21 @@ class TestGuards:
 
     def test_past_the_step_cap_is_refused_before_any_transform(
             self, static, monkeypatch):
-        grid = SpatialGrid()
-        config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
-        monkeypatch.setattr(tdse, "_MAX_STEPS", 1000)
-        assert propagate(ground_state(grid), config, 1.0).times[0] == 1.0
-
+        # the cap is on steps times max(n, 512) grid points
         def no_transform(*_args):
             raise AssertionError("a transform ran past the cap")
 
-        monkeypatch.setattr(tdse, "_MAX_STEPS", 999)
-        monkeypatch.setattr("scipy.fft._pocketfft.pypocketfft.c2c", no_transform)
-        with pytest.raises(ValueError, match="^1000 steps .* the cap of 999$"):
-            propagate(ground_state(grid), config, 1.0)
+        for n, cap in [(256, 999), (512, 999), (1024, 499)]:
+            grid = SpatialGrid(-8.0, 8.0, n)
+            config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+            with monkeypatch.context() as patch:
+                patch.setattr(tdse, "_MAX_STEP_POINTS", 1000 * max(n, 512))
+                assert propagate(ground_state(grid), config, 1.0).times[0] == 1.0
+                patch.setattr(tdse, "_MAX_STEP_POINTS", 999 * 512)
+                patch.setattr("scipy.fft._pocketfft.pypocketfft.c2c", no_transform)
+                with pytest.raises(ValueError,
+                                   match=f"^1000 steps .* the cap of {cap} at n = {n}$"):
+                    propagate(ground_state(grid), config, 1.0)
 
     def test_table_ending_early_raises_before_any_step(self):
         table = FrequencyProfile.from_table([0.0, 0.5], [1.0, 1.0])

@@ -5,6 +5,7 @@ from bohmosc import verify
 from bohmosc import (
     SpatialGrid,
     ResidualReport,
+    WavefunctionGrid,
     amplitude_gaussian,
     amplitude_gaussian_dt,
     amplitude_gaussian_dx,
@@ -12,7 +13,6 @@ from bohmosc import (
     build_residual_report,
     classical_potential,
     continuity_residual,
-    normalization,
     qhje_residual,
     rational_construction,
     schrodinger_residual,
@@ -91,7 +91,7 @@ class TestContinuityResidual:
         keep = (a > 1e-10 * a.max())[1, 2:-2]
         x, a = x[2:-2], a[1, 2:-2]
         residual = ((2.0 * amplitude_gaussian_dx(x, t, sub1) * sub1.S_x(x, t)
-                     + a * sub1.S_xx(t)) / 2.0
+                     + a * sub1.nu_dot(t)) / 2.0
                     + amplitude_gaussian_dt(x, t, sub1))
         assert np.max(np.abs(residual[keep])) < 1e-8
 
@@ -160,21 +160,9 @@ class TestQhjeResidual:
 
 
 class TestNormalization:
-    def test_analytic_state_is_normalized(self, sub1):
-        grid = SpatialGrid(-20.0, 20.0, 2048)
-        for t in (0.0, 2.0, 5.0):
-            psi = sub1.psi(grid, t).psi[0]
-            assert normalization(psi, grid.x) == pytest.approx(1.0, abs=1e-10)
-
     def test_zero_state(self):
-        x = np.linspace(-8.0, 8.0, 129)
-        assert normalization(np.zeros_like(x), x) == 0.0
-
-    def test_equals_the_grid_norms(self, sub1):
-        # one value per row of a stack, as WavefunctionGrid.norms() gives
-        grid = SpatialGrid(-20.0, 20.0, 2048)
-        wf = sub1.psi(grid, [0.0, 2.0, 5.0])
-        np.testing.assert_array_equal(normalization(wf.psi, grid.x), wf.norms())
+        grid = SpatialGrid(-8.0, 8.0, 129)
+        assert WavefunctionGrid(grid, 0.0, np.zeros(grid.n)).norms()[0] == 0.0
 
 
 class TestResidualReport:
@@ -211,7 +199,8 @@ class TestResidualReport:
         grid, t, dt = SpatialGrid(-8.0, 8.0, 257), 1.5, 1e-3
         times = np.array([t - dt, t, t + dt])
         x, column = grid.x, times[:, None]
-        psi = sub1.psi(grid, times).psi
+        wf = sub1.psi(grid, times)
+        psi = wf.psi
         a = amplitude_gaussian(x, column, sub1)
         s = sub1.S(x, column)
         v = classical_potential(sub1.profile, x, column)
@@ -224,7 +213,7 @@ class TestResidualReport:
                 a, s, x, dt, space_order=space_order),
             qhje_residual_max=qhje_residual(
                 s, v_b, v, x, dt, mask=np.abs(psi) > 1e-10 * np.max(np.abs(psi))),
-            normalization_error=abs(float(normalization(psi[1], x)) - 1.0),
+            normalization_error=abs(float(wf.norms()[1]) - 1.0),
             h=grid.h, dt=dt, n_x=grid.n, n_t=3)
         report = build_residual_report(sub1, grid, t, dt, space_order=space_order)
         assert report.to_dict() == expected.to_dict()
@@ -286,11 +275,6 @@ class TestProbeStacks:
                                     dt) == schrodinger_residual(psi, v, x, dt)
         assert continuity_residual(np.stack([a, flat]), np.stack([s, 0 * s]), x,
                                    dt) == continuity_residual(a, s, x, dt)
-
-    def test_trapezoid_norm_per_probe(self, stack):
-        x, _, families, (psi, *_) = stack
-        expected = [normalization(f[0][1], x) for f in families]
-        np.testing.assert_array_equal(normalization(psi[:, 1], x), expected)
 
     def test_shapes_that_do_not_broadcast_are_rejected(self, stack):
         x, dt, _, (psi, _, s, v, v_b) = stack
