@@ -29,8 +29,8 @@ dt / 2^l.  Each subcommand's work and memory are bounded before any work,
 with one line and exit 2 past the bound; peaks and times are those of a
 2-core Xeon.  verify takes at most 2^22 + 1 points at its finest level
 (820 MB) and 2^24 probe points, --nt times the points of every level
-(7 s from the default --nx, 25 s from --nx 16); ermakov at most 2^21
-samples and bohm and wavefunction 2^21 cells (675 MB and 8 s on a
+(7 s from the default --nx, 8-10 s from --nx 16); ermakov at most 2^21
+samples and bohm and wavefunction 2^21 cells (under 300 MB and 8 s on a
 numeric profile); tdse-check at most 2^22 cells of --samples by --n
 (440 MB) and 2^31 / max(n, 512) steps, about a minute at n <= 4096 and
 4-5 minutes at n = 2^21.
@@ -84,10 +84,10 @@ _HASH_CHUNK = 2**20
 # stacks set the peak, about 200 bytes a point (820 MB at the cap).
 _MAX_LEVEL_POINTS = 2**22 + 1
 # verify's work: probe times times the points summed over all levels,
-# 7 s at the cap from the default --nx, 25 s from --nx 16.
+# 7 s at the cap from the default --nx, 8-10 s from --nx 16.
 _MAX_PROBE_POINTS = 2**24
 # Samples of an ermakov table and cells of a bohm or wavefunction sweep.
-# A numeric profile holds about 320 bytes a time sampled (675 MB at the
+# A numeric profile holds about 130 bytes a time sampled (290 MB at the
 # cap), a closed form under 100 bytes a cell; up to 8 s at the cap.
 _MAX_TABLE_POINTS = 2**21
 # Cells of tdse-check's (samples, n) stacks: 16 bytes each in the

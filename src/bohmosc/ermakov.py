@@ -272,7 +272,9 @@ def solve_numeric(
     at most rel_tol |Y| + abs_tol (|Y| the largest entry of the state
     there), from the least k at which no step spans more than 1 rad of
     phase; the 2k states are kept, and a sample t is reached by one
-    partial step from the start of its step.  At any t,
+    partial step from the start of its step, taken in blocks of 2**14
+    times, so that an evaluation holds its result and the transients of
+    one block.  At any t,
     rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
     rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
     mu(window start) = 0 and its branch read
@@ -347,9 +349,6 @@ def solve_numeric(
 
     def states(t):
         t = np.asarray(t, dtype=float)
-        if t.size == 0:
-            # The dense evaluator takes no empty array.
-            return np.empty((4, *t.shape))
         key, value = last[0]
         if key is None or not np.array_equal(key, t):
             value = dense(t.ravel()).reshape(4, *t.shape)
@@ -532,8 +531,14 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
 
     def dense(t):
         i = np.clip(np.searchsorted(ends, t, side="right") - 1, 0, ends.size - 2)
-        state = _product(_magnus_steps(profile, ends[i], t - ends[i]), fine[..., i])
-        return state.transpose(1, 0, 2).reshape(4, -1)
+        # A partial step's transients hold about 40 doubles per time.
+        found = np.empty((2, 2, t.size))
+        for lo in range(0, t.size, _MAGNUS_BLOCK):
+            block = slice(lo, lo + _MAGNUS_BLOCK)
+            j = i[block]
+            step = _magnus_steps(profile, ends[j], t[block] - ends[j])
+            found[..., block] = _product(step, fine[..., j]).transpose(1, 0, 2)
+        return found.reshape(4, t.size)
 
     (u1, u2), (v1, v2) = fine
     return ends, (u1, v1, u2, v2), dense, (ends.size - 1, evaluations, gap, bound)

@@ -11,15 +11,18 @@ using central differences in t and x.  Stencils are second order by
 default with an optional fourth-order spatial variant for convergence
 studies.  Residuals are evaluated on the interior only (two points
 skipped per side: one-sided stencils degrade the order, and the domain is
-truncation-padded anyway), and max norms are restricted to the region
-where the amplitude exceeds 1e-10 of its peak, since relative residuals
-in the exponentially small tail are noise.
+truncation-padded anyway), and norms are restricted to the region
+where the amplitude A exceeds 1e-10 of its peak, since relative residuals
+in the exponentially small tail are noise.  Each check reduces its
+residual by one masked max over all its cells, with no copy of the kept
+ones; the Schrodinger L2 adds one sum per time row.
 
 All functions are pure.  Field families are (..., n_t, n_x) arrays
 sampled at uniformly spaced times; a leading axis stacks families (one
 per probe time), each masked by its own amplitude peak, and a residual is
 the worst over them.  A residual report is the worst over its probe
-times, sampled in blocks of bounded size.
+times, sampled in blocks of bounded size; it reads the tail mask from
+the A it samples, and shares it between the Schrodinger and QHJE checks.
 """
 
 from __future__ import annotations
@@ -136,9 +139,9 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
     psi: (..., n_t, n_x) complex families at uniform dt; v: potential
     samples broadcastable to psi.  Returns (l2, max), each the worst over
     the interior time rows of every family.  mask, if supplied, is the
-    tail mask of psi (as build_residual_report shares it with the QHJE
-    check); by default it is computed from psi.  The residual is linear
-    in psi; no normalization is applied.
+    tail mask of |psi| (build_residual_report passes that of A, which it
+    shares with the QHJE check); by default it is computed from |psi|.
+    The residual is linear in psi; no normalization is applied.
     """
     psi = np.asarray(psi, dtype=complex)
     x = np.asarray(x, dtype=float)
@@ -155,16 +158,12 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
     if mask is None:
         mask = _tail_mask(np.abs(psi))
     keep = _as_family(mask, psi.shape, "mask")[..., 1:-1, ix]
-    magnitude = np.abs(residual).reshape(-1, residual.shape[-1])
-    l2_worst = 0.0
-    max_worst = 0.0
-    for row, keep_row in zip(magnitude, keep.reshape(-1, keep.shape[-1])):
-        kept = row[keep_row]
-        if kept.size == 0:
-            continue
-        l2_worst = max(l2_worst, float(np.sqrt(h * np.sum(kept ** 2))))
-        max_worst = max(max_worst, float(np.max(kept)))
-    return l2_worst, max_worst
+    # Zeroed, not multiplied by the mask, so that a NaN outside it stays out.
+    magnitude = np.abs(residual)
+    np.copyto(magnitude, 0.0, where=~keep)
+    worst = float(np.max(magnitude, initial=0.0))
+    np.square(magnitude, out=magnitude)
+    return float(np.sqrt(h * np.max(np.sum(magnitude, axis=-1), initial=0.0))), worst
 
 
 def continuity_residual(a, s, x, dt: float, space_order: int = 2) -> float:
@@ -190,9 +189,7 @@ def continuity_residual(a, s, x, dt: float, space_order: int = 2) -> float:
 
     residual = (2.0 * a_x * s_x + a[..., 1:-1, ix] * s_xx) / 2.0 + a_t
     keep = _tail_mask(np.abs(a))[..., 1:-1, ix]
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(np.abs(residual[keep])))
+    return float(np.max(np.abs(residual), where=keep, initial=0.0))
 
 
 def qhje_residual(s, v_b, v, x, dt: float, mask=None) -> float:
@@ -217,12 +214,9 @@ def qhje_residual(s, v_b, v, x, dt: float, mask=None) -> float:
     s_x = _dx1(s[..., 1:-1, :], h, 2)
 
     residual = s_x**2 / 2.0 + v_b[..., 1:-1, ix] + v[..., 1:-1, ix] + s_t
-    if mask is not None:
-        keep = _as_family(mask, s.shape, "mask")[..., 1:-1, ix].astype(bool)
-        if not np.any(keep):
-            return 0.0
-        residual = residual[keep]
-    return float(np.max(np.abs(residual)))
+    keep = True if mask is None else (
+        _as_family(mask, s.shape, "mask")[..., 1:-1, ix].astype(bool))
+    return float(np.max(np.abs(residual), where=keep, initial=0.0))
 
 
 def build_residual_report(construction: Construction, grid: SpatialGrid,
@@ -255,7 +249,7 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
         v = classical_potential(construction.profile, x, block)
         v_b = bohm_potential_gaussian(x, block, construction)
 
-        tail_mask = _tail_mask(np.abs(psi))
+        tail_mask = _tail_mask(a)
         se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order,
                                              mask=tail_mask)
         cont_max = continuity_residual(a, s, x, dt, space_order=space_order)

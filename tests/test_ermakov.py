@@ -598,6 +598,24 @@ class TestNumericSampling:
         self.sample(solution, t[::2])
         assert len(calls) == 2
 
+    def test_blocks_of_times_give_the_same_bits(self, monkeypatch):
+        # The block size is patched after the solve, so that the states at
+        # the step ends are those of the real block size.
+        solution = self.solve()
+        t = np.linspace(0.05, 9.95, 100)
+        want = self.sample(solution, t)
+        calls = []
+        steps = ermakov._magnus_steps
+        monkeypatch.setattr(ermakov, "_magnus_steps",
+                            lambda *args: calls.append(1) or steps(*args))
+        monkeypatch.setattr(ermakov, "_MAGNUS_BLOCK", 7)
+        self.sample(solution, np.linspace(0.0, 10.0, 11))
+        calls.clear()
+        got = self.sample(solution, t)
+        assert len(calls) == 15
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestLogScale:
     """nu = ln(rho) and its derivatives, as a Construction evaluates them."""

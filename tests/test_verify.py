@@ -284,6 +284,57 @@ class TestProbeStacks:
             qhje_residual(s, v_b, v, x, dt, mask=np.ones(x.size - 1, dtype=bool))
 
 
+class TestMaskedReductions:
+    """Each check reduces its residual where the mask holds as a per-row copy
+    of the kept cells would, on fields whose residual is known exactly."""
+
+    @staticmethod
+    def per_row(residual, keep, h):
+        """(l2, max) over the rows of the kept cells, each row copied out."""
+        l2, top = 0.0, 0.0
+        for row, keep_row in zip(residual.reshape(-1, residual.shape[-1]),
+                                 keep.reshape(-1, keep.shape[-1])):
+            kept = np.abs(row[keep_row])
+            if kept.size:
+                l2 = max(l2, float(np.sqrt(h * np.sum(kept**2))))
+                top = max(top, float(np.max(kept)))
+        return l2, top
+
+    def test_equal_a_per_row_copy(self):
+        # Five (3, n) families, random masks, no kept cell in the middle row
+        # of family 2 and a NaN in family 0 that the masks leave out.  With
+        # psi = 1 the Schrodinger residual is -V, with S = 0 the QHJE
+        # residual is V_B + V and the continuity residual is A_t.
+        rng = np.random.default_rng(28)
+        x, dt = np.linspace(-8.0, 8.0, 257), 1e-3
+        h, shape, nan_at, middle = x[1] - x[0], (5, 3, x.size), 100, np.s_[:, 1:2, 2:-2]
+        mask = rng.random(shape) < 0.5
+        mask[2] = False
+        mask[0, 1, nan_at - 1:nan_at + 2] = False
+        v, v_b = rng.normal(size=shape), rng.normal(size=shape)
+        v[0, 1, nan_at] = v_b[0, 1, nan_at] = np.nan
+
+        l2, top = schrodinger_residual(np.ones(shape, dtype=complex), v, x, dt,
+                                       mask=mask)
+        want_l2, want_top = self.per_row(v[middle], mask[middle], h)
+        assert top == want_top
+        assert l2 == pytest.approx(want_l2, rel=4 * np.finfo(float).eps, abs=0.0)
+
+        s = np.zeros(shape)
+        assert qhje_residual(s, v_b, v, x, dt, mask=mask) == self.per_row(
+            (v_b + v)[middle], mask[middle], h)[1]
+
+        # A is zero where the masks leave a cell out, so its tail mask is
+        # the random one; the NaN in S reaches the three cells around it.
+        a = rng.uniform(0.5, 1.5, size=shape)
+        a[:, 1][~mask[:, 1]] = 0.0
+        a[0, :, nan_at - 1:nan_at + 2] = 0.0
+        s[0, 1, nan_at] = np.nan
+        a_t = (a[:, 2:3, 2:-2] - a[:, 0:1, 2:-2]) / (2.0 * dt)
+        assert continuity_residual(a, s, x, dt) == self.per_row(
+            a_t, a[middle] > 0.0, h)[1]
+
+
 class TestProbeReport:
     """A report on an array of probes equals the field-wise max of the
     scalar-t reports, however the probes split into blocks."""
