@@ -18,8 +18,6 @@ from .ermakov import (
     closed_form_subcritical,
     critical_solution,
     ermakov_residual,
-    mu_critical,
-    mu_subcritical,
     solve_numeric,
     subcritical_parameters,
     subcritical_solution,
@@ -59,8 +57,6 @@ __all__ = [
     "closed_form_subcritical",
     "critical_solution",
     "ermakov_residual",
-    "mu_critical",
-    "mu_subcritical",
     "solve_numeric",
     "subcritical_parameters",
     "subcritical_solution",

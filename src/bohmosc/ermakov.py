@@ -22,7 +22,12 @@ Each solution also carries the phase integral mu(t) = -int_0^t ds/(2 rho^2),
 in closed form on both rational branches:
 
   subcritical:  mu(t) = -(a/2b) ln((a+bt)/a)     (mu = -t/2 at b = 0)
-  critical:     mu(t) = -arctan(ln(1+2t)/2)/2
+  critical:     mu(t) = -arctan(ln(1+2t)/2)/2   (decreasing to -pi/4)
+
+subcritical_solution(b) and critical_solution() write each branch once:
+b is checked and (a, C) derived in the builder, and rho, rho', rho'' and
+mu share one check of the branch's argument, so all four refuse a t
+outside the domain with the same ValueError.
 
 For arbitrary profiles solve_numeric takes Pinney's linear route: rho and
 mu come from two solutions of the linear oscillator u'' + Omega^2 u = 0
@@ -65,8 +70,6 @@ __all__ = [
     "subcritical_parameters",
     "closed_form_subcritical",
     "closed_form_critical",
-    "mu_subcritical",
-    "mu_critical",
     "subcritical_solution",
     "critical_solution",
     "solve_numeric",
@@ -153,100 +156,80 @@ def subcritical_parameters(b: float) -> tuple:
     return float(np.sqrt(disc)), float(disc ** -0.25)
 
 
-def closed_form_subcritical(b: float, t):
-    """rho(t) = C sqrt(a+bt) on the subcritical branch; rho(0) = 1 exactly."""
-    a, C = subcritical_parameters(b)
-    t = np.asarray(t, dtype=float)
-    arg = a + b * t
-    if np.any(arg <= 0):
-        raise ValueError(f"a + b*t must stay positive (a={a}, b={b})")
-    return C * np.sqrt(arg)
-
-
-def _subcritical_rho_dot(b: float, t):
-    a, C = subcritical_parameters(b)
-    t = np.asarray(t, dtype=float)
-    return 0.5 * C * b / np.sqrt(a + b * t)
-
-
-def _subcritical_rho_ddot(b: float, t):
-    a, C = subcritical_parameters(b)
-    t = np.asarray(t, dtype=float)
-    return -0.25 * C * b * b * (a + b * t) ** -1.5
-
-
-def mu_subcritical(b: float, t):
-    """Closed-form mu(t) = -(a/2b) ln((a+bt)/a) on the subcritical branch.
-
-    This is the antiderivative of -1/(2 rho^2) with mu(0) = 0; b = 0 is
-    the constant-frequency limit mu = -t/2, which also serves subnormal b,
-    where a/(2b) overflows.
-    """
-    a, _ = subcritical_parameters(b)
-    t = np.asarray(t, dtype=float)
-    if b < np.finfo(float).tiny:
-        return -0.5 * t
-    return -(a / (2.0 * b)) * np.log1p(b * t / a)
-
-
-def closed_form_critical(t):
-    """rho(t) = sqrt(1+2t) sqrt(1 + ln^2(1+2t)/4) for the critical slope b=2."""
-    t = np.asarray(t, dtype=float)
-    u = 1.0 + 2.0 * t
-    if np.any(u <= 0):
-        raise ValueError("critical closed form requires 1 + 2t > 0")
-    ell = np.log(u)
-    return np.sqrt(u) * np.sqrt(1.0 + 0.25 * ell * ell)
-
-
-def _critical_rho_dot(t):
-    # From d(rho^2)/dt = 2 + L + L^2/2 with L = ln(1+2t).
-    t = np.asarray(t, dtype=float)
-    ell = np.log(1.0 + 2.0 * t)
-    g = 1.0 + 0.5 * ell + 0.25 * ell * ell
-    return g / closed_form_critical(t)
-
-
-def _critical_rho_ddot(t):
-    t = np.asarray(t, dtype=float)
-    u = 1.0 + 2.0 * t
-    ell = np.log(u)
-    g = 1.0 + 0.5 * ell + 0.25 * ell * ell
-    rho = closed_form_critical(t)
-    return (1.0 + ell) / (u * rho) - g * g / rho**3
-
-
-def mu_critical(t):
-    """Closed-form mu(t) = -arctan(ln(1+2t)/2)/2 on the critical branch.
-
-    Monotone decreasing with limit -pi/4 as t -> infinity; mu(0) = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    u = 1.0 + 2.0 * t
-    if np.any(u <= 0):
-        raise ValueError("critical phase requires 1 + 2t > 0")
-    return -0.5 * np.arctan(0.5 * np.log(u))
-
-
 def subcritical_solution(b: float) -> ErmakovSolution:
-    """Closed-form subcritical solution as an ErmakovSolution value object."""
-    subcritical_parameters(b)  # validate b now, not at the first evaluation
-    return ErmakovSolution(
-        rho=lambda t: closed_form_subcritical(b, t),
-        rho_dot=lambda t: _subcritical_rho_dot(b, t),
-        rho_ddot=lambda t: _subcritical_rho_ddot(b, t),
-        mu=lambda t: mu_subcritical(b, t),
-    )
+    """The subcritical closed form, with b checked and (a, C) derived once;
+    rho, rho', rho'' and mu each refuse a t with a + bt <= 0."""
+    a, C = subcritical_parameters(b)
+
+    def branch(t):
+        """t as an array and s = a + bt."""
+        t = np.asarray(t, dtype=float)
+        s = a + b * t
+        if np.any(s <= 0):
+            raise ValueError(f"a + b*t must stay positive (a={a}, b={b})")
+        return t, s
+
+    def rho(t):
+        return C * np.sqrt(branch(t)[1])
+
+    def rho_dot(t):
+        return 0.5 * C * b / np.sqrt(branch(t)[1])
+
+    def rho_ddot(t):
+        return -0.25 * C * b * b * branch(t)[1] ** -1.5
+
+    def mu(t):
+        t, _ = branch(t)
+        # b = 0 is the constant-frequency limit, which also serves subnormal
+        # b, where a/(2b) overflows.
+        if b < np.finfo(float).tiny:
+            return -0.5 * t
+        return -(a / (2.0 * b)) * np.log1p(b * t / a)
+
+    return ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
 
 
 def critical_solution() -> ErmakovSolution:
-    """Closed-form critical solution as an ErmakovSolution value object."""
-    return ErmakovSolution(
-        rho=closed_form_critical,
-        rho_dot=_critical_rho_dot,
-        rho_ddot=_critical_rho_ddot,
-        mu=mu_critical,
-    )
+    """The critical closed form; rho, rho', rho'' and mu each refuse a t
+    with 1 + 2t <= 0."""
+
+    def branch(t):
+        """u = 1 + 2t, L = ln u and rho at t."""
+        t = np.asarray(t, dtype=float)
+        u = 1.0 + 2.0 * t
+        if np.any(u <= 0):
+            raise ValueError("critical closed form requires 1 + 2t > 0")
+        ell = np.log(u)
+        return u, ell, np.sqrt(u) * np.sqrt(1.0 + 0.25 * ell * ell)
+
+    def rho(t):
+        return branch(t)[2]
+
+    def rho_dot(t):
+        # From d(rho^2)/dt = 2 + L + L^2/2.
+        _, ell, rho = branch(t)
+        return (1.0 + 0.5 * ell + 0.25 * ell * ell) / rho
+
+    def rho_ddot(t):
+        u, ell, rho = branch(t)
+        g = 1.0 + 0.5 * ell + 0.25 * ell * ell
+        return (1.0 + ell) / (u * rho) - g * g / rho**3
+
+    def mu(t):
+        return -0.5 * np.arctan(0.5 * branch(t)[1])
+
+    return ErmakovSolution(rho=rho, rho_dot=rho_dot, rho_ddot=rho_ddot, mu=mu)
+
+
+# The benchmark harness imports these two.
+def closed_form_subcritical(b: float, t):
+    """rho(t) of subcritical_solution(b); rho(0) = 1 exactly."""
+    return subcritical_solution(b).rho(t)
+
+
+def closed_form_critical(t):
+    """rho(t) of critical_solution()."""
+    return critical_solution().rho(t)
 
 
 def solve_numeric(
@@ -327,12 +310,15 @@ def solve_numeric(
 
     # The angle of (u1, u2) rises at the rate W/rho^2.  Unwrapped at the
     # sample times and interpolated, it picks the branch at any t, as long
-    # as it turns by less than pi from one sample to the next.  A step can
-    # turn by more: 1.07 pi at constant Omega = 1 with rel_tol = abs_tol =
-    # 1e-2, where the step ends alone put mu off by 18.9.  So a step whose
-    # ends do not read a turn below pi/2 is also sampled at its midpoint;
-    # that holds while a step turns by less than 2 pi and each half by less
-    # than pi.  At the default tolerances a step seldom needs a midpoint.
+    # as it turns by less than pi from one sample to the next.  Where rho is
+    # squeezed a step can turn by nearly that: up to 3.13 rad for
+    # u1 = 8 cos 16t, u2 = sin(16t)/128, where 15 of 128 steps are split,
+    # and 3.14 rad in 21 of 8192 steps where Omega = 1 + sin(t)/2 pumps rho
+    # over [0, 100].  So a step whose ends do not read a turn below pi/2 is
+    # also sampled at its midpoint; that holds while a step turns by less
+    # than 2 pi and each half by less than pi.  Under the 1 rad phase limit
+    # a step at constant Omega = 1 with rel_tol = abs_tol = 1e-2 turns by
+    # at most 0.3125 rad, and no step there is split.
     angle_ends = np.arctan2(u2, u1)
     split = np.flatnonzero(np.diff(angle_ends) % (2.0 * np.pi) >= 0.5 * np.pi)
     nodes, angle_nodes = ts, angle_ends

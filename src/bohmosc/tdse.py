@@ -13,8 +13,8 @@ the whole construction, not a restatement of it.
 
 The closing half-kick of one step and the opening half-kick of the next
 are applied as one kick with the summed coefficients; a sampled slice
-takes its closing half on its own copy, so sampling never changes the
-trajectory.  Omega is evaluated once per block of midpoints, and every
+is written to its row of the returned stack and takes its closing half
+there, so sampling never changes the trajectory.  Omega is evaluated once per block of midpoints, and every
 midpoint of a block passes the phase-wrap guard before any of its steps
 is taken.  The domain is symmetric about x = 0, so x^2 on the left half
 of the grid mirrors the right half: each kick is built on the right half
@@ -120,7 +120,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     DEBUG record on the ``bohmosc`` logger: steps, norm drift, phase-wrap
     and momentum ratios, boundary mass, and the seconds spent evaluating
     Omega, building kicks, and in the step loop (the FFT pair, the
-    multiplies and each sampled copy's closing half-kick).  The FFT pair
+    multiplies and each sampled slice's closing half-kick).  The FFT pair
     transforms psi in place through the pocketfft binding under
     scipy.fft: the forward transform unscaled, the inverse scaled by 1/n.
     """
@@ -169,20 +169,22 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         )
 
     if sample_times is None:
-        time_of_step = {n_steps: t_end}
+        times, at = np.array([float(t_end)]), np.array([n_steps])
     else:
-        time_of_step = {}
-        for ts in np.atleast_1d(np.asarray(sample_times, dtype=float)):
-            j = int(round((ts - t0) / dt))
-            if not (1 <= j <= n_steps) or abs(t0 + j * dt - ts) > 1e-9:
-                raise ValueError(f"sample time {ts} is not on a step boundary")
-            if j <= next(reversed(time_of_step), 0):
-                raise ValueError(
-                    f"sample times must strictly advance in the direction of dt={dt:g}"
-                )
-            time_of_step[j] = ts
-        if not time_of_step:
+        times = np.atleast_1d(np.asarray(sample_times, dtype=float))
+        if not times.size:
             raise ValueError("sample_times is empty")
+        at = np.rint((times - t0) / dt)
+        off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
+                               & (np.abs(t0 + at * dt - times) <= 1e-9)))
+        if off.size:
+            raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
+        if np.any(np.diff(at) <= 0):
+            raise ValueError(f"sample times must strictly advance in the "
+                             f"direction of dt={dt:g}")
+    # The step of each sampled slice, then one that never comes.
+    due = [*at.astype(int).tolist(), 0]
+    stack = np.empty((times.size, grid.n), dtype=complex)
 
     half = grid.n // 2
     x2 = x[half:] * x[half:]
@@ -206,7 +208,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         psi[half:] *= row
         psi[:half] *= row[::-1]
 
-    out_times, out_psi = [], []
+    taken = 0
     worst_wrap = 0.0
     omega_s = build_s = loop_s = 0.0
     pending = 0.0  # the previous step's closing half-kick coefficient
@@ -242,29 +244,26 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
                 c2c(psi, (0,), True, 0, psi, 1)
                 psi *= exp_kinetic
                 c2c(psi, (0,), False, 2, psi, 1)
-                ts = time_of_step.get(step)
-                if ts is not None:
-                    sample = psi.copy()
+                if step == due[taken]:
+                    stack[taken] = psi
                     j = step - first
-                    kick(sample, half_kicks(coeffs[j - 1:j], closing)[0])
-                    out_times.append(ts)
-                    out_psi.append(sample)
+                    kick(stack[taken], half_kicks(coeffs[j - 1:j], closing)[0])
+                    taken += 1
             loop_s += perf_counter() - built
 
     drift = abs(float(np.linalg.norm(psi)) - l2_0) / l2_0
     if drift > _NORM_DRIFT_LIMIT:
         raise RuntimeError(f"propagation lost unitarity: norm drift {drift:.3e}")
 
-    out_psi = np.array(out_psi)
     edge = grid.n // 16
-    tails = np.abs(out_psi[:, np.r_[:edge, grid.n - edge:grid.n]]) ** 2
+    tails = np.abs(stack[:, np.r_[:edge, grid.n - edge:grid.n]]) ** 2
     edge_mass = h * tails.sum(axis=1)
     leaked = np.flatnonzero(edge_mass > _BOUNDARY_MASS_LIMIT)
     if leaked.size:
         j = leaked[0]
         raise RuntimeError(
             f"|psi|^2 mass {edge_mass[j]:.3g} in the outer eighth of the domain "
-            f"exceeds {_BOUNDARY_MASS_LIMIT:g} at t={out_times[j]:.6g}; "
+            f"exceeds {_BOUNDARY_MASS_LIMIT:g} at t={times[j]:.6g}; "
             f"widen the domain"
         )
 
@@ -276,7 +275,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         _MOMENTUM_MARGIN * sigma_k / cutoff, float(edge_mass.max()),
         omega_s, build_s, loop_s,
     )
-    return WavefunctionGrid(grid, np.array(out_times), out_psi)
+    return WavefunctionGrid(grid, times, stack)
 
 
 def fidelity(psi_a: WavefunctionGrid, psi_b: WavefunctionGrid):

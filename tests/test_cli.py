@@ -102,6 +102,18 @@ class TestErmakovCommand:
         assert main(["ermakov", "--b", "3", "--out",
                      str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--b", "1", "--t-max", "-5"],
+         "a + b*t must stay positive (a=0.8660254037844386, b=1.0)"),
+        (["--b", "2", "--t-max", "-1"], "critical closed form requires 1 + 2t > 0"),
+    ], ids=["subcritical", "critical"])
+    def test_time_past_the_branch_domain_exits_2(self, tmp_path, capsys, flags,
+                                                 message):
+        out = tmp_path / "x.csv"
+        assert main(["ermakov", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"bohmosc ermakov: {message}"]
+
     def test_missing_profile_exits_2(self, tmp_path):
         assert main(["ermakov", "--out", str(tmp_path / "x.csv")]) == 2
 

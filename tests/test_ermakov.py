@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,6 @@ from bohmosc import (
     closed_form_subcritical,
     critical_solution,
     ermakov_residual,
-    mu_subcritical,
     numeric_construction,
     solve_numeric,
     subcritical_parameters,
@@ -121,6 +121,46 @@ class TestClosedForms:
             assert drift < 10 * b
 
 
+CALLABLES = ["rho", "rho_dot", "rho_ddot", "mu"]
+
+
+class TestBranchBuilders:
+    @pytest.mark.parametrize("name", CALLABLES)
+    @pytest.mark.parametrize("build, t, message", [
+        (lambda: subcritical_solution(1.0), -5.0,
+         "a + b*t must stay positive (a=0.8660254037844386, b=1.0)"),
+        (critical_solution, -1.0, "critical closed form requires 1 + 2t > 0"),
+    ], ids=["subcritical", "critical"])
+    def test_every_callable_refuses_past_the_domain(self, build, t, message, name):
+        # a NaN or a RuntimeWarning past the domain fails this
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                getattr(build(), name)(np.array([0.0, t]))
+        assert str(refused.value) == message
+
+    def test_subcritical_constants_are_derived_once(self, monkeypatch):
+        t = np.linspace(0.0, 10.0, 101)
+        solution = subcritical_solution(1.0)
+        before = [getattr(solution, name)(t) for name in CALLABLES]
+        monkeypatch.setattr(ermakov, "subcritical_parameters", no_call)
+        monkeypatch.setattr(ermakov, "classify_rational", no_call)
+        for name, expected in zip(CALLABLES, before):
+            assert getattr(solution, name)(t).tobytes() == expected.tobytes()
+
+    def test_closed_forms_are_the_builders_rho(self):
+        t = np.linspace(0.0, 50.0, 1001)
+        for b in [0.0, 0.5, 1.0, 2.0 - 1e-6]:
+            assert (closed_form_subcritical(b, t).tobytes()
+                    == subcritical_solution(b).rho(t).tobytes())
+        t = np.linspace(-0.4, 50.0, 1001)
+        assert closed_form_critical(t).tobytes() == critical_solution().rho(t).tobytes()
+
+
+def no_call(*_args, **_kwargs):
+    raise AssertionError("called after the build")
+
+
 class TestResidual:
     @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
     def test_subcritical_solves_the_equation(self, b):
@@ -191,7 +231,7 @@ class TestNumericSolver:
         t = np.linspace(0.0, 10.0, 1001)
         rho = closed_form_subcritical(b, t)
         assert np.max(np.abs(solution.rho(t) - rho) / rho) < 1e-8
-        assert np.max(np.abs(solution.mu(t) - mu_subcritical(b, t))) < 1e-9
+        assert np.max(np.abs(solution.mu(t) - subcritical_solution(b).mu(t))) < 1e-9
 
     def test_tabulated_rational_profile(self):
         # Omega = 1/(a + b t) sampled every 0.04 on [0, 12], at a slope
@@ -280,9 +320,9 @@ class TestNumericSolver:
 
     @pytest.mark.parametrize("omega", [1.0, 4.0, 16.0])
     def test_phase_branch_at_loose_tolerances(self, omega):
-        # From the equilibrium rho = omega^(-1/2), mu = -omega t/2.  A step
-        # turns (u1, u2) by up to 1.15 pi here; the step ends alone put mu
-        # off by 18.9 at omega = 1
+        # From the equilibrium rho = omega^(-1/2), mu = -omega t/2.  Under
+        # the limit of 1 rad of phase per step a step turns (u1, u2) by at
+        # most 0.3125 rad here, and no step takes a midpoint
         solution = solve_numeric(FrequencyProfile.constant(omega), omega**-0.5, 0.0,
                                  (0.0, 20.0), rel_tol=1e-2, abs_tol=1e-2)
         t = np.linspace(0.0, 20.0, 2001)

@@ -13,11 +13,11 @@ from bohmosc import (
     bohm_potential_gaussian,
     bohm_potential_subcritical,
     classical_potential,
+    critical_solution,
     ermakov_residual,
-    mu_critical,
-    mu_subcritical,
     numeric_construction,
     rational_construction,
+    subcritical_solution,
 )
 
 PI_MQUARTER = np.pi**-0.25
@@ -88,38 +88,41 @@ class TestGaussianAmplitude:
 
 class TestPhase:
     def test_mu_zero_at_start(self):
-        assert mu_subcritical(1.0, 0.0) == 0.0
-        assert mu_critical(0.0) == 0.0
+        assert subcritical_solution(1.0).mu(0.0) == 0.0
+        assert critical_solution().mu(0.0) == 0.0
 
     def test_mu_subcritical_value(self):
         # frozen from adaptive quadrature of -1/(2 rho^2), b=1
-        assert mu_subcritical(1.0, 1.0) == pytest.approx(
+        assert subcritical_solution(1.0).mu(1.0) == pytest.approx(
             -0.33240295950162324, abs=1e-13)
 
     def test_mu_critical_value(self):
         # frozen from adaptive quadrature of -1/(2 rho^2), critical branch
-        assert mu_critical(1.0) == pytest.approx(-0.25115517208457794, abs=1e-13)
+        assert critical_solution().mu(1.0) == pytest.approx(
+            -0.25115517208457794, abs=1e-13)
 
     @pytest.mark.parametrize("b", [0.5, 1.0, 1.5])
     def test_mu_subcritical_slope_is_minus_half_inverse_rho_squared(self, b):
         construction = rational_construction(b)
         t = np.linspace(0.1, 9.0, 23)
         h = 1e-5
-        fd = (mu_subcritical(b, t + h) - mu_subcritical(b, t - h)) / (2 * h)
+        mu = subcritical_solution(b).mu
+        fd = (mu(t + h) - mu(t - h)) / (2 * h)
         expected = -0.5 / construction.solution.rho(t) ** 2
         assert np.max(np.abs(fd - expected)) < 1e-9
 
     def test_mu_critical_slope_is_minus_half_inverse_rho_squared(self, crit):
         t = np.linspace(0.1, 9.0, 23)
         h = 1e-5
-        fd = (mu_critical(t + h) - mu_critical(t - h)) / (2 * h)
+        mu = critical_solution().mu
+        fd = (mu(t + h) - mu(t - h)) / (2 * h)
         expected = -0.5 / crit.solution.rho(t) ** 2
         assert np.max(np.abs(fd - expected)) < 1e-9
 
     def test_mu_critical_limit(self):
         # monotone approach to -pi/4 at the arctan rate 1/ln(1+2t)
         t = np.logspace(0, 12, 49)
-        values = mu_critical(t)
+        values = critical_solution().mu(t)
         assert np.all(np.diff(values) < 0)
         assert np.all(values > -np.pi / 4)
         gap = values + np.pi / 4

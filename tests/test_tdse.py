@@ -231,6 +231,7 @@ class TestGuards:
         ([0.5, 0.25], "strictly advance"),
         ([0.25, 0.25], "strictly advance"),
         ([], "empty"),
+        ([0.25, np.nan], "sample time nan is not on a step boundary"),
     ])
     def test_sample_times_must_advance(self, static, sample_times, match):
         grid = SpatialGrid()
