@@ -26,18 +26,25 @@ periodic boundary cannot pass silently.
 
 The discrete Fourier transform uses the standard wavenumber layout
 k in [-pi/h, pi/h); no transform convention leaks into the API.  Each
-transform is one call of the pocketfft binding under scipy.fft
+transform is one call of scipy's pocketfft binding
 (scipy.fft._pocketfft.pypocketfft.c2c) with the normalisation codes that
 scipy.fft.fft and ifft pass, so the bits are theirs; scipy.fft's own
 per-call argument handling costs as much as an n = 512 transform.  The
-binding is imported on the first propagation, not with this module, so
-the subcommands that never propagate do not load scipy.fft.
+binding is loaded from its extension file on the first propagation,
+under its full dotted name but without importing scipy.fft, which would
+also load scipy.special and the array-API layer (85 scipy modules and
+about 21 MB with scipy 1.17); so no subcommand, tdse-check included,
+loads a scipy module.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -75,6 +82,30 @@ _COEFF_BLOCK = 4096
 # Points of the (rows, n/2) buffer that holds the kicks of one sub-block of
 # steps; bounds its memory whatever the grid size.
 _KICK_POINTS = 2**15
+
+# The dotted name the file-loaded binding keeps, the one scipy.fft imports.
+_BINDING = "scipy.fft._pocketfft.pypocketfft"
+
+
+@functools.cache
+def _pocketfft_c2c():
+    """scipy's pocketfft c2c, loaded from the binding's extension file.
+
+    find_spec locates scipy without importing it; the extension keeps its
+    dotted name, so a later import of scipy.fft shares the same module.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = Path(scipy.submodule_search_locations[0], "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"pypocketfft{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(_BINDING, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.c2c
+    raise ImportError(f"no pocketfft binding (pypocketfft) in {folder}")
 
 
 @dataclass(frozen=True)
@@ -121,11 +152,11 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     and momentum ratios, boundary mass, and the seconds spent evaluating
     Omega, building kicks, and in the step loop (the FFT pair, the
     multiplies and each sampled slice's closing half-kick).  The FFT pair
-    transforms psi in place through the pocketfft binding under
-    scipy.fft: the forward transform unscaled, the inverse scaled by 1/n.
+    transforms psi in place through scipy's pocketfft binding, loaded
+    from its extension file without importing scipy.fft: the forward
+    transform unscaled, the inverse scaled by 1/n.
     """
-    from scipy.fft._pocketfft.pypocketfft import c2c
-
+    c2c = _pocketfft_c2c()
     if psi0.times.size != 1:
         raise ValueError("psi0 must be a single-time slice")
     if psi0.grid != config.grid:
@@ -174,9 +205,13 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         times = np.atleast_1d(np.asarray(sample_times, dtype=float))
         if not times.size:
             raise ValueError("sample_times is empty")
-        at = np.rint((times - t0) / dt)
-        off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
-                               & (np.abs(t0 + at * dt - times) <= 1e-9)))
+        # A non-finite time is refused before the arithmetic, where inf - inf
+        # would be an invalid operation.
+        off = np.flatnonzero(~np.isfinite(times))
+        if not off.size:
+            at = np.rint((times - t0) / dt)
+            off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
+                                   & (np.abs(t0 + at * dt - times) <= 1e-9)))
         if off.size:
             raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
         if np.any(np.diff(at) <= 0):

@@ -22,7 +22,7 @@ sampled at uniformly spaced times; a leading axis stacks families (one
 per probe time), each masked by its own amplitude peak, and a residual is
 the worst over them.  A residual report is the worst over its probe
 times, sampled in blocks of bounded size; it reads the tail mask from
-the A it samples, and shares it between the Schrodinger and QHJE checks.
+the A it samples, and shares it between all three checks.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
     samples broadcastable to psi.  Returns (l2, max), each the worst over
     the interior time rows of every family.  mask, if supplied, is the
     tail mask of |psi| (build_residual_report passes that of A, which it
-    shares with the QHJE check); by default it is computed from |psi|.
+    shares with the continuity and QHJE checks); by default it is
+    computed from |psi|.
     The residual is linear in psi; no normalization is applied.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -166,11 +167,15 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
     return float(np.sqrt(h * np.max(np.sum(magnitude, axis=-1), initial=0.0))), worst
 
 
-def continuity_residual(a, s, x, dt: float, space_order: int = 2) -> float:
+def continuity_residual(a, s, x, dt: float, space_order: int = 2,
+                        mask=None) -> float:
     """Max norm of (2 A_x S_x + A (S_x)_x)/2 + A_t, by central differences.
 
     a, s: (..., n_t, n_x) families at uniform dt; the max is the worst
     over every family, each masked by the tail of its own amplitude.
+    mask, if supplied, is that tail mask (build_residual_report passes
+    the one it shares with the other checks); by default it is computed
+    from |A|.
     """
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -188,7 +193,9 @@ def continuity_residual(a, s, x, dt: float, space_order: int = 2) -> float:
     s_xx = _dx2(s[..., 1:-1, :], h, space_order)
 
     residual = (2.0 * a_x * s_x + a[..., 1:-1, ix] * s_xx) / 2.0 + a_t
-    keep = _tail_mask(np.abs(a))[..., 1:-1, ix]
+    if mask is None:
+        mask = _tail_mask(np.abs(a))
+    keep = _as_family(mask, a.shape, "mask")[..., 1:-1, ix]
     return float(np.max(np.abs(residual), where=keep, initial=0.0))
 
 
@@ -252,7 +259,8 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
         tail_mask = _tail_mask(a)
         se_l2, se_max = schrodinger_residual(psi, v, x, dt, space_order=space_order,
                                              mask=tail_mask)
-        cont_max = continuity_residual(a, s, x, dt, space_order=space_order)
+        cont_max = continuity_residual(a, s, x, dt, space_order=space_order,
+                                       mask=tail_mask)
         qhje_max = qhje_residual(s, v_b, v, x, dt, mask=tail_mask)
         norms = WavefunctionGrid(grid, block.ravel(), psi[:, 1]).norms()
         norm_error = np.max(np.abs(norms - 1.0))

@@ -38,13 +38,13 @@ def ground_state(grid):
 class TestTransform:
     @pytest.mark.parametrize("n", [2**p for p in range(1, 15)])
     def test_binding_gives_scipy_fft_bits(self, n):
-        # propagate transforms in place through the binding under scipy.fft
-        # (and psi0's momentum spectrum into a new array), on every
-        # power-of-two grid up to 2^14: the CLI's default 512 and the
-        # benchmark's 4096 among them
+        # propagate transforms in place through the pocketfft binding loaded
+        # from its extension file (and psi0's momentum spectrum into a new
+        # array), on every power-of-two grid up to 2^14: the CLI's default
+        # 512 and the benchmark's 4096 among them
         import scipy.fft
-        from scipy.fft._pocketfft.pypocketfft import c2c
 
+        c2c = tdse._pocketfft_c2c()
         rng = np.random.default_rng(n)
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for forward, inorm, reference in [(True, 0, scipy.fft.fft),
@@ -55,6 +55,12 @@ class TestTransform:
             work = psi.copy()
             c2c(work, (0,), forward, inorm, work, 1)
             np.testing.assert_array_equal(work, expected)
+
+    def test_missing_binding_names_its_folder(self, monkeypatch):
+        monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"^no pocketfft binding \(pypocketfft\) "
+                                              r"in .*fft[/\\]_pocketfft$"):
+            tdse._pocketfft_c2c.__wrapped__()
 
 
 class TestPropagatorConfig:
@@ -232,11 +238,15 @@ class TestGuards:
         ([0.25, 0.25], "strictly advance"),
         ([], "empty"),
         ([0.25, np.nan], "sample time nan is not on a step boundary"),
+        ([0.25, np.inf], "sample time inf is not on a step boundary"),
+        ([-np.inf, 0.25], "sample time -inf is not on a step boundary"),
     ])
     def test_sample_times_must_advance(self, static, sample_times, match):
+        # under the error state cli.main runs in, inf - inf would raise
+        # FloatingPointError instead of the one-line refusal
         grid = SpatialGrid()
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
-        with pytest.raises(ValueError, match=match) as raised:
+        with pytest.raises(ValueError, match=match) as raised, np.errstate(all="raise"):
             propagate(ground_state(grid), config, 0.5, sample_times=sample_times)
         assert len(str(raised.value).splitlines()) == 1
 
@@ -286,7 +296,7 @@ class TestGuards:
                 patch.setattr(tdse, "_MAX_STEP_POINTS", 1000 * max(n, 512))
                 assert propagate(ground_state(grid), config, 1.0).times[0] == 1.0
                 patch.setattr(tdse, "_MAX_STEP_POINTS", 999 * 512)
-                patch.setattr("scipy.fft._pocketfft.pypocketfft.c2c", no_transform)
+                patch.setattr(tdse, "_pocketfft_c2c", lambda: no_transform)
                 with pytest.raises(ValueError,
                                    match=f"^1000 steps .* the cap of {cap} at n = {n}$"):
                     propagate(ground_state(grid), config, 1.0)

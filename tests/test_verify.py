@@ -334,6 +334,22 @@ class TestMaskedReductions:
         assert continuity_residual(a, s, x, dt) == self.per_row(
             a_t, a[middle] > 0.0, h)[1]
 
+    @pytest.mark.parametrize("space_order", [2, 4])
+    def test_continuity_mask_of_a_is_its_default(self, space_order):
+        # build_residual_report passes the tail mask of A, never negative, to
+        # the continuity check; on a report-like (p, 3, n) stack that must
+        # give the residual of the mask the check computes from |A|.
+        construction = rational_construction(1.0)
+        x, dt = np.linspace(-24.0, 24.0, 1025), 1e-3
+        probes = np.array([0.0, 0.7, 3.0])[:, None, None]
+        column = np.concatenate([probes - dt, probes, probes + dt], axis=1)
+        a = amplitude_gaussian(x, column, construction)
+        s = construction.S(x, column)
+        mask = verify._tail_mask(a)
+        assert a.shape == (3, 3, x.size) and not mask.all()
+        assert continuity_residual(a, s, x, dt, space_order, mask=mask) == (
+            continuity_residual(a, s, x, dt, space_order))
+
 
 class TestProbeReport:
     """A report on an array of probes equals the field-wise max of the
