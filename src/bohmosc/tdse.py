@@ -11,30 +11,42 @@ second order in dt and exactly unitary in the discrete norm, so agreement
 with the analytically constructed wavefunction is an independent check of
 the whole construction, not a restatement of it.
 
+Every constructed psi is even in x (its phase is quadratic in x and its
+amplitude a Gaussian in x/rho), V is even, and the step keeps that parity,
+so the right half of the grid holds the whole state.  propagate takes
+even states only, refuses any other with one line before any transform,
+and steps the right half alone.  The grid is symmetric about x = 0 with
+no point on it, so the periodic DFT of a mirror-even sequence is, up to a
+phase per k, the DCT-II of its right half, its Nyquist bin is zero, and
+the kinetic multiplier is even in k: the kinetic step is a DCT-II, a
+multiply by e^(-i kappa^2 dt/2) with kappa_k = pi k/((n/2) h) for
+k < n/2, and a DCT-III scaled by 1/n, exact in exact arithmetic.
+
 The closing half-kick of one step and the opening half-kick of the next
 are applied as one kick with the summed coefficients; a sampled slice
 is written to its row of the returned stack and takes its closing half
-there, so sampling never changes the trajectory.  Omega is evaluated once per block of midpoints, and every
-midpoint of a block passes the phase-wrap guard before any of its steps
-is taken.  The domain is symmetric about x = 0, so x^2 on the left half
-of the grid mirrors the right half: each kick is built on the right half
-only, for a sub-block of steps at once (one outer product, one cos and
-one sin), and the left half takes the reversed row.  Each returned slice
-must keep its mass in the outer eighth of the domain (its outer
+there, so sampling never changes the trajectory.  Omega is evaluated once
+per block of midpoints, and every midpoint of a block passes the
+phase-wrap guard before any of its steps is taken.  The kicks are built
+on the right half for a sub-block of steps at once (one outer product,
+one cos and one sin), and each is one multiply.  A returned slice is
+written to the full grid as its mirror image beside it, so the stack,
+fidelity and the boundary guard see the whole domain.  Each returned
+slice must keep its mass in the outer eighth of the domain (its outer
 sixteenth at each end) below a fixed limit, so that wrap-around at the
 periodic boundary cannot pass silently.
 
-The discrete Fourier transform uses the standard wavenumber layout
-k in [-pi/h, pi/h); no transform convention leaks into the API.  Each
-transform is one call of scipy's pocketfft binding
-(scipy.fft._pocketfft.pypocketfft.c2c) with the normalisation codes that
-scipy.fft.fft and ifft pass, so the bits are theirs; scipy.fft's own
-per-call argument handling costs as much as an n = 512 transform.  The
-binding is loaded from its extension file on the first propagation,
-under its full dotted name but without importing scipy.fft, which would
-also load scipy.special and the array-API layer (85 scipy modules and
-about 21 MB with scipy 1.17); so no subcommand, tdse-check included,
-loads a scipy module.
+No transform convention leaks into the API.  Each transform is one call
+of scipy's pocketfft binding (scipy.fft._pocketfft.pypocketfft.dct), in
+place on the half seen as an (n/2, 2) float array, so that the real and
+imaginary parts are transformed together, with the type and
+normalisation codes that scipy.fft.dct and idct pass, so the bits are
+theirs; scipy.fft's own per-call argument handling costs as much as an
+n = 512 transform.  The binding is loaded from its extension file on the
+first propagation, under its full dotted name but without importing
+scipy.fft, which would also load scipy.special and the array-API layer
+(85 scipy modules and about 21 MB with scipy 1.17); so no subcommand,
+tdse-check included, loads a scipy module.
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ _MOMENTUM_MARGIN = 6.0
 _NORM_DRIFT_LIMIT = 1e-10
 
 # The one bound on a run's work: steps times max(n, 512) grid points, so
-# 2**22 steps at n <= 512 and 2**19 at n = 4096, each about a minute on a
+# 2**22 steps at n <= 512 and 2**19 at n = 4096, each about 45 s on a
 # 2-core Xeon, in memory fixed by n.
 _MAX_STEP_POINTS = 2**31
 
@@ -88,8 +100,8 @@ _BINDING = "scipy.fft._pocketfft.pypocketfft"
 
 
 @functools.cache
-def _pocketfft_c2c():
-    """scipy's pocketfft c2c, loaded from the binding's extension file.
+def _pocketfft_dct():
+    """scipy's pocketfft dct, loaded from the binding's extension file.
 
     find_spec locates scipy without importing it; the extension keeps its
     dotted name, so a later import of scipy.fft shares the same module.
@@ -104,7 +116,7 @@ def _pocketfft_c2c():
             spec = importlib.util.spec_from_file_location(_BINDING, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            return module.c2c
+            return module.dct
     raise ImportError(f"no pocketfft binding (pypocketfft) in {folder}")
 
 
@@ -113,8 +125,9 @@ class PropagatorConfig:
     """Grid, step size, and potential for a split-step run.
 
     The grid size must be a power of two and the domain symmetric about
-    x = 0, as the half-grid kick requires; dt may be negative for backward
-    propagation.
+    x = 0, as the half-grid step requires: the state is propagated on the
+    right half of the grid, so propagate takes only states even in x.
+    dt may be negative for backward propagation.
     """
 
     grid: SpatialGrid
@@ -135,28 +148,31 @@ class PropagatorConfig:
 
 def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
               t_end: float, sample_times=None) -> WavefunctionGrid:
-    """Propagate a single-time slice to t_end, optionally sampling on the way.
+    """Propagate an even single-time slice to t_end, optionally sampling on the way.
 
-    The number of steps is (t_end - start)/dt rounded to the nearest
-    integer, which must reproduce the span to within 1e-9 and be at most
-    2**31 / max(n, 512) (checked before any transform); sample times
-    must fall on step boundaries and strictly advance in the direction of
-    dt.  Returns a WavefunctionGrid holding the requested sample times, or
-    the single final slice if none are given.  Raises if a returned slice
-    has more than 1e-8 of its mass in the outer eighth of the domain (its
-    outer sixteenth at each end).
+    psi0 must be even in x: a slice whose mirror image differs from it
+    by more than 1e-12 of its peak is refused with one line before any
+    transform.  The number of steps is (t_end - start)/dt rounded to the
+    nearest integer, which must reproduce the span to within 1e-9 and be
+    at most 2**31 / max(n, 512) (checked before any transform); sample
+    times must fall on step boundaries and strictly advance in the
+    direction of dt.  Returns a WavefunctionGrid holding the requested
+    sample times, or the single final slice if none are given, each an
+    exact mirror image about x = 0.  Raises if a returned slice has more
+    than 1e-8 of its mass in the outer eighth of the domain (its outer
+    sixteenth at each end).
 
-    The potential kicks are built once per sub-block of steps on the right
-    half of the grid, and the left half takes each row reversed.  Logs one
-    DEBUG record on the ``bohmosc`` logger: steps, norm drift, phase-wrap
-    and momentum ratios, boundary mass, and the seconds spent evaluating
-    Omega, building kicks, and in the step loop (the FFT pair, the
-    multiplies and each sampled slice's closing half-kick).  The FFT pair
-    transforms psi in place through scipy's pocketfft binding, loaded
-    from its extension file without importing scipy.fft: the forward
-    transform unscaled, the inverse scaled by 1/n.
+    Only the right half of the grid is propagated.  The potential kicks
+    are built once per sub-block of steps on it, and each is one
+    multiply.  Logs one DEBUG record on the ``bohmosc`` logger: steps,
+    norm drift, phase-wrap and momentum ratios, boundary mass, and the
+    seconds spent evaluating Omega, building kicks, and in the step loop
+    (the transform pair, the multiplies and each sampled slice's closing
+    half-kick and mirror).  The transform pair is a DCT-II, unscaled, and
+    a DCT-III, scaled by 1/n, in place through scipy's pocketfft binding,
+    loaded from its extension file without importing scipy.fft.
     """
-    c2c = _pocketfft_c2c()
+    dct = _pocketfft_dct()
     if psi0.times.size != 1:
         raise ValueError("psi0 must be a single-time slice")
     if psi0.grid != config.grid:
@@ -183,15 +199,28 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         )
     dt = span / n_steps
 
-    psi = psi0.psi[0].astype(complex)
     norm0 = psi0.norms()[0]
     if not abs(norm0 - 1.0) <= 1e-8:  # NaN fails too
         raise ValueError(f"psi0 is not normalized: int |psi|^2 dx = {float(norm0)}")
+    half = grid.n // 2
+    full = psi0.psi[0]
+    odd = float(np.max(np.abs(full[:half][::-1] - full[half:])))
+    peak = float(np.max(np.abs(full)))
+    if odd > 1e-12 * peak:
+        raise ValueError(f"psi0 is not even in x: max|psi0(-x) - psi0(x)| = "
+                         f"{odd:.3g} against a peak of {peak:.3g}")
+    psi = full[half:].astype(complex)
+    # The (n/2, 2) float view of the half that each transform takes in place:
+    # dct(input, type, axes, inorm, out, threads).
+    work = psi.view(float).reshape(half, 2)
 
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=h)
-    # c2c(input, axes, forward, inorm, out, threads)
-    spectrum = np.abs(c2c(psi, (0,), True, 0, None, 1)) ** 2
-    sigma_k = float(np.sqrt((k * k * spectrum).sum() / spectrum.sum()))
+    # Bins 0 .. n/2 - 1 of the full grid's wavenumbers.  The full DFT has
+    # the DCT-II's modulus at k and at n - k, and zero at the Nyquist bin,
+    # so bin 0 counts once and every other bin twice.
+    kappa = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=h)[:half]
+    spectrum = np.square(dct(work, 2, (0,), 0, None, 1)).sum(axis=1)
+    spectrum[1:] *= 2.0
+    sigma_k = float(np.sqrt((kappa * kappa * spectrum).sum() / spectrum.sum()))
     cutoff = np.pi / h
     if cutoff < _MOMENTUM_MARGIN * sigma_k:
         raise ValueError(
@@ -209,7 +238,10 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         # would be an invalid operation.
         off = np.flatnonzero(~np.isfinite(times))
         if not off.size:
-            at = np.rint((times - t0) / dt)
+            # A time twice the span away is past every step, and clipping it
+            # there keeps the division from overflowing on a huge time.
+            reach = 2.0 * abs(span)
+            at = np.rint(np.clip(times - t0, -reach, reach) / dt)
             off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
                                    & (np.abs(t0 + at * dt - times) <= 1e-9)))
         if off.size:
@@ -221,10 +253,9 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     due = [*at.astype(int).tolist(), 0]
     stack = np.empty((times.size, grid.n), dtype=complex)
 
-    half = grid.n // 2
     x2 = x[half:] * x[half:]
     x2_max = grid.x_max**2
-    exp_kinetic = np.exp(-0.5j * k * k * dt)
+    exp_kinetic = np.exp(-0.5j * kappa * kappa * dt)
     l2_0 = float(np.linalg.norm(psi))
     rows = max(1, _KICK_POINTS // half)
     kicks = np.empty((rows, half), dtype=complex)
@@ -238,10 +269,6 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         np.cos(out.imag, out=out.real)
         np.sin(out.imag, out=out.imag)
         return out
-
-    def kick(psi, row):
-        psi[half:] *= row
-        psi[:half] *= row[::-1]
 
     taken = 0
     worst_wrap = 0.0
@@ -275,14 +302,16 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             built = perf_counter()
             build_s += built - started
             for step, row in enumerate(sub_kicks, first + sub + 1):
-                kick(psi, row)
-                c2c(psi, (0,), True, 0, psi, 1)
+                psi *= row
+                dct(work, 2, (0,), 0, work, 1)
                 psi *= exp_kinetic
-                c2c(psi, (0,), False, 2, psi, 1)
+                dct(work, 3, (0,), 2, work, 1)
                 if step == due[taken]:
-                    stack[taken] = psi
                     j = step - first
-                    kick(stack[taken], half_kicks(coeffs[j - 1:j], closing)[0])
+                    sample = stack[taken, half:]
+                    np.multiply(psi, half_kicks(coeffs[j - 1:j], closing)[0],
+                                out=sample)
+                    stack[taken, :half] = sample[::-1]
                     taken += 1
             loop_s += perf_counter() - built
 

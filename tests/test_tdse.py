@@ -35,32 +35,40 @@ def ground_state(grid):
     return WavefunctionGrid(grid, np.array([0.0]), psi[None, :])
 
 
+def single_slice(grid, psi):
+    """psi, normalized on the grid, as a single slice at t = 0."""
+    psi = psi / np.sqrt(np.trapezoid(np.abs(psi) ** 2, grid.x)) + 0j
+    return WavefunctionGrid(grid, np.array([0.0]), psi[None, :])
+
+
 class TestTransform:
     @pytest.mark.parametrize("n", [2**p for p in range(1, 15)])
     def test_binding_gives_scipy_fft_bits(self, n):
-        # propagate transforms in place through the pocketfft binding loaded
-        # from its extension file (and psi0's momentum spectrum into a new
-        # array), on every power-of-two grid up to 2^14: the CLI's default
-        # 512 and the benchmark's 4096 among them
+        # propagate transforms the right half of every power-of-two grid up
+        # to 2^14 (the CLI's default 512 and the benchmark's 4096 among
+        # them) through the pocketfft binding loaded from its extension
+        # file: in place on the (n/2, 2) float view of the complex half, and
+        # psi0's spectrum into a new array, by positional arguments
         import scipy.fft
 
-        c2c = tdse._pocketfft_c2c()
+        dct = tdse._pocketfft_dct()
+        m = n // 2
         rng = np.random.default_rng(n)
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for forward, inorm, reference in [(True, 0, scipy.fft.fft),
-                                          (False, 2, scipy.fft.ifft)]:
-            expected = reference(psi)
-            np.testing.assert_array_equal(c2c(psi, (0,), forward, inorm, None, 1),
-                                          expected)
-            work = psi.copy()
-            c2c(work, (0,), forward, inorm, work, 1)
+        half = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for kind, inorm, reference in [(2, 0, scipy.fft.dct), (3, 2, scipy.fft.idct)]:
+            expected = reference(half, type=2)
+            new = dct(half.view(float).reshape(m, 2), kind, (0,), inorm, None, 1)
+            np.testing.assert_array_equal(new.view(complex).ravel(), expected)
+            work = half.copy()
+            view = work.view(float).reshape(m, 2)
+            dct(view, kind, (0,), inorm, view, 1)
             np.testing.assert_array_equal(work, expected)
 
     def test_missing_binding_names_its_folder(self, monkeypatch):
         monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
         with pytest.raises(ImportError, match=r"^no pocketfft binding \(pypocketfft\) "
                                               r"in .*fft[/\\]_pocketfft$"):
-            tdse._pocketfft_c2c.__wrapped__()
+            tdse._pocketfft_dct.__wrapped__()
 
 
 class TestPropagatorConfig:
@@ -195,10 +203,9 @@ class TestGuards:
             propagate(sub1.psi(grid, 0.0), config, 1.0)
 
     def test_momentum_cutoff_guard(self, static):
+        # an even packet of momenta +-20: pi/h = 100 is below 6 x 20
         grid = SpatialGrid()
-        boosted = (np.pi**-0.25 * np.exp(-0.5 * grid.x**2)
-                   * np.exp(20j * grid.x))
-        psi0 = WavefunctionGrid(grid, np.array([0.0]), boosted[None, :])
+        psi0 = single_slice(grid, np.exp(-0.5 * grid.x**2) * np.cos(20.0 * grid.x))
         config = PropagatorConfig(grid=grid, dt=1e-4, profile=static.profile)
         with pytest.raises(ValueError, match="cutoff"):
             propagate(psi0, config, 0.1)
@@ -240,10 +247,12 @@ class TestGuards:
         ([0.25, np.nan], "sample time nan is not on a step boundary"),
         ([0.25, np.inf], "sample time inf is not on a step boundary"),
         ([-np.inf, 0.25], "sample time -inf is not on a step boundary"),
+        ([1e306], r"sample time 1e\+306 is not on a step boundary"),
     ])
     def test_sample_times_must_advance(self, static, sample_times, match):
-        # under the error state cli.main runs in, inf - inf would raise
-        # FloatingPointError instead of the one-line refusal
+        # under the error state cli.main runs in, inf - inf, or a huge time
+        # divided by dt, would raise FloatingPointError instead of the
+        # one-line refusal
         grid = SpatialGrid()
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
         with pytest.raises(ValueError, match=match) as raised, np.errstate(all="raise"):
@@ -259,10 +268,10 @@ class TestGuards:
         assert out.psi.shape == (3, 512)
 
     def test_boundary_mass_guard(self):
-        # a free packet moving at speed 3 reaches x = 7.5 of [-8, 8] at t = 2.5
+        # two free packets moving at speeds -3 and 3 reach x = -7.5 and 7.5
+        # of [-8, 8] at t = 2.5
         grid = SpatialGrid()
-        psi = ground_state(grid).psi * np.exp(3j * grid.x)
-        psi0 = WavefunctionGrid(grid, np.array([0.0]), psi)
+        psi0 = single_slice(grid, np.exp(-0.5 * grid.x**2) * np.cos(3.0 * grid.x))
         config = PropagatorConfig(grid=grid, dt=1e-3,
                                   profile=FrequencyProfile.constant(0.0))
         with pytest.raises(RuntimeError, match="outer eighth") as raised:
@@ -296,10 +305,26 @@ class TestGuards:
                 patch.setattr(tdse, "_MAX_STEP_POINTS", 1000 * max(n, 512))
                 assert propagate(ground_state(grid), config, 1.0).times[0] == 1.0
                 patch.setattr(tdse, "_MAX_STEP_POINTS", 999 * 512)
-                patch.setattr(tdse, "_pocketfft_c2c", lambda: no_transform)
+                patch.setattr(tdse, "_pocketfft_dct", lambda: no_transform)
                 with pytest.raises(ValueError,
                                    match=f"^1000 steps .* the cap of {cap} at n = {n}$"):
                     propagate(ground_state(grid), config, 1.0)
+
+    def test_state_that_is_not_even_is_refused_before_any_transform(
+            self, static, monkeypatch):
+        # the half-grid step holds only even states: a boosted packet and a
+        # displaced one are each refused with one line
+        def no_transform(*_args):
+            raise AssertionError("a transform ran on a state that is not even")
+
+        grid = SpatialGrid()
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+        monkeypatch.setattr(tdse, "_pocketfft_dct", lambda: no_transform)
+        for psi in (np.exp(-0.5 * grid.x**2) * np.exp(20j * grid.x),
+                    np.exp(-0.5 * (grid.x - 1.0) ** 2)):
+            with pytest.raises(ValueError, match="^psi0 is not even in x: ") as raised:
+                propagate(single_slice(grid, psi), config, 0.1)
+            assert len(str(raised.value).splitlines()) == 1
 
     def test_table_ending_early_raises_before_any_step(self):
         table = FrequencyProfile.from_table([0.0, 0.5], [1.0, 1.0])
@@ -315,6 +340,34 @@ class TestGuards:
         with pytest.raises(ValueError, match=r"not finite at t=0\.5005"):
             propagate(ground_state(grid), config, 1.0)
         assert calls == [1000]
+
+
+class TestHalfGrid:
+    def test_every_slice_is_an_exact_mirror(self, sub1):
+        grid = SpatialGrid(-16.0, 16.0, 512)
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=sub1.profile)
+        out = propagate(sub1.psi(grid, 0.0), config, 1.0,
+                        sample_times=[0.001, 0.5, 1.0])
+        assert np.array_equal(out.psi, out.psi[:, ::-1])
+
+    def test_momentum_width_of_the_full_spectrum(self, sub1, caplog):
+        # the guard reads the DCT-II spectrum of the right half; the full
+        # grid's DFT gives the same width
+        grid = SpatialGrid(-16.0, 16.0, 512)
+        x = grid.x
+        caplog.set_level(logging.DEBUG, logger="bohmosc")
+        for psi0 in (ground_state(grid), sub1.psi(grid, 0.0),
+                     rational_construction(2.0).psi(grid, 0.0),
+                     single_slice(grid, np.exp(-0.5 * x**2) * np.cos(5.0 * x))):
+            caplog.clear()
+            config = PropagatorConfig(grid=grid, dt=1e-3, profile=sub1.profile)
+            propagate(psi0, config, 1e-3)
+            momentum = caplog.records[0].args[3]
+            k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+            spectrum = np.abs(np.fft.fft(psi0.psi[0])) ** 2
+            sigma_k = np.sqrt((k * k * spectrum).sum() / spectrum.sum())
+            expected = tdse._MOMENTUM_MARGIN * sigma_k / (np.pi / grid.h)
+            assert momentum == pytest.approx(expected, rel=1e-12)
 
 
 def strang_reference(psi0, config, t_end, sample_steps):
