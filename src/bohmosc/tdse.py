@@ -28,10 +28,14 @@ is written to its row of the returned stack and takes its closing half
 there, so sampling never changes the trajectory.  Omega is evaluated once
 per block of midpoints, and every midpoint of a block passes the
 phase-wrap guard before any of its steps is taken.  The kicks are built
-on the right half for a sub-block of steps at once (one outer product,
-one cos and one sin), and each is one multiply.  A returned slice is
-written to the full grid as its mirror image beside it, so the stack,
-fidelity and the boundary guard see the whole domain.  Each returned
+on the right half for a sub-block of steps at once, from one outer
+product and one tan of the half phases (exp(i phi) = (1 - t^2 + 2it) /
+(1 + t^2) with t = tan(phi/2); the guard keeps |phi| < 1/2), and each is
+one multiply.  The norm drift is read at the end of every block, so a
+run that loses unitarity is refused as soon as a block ends past the
+limit.  A returned slice is written to the full grid as its mirror
+image beside it, so the stack, fidelity and the boundary guard see the
+whole domain.  Each returned
 slice must keep its mass in the outer eighth of the domain (its outer
 sixteenth at each end) below a fixed limit, so that wrap-around at the
 periodic boundary cannot pass silently.
@@ -78,8 +82,10 @@ _MOMENTUM_MARGIN = 6.0
 _NORM_DRIFT_LIMIT = 1e-10
 
 # The one bound on a run's work: steps times max(n, 512) grid points, so
-# 2**22 steps at n <= 512 and 2**19 at n = 4096, each about 45 s on a
-# 2-core Xeon, in memory fixed by n.
+# 2**22 steps at n <= 512 and 2**19 at n = 4096, each 30-35 s on a 2-core
+# Xeon, in memory fixed by n.  The norm-drift guard can end a run sooner:
+# it refuses the static ground state on [-8, 8] at n = 512, dt = 1e-4,
+# after about 1.5 million steps (13 s).
 _MAX_STEP_POINTS = 2**31
 
 # Largest |psi|^2 h mass allowed at a returned slice in the outer eighth
@@ -92,8 +98,9 @@ _BOUNDARY_MASS_LIMIT = 1e-8
 _COEFF_BLOCK = 4096
 
 # Points of the (rows, n/2) buffer that holds the kicks of one sub-block of
-# steps; bounds its memory whatever the grid size.
-_KICK_POINTS = 2**15
+# steps, and of each of the two float arrays that build them: 512 KB in
+# all up to n = 2**15, and one row of n/2 points each past it.
+_KICK_POINTS = 2**14
 
 # The dotted name the file-loaded binding keeps, the one scipy.fft imports.
 _BINDING = "scipy.fft._pocketfft.pypocketfft"
@@ -118,6 +125,34 @@ def _pocketfft_dct():
             spec.loader.exec_module(module)
             return module.dct
     raise ImportError(f"no pocketfft binding (pypocketfft) in {folder}")
+
+
+def _kick_rows(scale, x2, out, scratch):
+    """Row j of out = exp(i phi), phi = scale[j] x2, without a cos or a sin.
+
+    With t = tan(phi/2), sin(phi) = 2t/(1 + t^2) and 1 - cos(phi) =
+    t sin(phi), so each row takes one tan (numpy's SIMD loop, about a
+    third of the cost of a sin or a cos) and a few multiplies, and the
+    real part carries no cancellation.  For |phi| <= 1/2, as the
+    phase-wrap guard keeps it, the real part is within 1 ulp of cos(phi),
+    the imaginary part within 3 ulp of sin(phi) and |kick|^2 within 2e-16
+    of 1, and phi = 0 gives exactly 1 + 0j.  Uses the first scale.size
+    rows of out and of the two float arrays of scratch; returns those
+    rows of out.
+    """
+    rows = scale.size
+    out = out[:rows]
+    t, s = scratch[0, :rows], scratch[1, :rows]
+    np.multiply.outer(0.5 * scale, x2, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=s)
+    s += 1.0
+    np.divide(2.0, s, out=s)
+    s *= t
+    out.imag = s
+    t *= s
+    np.subtract(1.0, t, out=out.real)
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,17 +195,22 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     sample times, or the single final slice if none are given, each an
     exact mirror image about x = 0.  Raises if a returned slice has more
     than 1e-8 of its mass in the outer eighth of the domain (its outer
-    sixteenth at each end).
+    sixteenth at each end).  Raises, naming the steps taken, as soon as
+    the relative drift of the discrete norm passes 1e-10 at the end of a
+    block of 4096 steps or at the last step: the drift is read at each
+    of those points, so a run whose drift passes the limit and comes back
+    under it by the last step is refused too.
 
     Only the right half of the grid is propagated.  The potential kicks
-    are built once per sub-block of steps on it, and each is one
-    multiply.  Logs one DEBUG record on the ``bohmosc`` logger: steps,
-    norm drift, phase-wrap and momentum ratios, boundary mass, and the
-    seconds spent evaluating Omega, building kicks, and in the step loop
-    (the transform pair, the multiplies and each sampled slice's closing
-    half-kick and mirror).  The transform pair is a DCT-II, unscaled, and
-    a DCT-III, scaled by 1/n, in place through scipy's pocketfft binding,
-    loaded from its extension file without importing scipy.fft.
+    are built once per sub-block of steps on it, from one tan per point
+    (see _kick_rows), and each is one multiply.  Logs one DEBUG record on
+    the ``bohmosc`` logger: steps, norm drift, phase-wrap and momentum
+    ratios, boundary mass, and the seconds spent evaluating Omega,
+    building kicks, and in the step loop (the transform pair, the
+    multiplies and each sampled slice's closing half-kick and mirror).
+    The transform pair is a DCT-II, unscaled, and a DCT-III, scaled by
+    1/n, in place through scipy's pocketfft binding, loaded from its
+    extension file without importing scipy.fft.
     """
     dct = _pocketfft_dct()
     if psi0.times.size != 1:
@@ -259,16 +299,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     l2_0 = float(np.linalg.norm(psi))
     rows = max(1, _KICK_POINTS // half)
     kicks = np.empty((rows, half), dtype=complex)
-    closing = np.empty((1, half), dtype=complex)
-
-    def half_kicks(coeff_sums, out):
-        # row j of out = exp(-i dt/2 coeff_sums[j] x^2) on the right half,
-        # built without a complex exp
-        out = out[:coeff_sums.size]
-        np.multiply.outer(-0.5 * dt * coeff_sums, x2, out=out.imag)
-        np.cos(out.imag, out=out.real)
-        np.sin(out.imag, out=out.imag)
-        return out
+    scratch = np.empty((2, rows, half))
 
     taken = 0
     worst_wrap = 0.0
@@ -290,15 +321,17 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         worst_wrap = max(worst_wrap, float(wrap.max()))
 
         # sums[i] is the kick before step first + 1 + i: the previous step's
-        # closing half fused with this step's opening half.
+        # closing half fused with this step's opening half.  Each kick is
+        # exp(i scale x^2) with scale = -dt/2 times its coefficient.
         sums = coeffs.copy()
         sums[1:] += coeffs[:-1]
         sums[0] += pending
         pending = float(coeffs[-1])
+        sums *= -0.5 * dt
 
         for sub in range(0, coeffs.size, rows):
             started = perf_counter()
-            sub_kicks = half_kicks(sums[sub:sub + rows], kicks)
+            sub_kicks = _kick_rows(sums[sub:sub + rows], x2, kicks, scratch)
             built = perf_counter()
             build_s += built - started
             for step, row in enumerate(sub_kicks, first + sub + 1):
@@ -309,15 +342,17 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
                 if step == due[taken]:
                     j = step - first
                     sample = stack[taken, half:]
-                    np.multiply(psi, half_kicks(coeffs[j - 1:j], closing)[0],
-                                out=sample)
+                    _kick_rows(-0.5 * dt * coeffs[j - 1:j], x2, sample[None],
+                               scratch)
+                    sample *= psi
                     stack[taken, :half] = sample[::-1]
                     taken += 1
             loop_s += perf_counter() - built
 
-    drift = abs(float(np.linalg.norm(psi)) - l2_0) / l2_0
-    if drift > _NORM_DRIFT_LIMIT:
-        raise RuntimeError(f"propagation lost unitarity: norm drift {drift:.3e}")
+        drift = abs(float(np.linalg.norm(psi)) - l2_0) / l2_0
+        if drift > _NORM_DRIFT_LIMIT:
+            raise RuntimeError(f"propagation lost unitarity: norm drift {drift:.3e} "
+                               f"after {first + coeffs.size} steps")
 
     edge = grid.n // 16
     tails = np.abs(stack[:, np.r_[:edge, grid.n - edge:grid.n]]) ** 2

@@ -326,6 +326,26 @@ class TestGuards:
                 propagate(single_slice(grid, psi), config, 0.1)
             assert len(str(raised.value).splitlines()) == 1
 
+    def test_norm_drift_is_checked_at_the_end_of_each_block(self, static,
+                                                             monkeypatch):
+        # a run whose drift passes the limit is refused at the end of the
+        # first block of steps, not after the last one
+        dct = tdse._pocketfft_dct()
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return dct(*args)
+
+        grid = SpatialGrid(-8.0, 8.0, 64)
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+        monkeypatch.setattr(tdse, "_NORM_DRIFT_LIMIT", -1.0)
+        monkeypatch.setattr(tdse, "_pocketfft_dct", lambda: counted)
+        with pytest.raises(RuntimeError, match=f"^propagation lost unitarity: norm "
+                                               f"drift .* after {_COEFF_BLOCK} steps$"):
+            propagate(ground_state(grid), config, 3 * _COEFF_BLOCK * 1e-3)
+        assert len(calls) == 1 + 2 * _COEFF_BLOCK
+
     def test_table_ending_early_raises_before_any_step(self):
         table = FrequencyProfile.from_table([0.0, 0.5], [1.0, 1.0])
         calls = []
@@ -340,6 +360,26 @@ class TestGuards:
         with pytest.raises(ValueError, match=r"not finite at t=0\.5005"):
             propagate(ground_state(grid), config, 1.0)
         assert calls == [1000]
+
+
+class TestKickRows:
+    def test_matches_the_exponential_to_an_ulp_scale(self):
+        # the kick build against long-double cos and sin, over the phases
+        # the phase-wrap guard admits and at the smallest magnitudes
+        tiny = [1e-300, 5e-324, 0.0]
+        phases = np.concatenate([np.linspace(-0.5, 0.5, 100_001), tiny,
+                                 np.negative(tiny)])
+        out = np.full((3, phases.size), np.nan + 0j)
+        kicks = tdse._kick_rows(np.array([1.0, -1.0]), phases, out,
+                                np.empty((2, 3, phases.size)))
+        assert kicks.shape == (2, phases.size)
+        assert np.isnan(out[2]).all()  # the rows past scale.size are untouched
+        wide = np.array([phases, -phases], dtype=np.longdouble)
+        error = np.hypot(kicks.real - np.cos(wide), kicks.imag - np.sin(wide))
+        assert float(error.max()) <= 1e-15
+        assert np.abs(np.abs(kicks) - 1.0).max() <= 1e-15
+        zero = kicks[:, phases == 0.0]
+        assert (zero.real == 1.0).all() and (zero.imag == 0.0).all()
 
 
 class TestHalfGrid:
