@@ -10,8 +10,9 @@ The record holds:
   each workload, and the per-layer metrics of one `--trace 1` run of
   `propagate`, each run as a subprocess at a fixed seed;
 - each CLI subcommand's wall time at its default flags (`--b 1` where a
-  branch must be given), in a fresh interpreter, with its exit code and
-  the byte count and SHA-256 of its output;
+  branch must be given), in a fresh interpreter, 5 times in turn with the
+  median, with its exit code and the byte count and SHA-256 of its
+  output, and whether every run wrote the same bytes;
 - the benchmark's `env` line: nproc, the CPU model, the Python, numpy and
   scipy versions and the git commit.
 
@@ -19,7 +20,7 @@ The record holds:
 script); its perfbench/ and src/ are the ones run, and the record is
 written at the root of the checkout holding this script.  Two records are
 comparable only when taken side by side on the same host: its speed
-drifts by up to 2x (see perfbench/README.md).  It takes about 2.5
+drifts by up to 2x (see perfbench/README.md).  It takes about 3
 minutes.
 """
 
@@ -29,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -40,6 +42,9 @@ HERE = Path(__file__).resolve().parents[1]
 WORKLOADS = ("propagate", "surface", "check")
 SEED = 1
 SECONDS = 25
+# Fresh-process runs of each subcommand: one 0.2 s run moves by up to 50%
+# with the host.
+REPEATS = 5
 
 # Each subcommand at its default flags; --out is added.
 SUBCOMMANDS = (
@@ -68,16 +73,33 @@ def perfbench(root, workload, trace):
 
 
 def subcommand(root, argv, folder):
-    """Wall time, exit code, bytes and SHA-256 of one subcommand's output."""
+    """One fresh-process run: wall time, exit code and the output's bytes."""
     out = Path(folder, argv[0] + ".out")
+    out.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
     started = perf_counter()
     done = subprocess.run([sys.executable, "-m", "bohmosc", *argv, "--out", str(out)],
                           cwd=folder, env=env, capture_output=True)
     wall = perf_counter() - started
-    data = out.read_bytes() if out.is_file() else b""
-    return {"argv": list(argv), "wall_s": round(wall, 4), "exit": done.returncode,
-            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return wall, done.returncode, out.read_bytes() if out.is_file() else b""
+
+
+def cli_record(root, folder):
+    """Every subcommand's runs, taken in turn so that host drift spreads evenly."""
+    runs = {argv: [] for argv in SUBCOMMANDS}
+    for _ in range(REPEATS):
+        for argv in SUBCOMMANDS:
+            runs[argv].append(subcommand(root, argv, folder))
+    record = {}
+    for argv, seen in runs.items():
+        walls = [round(wall, 4) for wall, _, _ in seen]
+        data = seen[0][2]
+        record[argv[0]] = {
+            "argv": list(argv), "wall_s": walls, "wall_s_median": statistics.median(walls),
+            "exit": sorted({code for _, code, _ in seen}),
+            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+            "same_bytes": all(out == data for _, _, out in seen)}
+    return record
 
 
 def main(argv=None) -> int:
@@ -96,8 +118,7 @@ def main(argv=None) -> int:
     _, traced = perfbench(root, "propagate", 1)
     record["layers"] = {"propagate": traced["metrics"]}
     with tempfile.TemporaryDirectory() as folder:
-        record["cli"] = {argv[0]: subcommand(root, argv, folder)
-                         for argv in SUBCOMMANDS}
+        record["cli"] = cli_record(root, folder)
     path = HERE / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
