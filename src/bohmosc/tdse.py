@@ -127,7 +127,7 @@ def _pocketfft_dct():
     raise ImportError(f"no pocketfft binding (pypocketfft) in {folder}")
 
 
-def _kick_rows(scale, x2, out, scratch):
+def _kick_rows(scale, x2, out, floats):
     """Row j of out = exp(i phi), phi = scale[j] x2, without a cos or a sin.
 
     With t = tan(phi/2), sin(phi) = 2t/(1 + t^2) and 1 - cos(phi) =
@@ -137,12 +137,12 @@ def _kick_rows(scale, x2, out, scratch):
     phase-wrap guard keeps it, the real part is within 1 ulp of cos(phi),
     the imaginary part within 3 ulp of sin(phi) and |kick|^2 within 2e-16
     of 1, and phi = 0 gives exactly 1 + 0j.  Uses the first scale.size
-    rows of out and of the two float arrays of scratch; returns those
-    rows of out.
+    rows of out and of each of the two float arrays in floats; returns
+    those rows of out.
     """
     rows = scale.size
     out = out[:rows]
-    t, s = scratch[0, :rows], scratch[1, :rows]
+    t, s = floats[0, :rows], floats[1, :rows]
     np.multiply.outer(0.5 * scale, x2, out=t)
     np.tan(t, out=t)
     np.multiply(t, t, out=s)
@@ -299,7 +299,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     l2_0 = float(np.linalg.norm(psi))
     rows = max(1, _KICK_POINTS // half)
     kicks = np.empty((rows, half), dtype=complex)
-    scratch = np.empty((2, rows, half))
+    floats = np.empty((2, rows, half))
 
     taken = 0
     worst_wrap = 0.0
@@ -331,7 +331,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
 
         for sub in range(0, coeffs.size, rows):
             started = perf_counter()
-            sub_kicks = _kick_rows(sums[sub:sub + rows], x2, kicks, scratch)
+            sub_kicks = _kick_rows(sums[sub:sub + rows], x2, kicks, floats)
             built = perf_counter()
             build_s += built - started
             for step, row in enumerate(sub_kicks, first + sub + 1):
@@ -343,7 +343,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
                     j = step - first
                     sample = stack[taken, half:]
                     _kick_rows(-0.5 * dt * coeffs[j - 1:j], x2, sample[None],
-                               scratch)
+                               floats)
                     sample *= psi
                     stack[taken, :half] = sample[::-1]
                     taken += 1
