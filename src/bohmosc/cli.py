@@ -30,8 +30,9 @@ with one line and exit 2 past the bound; peaks and times are those of a
 2-core Xeon.  verify takes at most 2^22 + 1 points at its finest level
 (820 MB) and 2^24 probe points, --nt times the points of every level
 (7 s from the default --nx, 8-10 s from --nx 16); ermakov at most 2^21
-samples and bohm and wavefunction 2^21 cells (under 300 MB and 8 s on a
-numeric profile); tdse-check at most 2^22 cells of --samples by --n
+samples and bohm and wavefunction 2^21 cells (under 70 MB and 8 s on a
+numeric profile, since each block of rows is computed only when the CSV
+writer reaches it); tdse-check at most 2^22 cells of --samples by --n
 (440 MB) and 2^31 / max(n, 512) steps, about a minute at n <= 4096 and
 4-5 minutes at n = 2^21.
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for
@@ -43,6 +44,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -87,8 +89,10 @@ _MAX_LEVEL_POINTS = 2**22 + 1
 # 7 s at the cap from the default --nx, 8-10 s from --nx 16.
 _MAX_PROBE_POINTS = 2**24
 # Samples of an ermakov table and cells of a bohm or wavefunction sweep.
-# A numeric profile holds about 130 bytes a time sampled (290 MB at the
-# cap), a closed form under 100 bytes a cell; up to 8 s at the cap.
+# Their fields are computed one block of rows at a time, so a run holds
+# its times, 8 bytes each, and one block: at the cap 36-37 MB for 2048
+# times by 1024 positions and 56-63 MB for 2^21 times (ermakov, or
+# --nx 1), a numeric profile's included; up to 8 s at the cap.
 _MAX_TABLE_POINTS = 2**21
 # Cells of tdse-check's (samples, n) stacks: 16 bytes each in the
 # propagated and the reference stack, about 100 in all (440 MB at the cap).
@@ -102,73 +106,149 @@ _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 _NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """Write columns, broadcast to one shape, as rows in C order.
+def _write_csv(path: str, header, blocks) -> None:
+    """Write blocks of rows: each block a list of columns, broadcast to one
+    shape and written as rows in C order after the rows of the blocks
+    before it.
 
+    blocks may be a generator, so that a sweep computes the fields of a
+    block when the writer reaches it and holds one block, never the whole
+    table.
     Every value is printed as "%.17g" prints it, by floatfmt.format_into,
-    one numpy pass per column of a block of rows.  It scales each value by
+    one numpy pass per column of a chunk of rows.  It scales each value by
     a double-double 2^E·10^(16-X) with Dekker's exact product, so the
     rounded 17-digit integer is known to better than 1e-14 of a unit; only
     values whose rounding remainder is within 1e-9 of 1/2, NaN and the
     infinities fall back to "%.17g" itself, so every cell is exact by
-    construction.  A value that the broadcast repeats is formatted once.
-    Repeats show as zero strides: a column constant along the trailing
-    axis (the (n_t, 1) time column of a sweep) is formatted once per
-    leading index, and one constant along the leading axis (the (1, n_x)
-    position row) once per file; rows then gather their text.  Rows go out
-    in blocks of about _BLOCK_CELLS cells, one write each, so the text of
-    the whole table is never held in memory at once.  One DEBUG record
-    gives the rows, the bytes, the values "%.17g" printed and the seconds.
+    construction.  A value that a block's broadcast repeats is formatted
+    once.  Repeats show as zero strides: a column constant along the
+    trailing axis (the (n_t, 1) time column of a sweep) is formatted once
+    per leading index, and one constant along the leading axis (the
+    (1, n_x) position row) once per block, or once per file when every
+    block passes the same array; rows then gather their text.  A block's
+    rows go out in equal chunks of at most _BLOCK_CELLS cells, one write
+    each, so the text of the whole table is never held in memory at once.
+    The first block is computed before the file is opened; if anything
+    raises after that, a later block's fields included, the file is
+    removed, unless it is not a regular file (such as /dev/null), and the
+    error re-raised.  One DEBUG record gives the rows, the bytes, the
+    values "%.17g" printed and the seconds.
     """
-    # imported on the first write, so that importing the CLI does not load it
-    from .floatfmt import CELL_WORDS, format_into
-
     began = time.perf_counter()
-    columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*columns)]
-    n_rows, width = columns[0].shape
-    seps = [b","] * (len(columns) - 1) + [b"\n"]
-    fallbacks = 0
-    # per column: ("slice" | "file", formatted canvas) or ("cell", values)
-    sources = []
-    for column, sep in zip(columns, seps):
-        if width > 1 and column.strides[1] == 0:
-            kind, values = "slice", column[:, 0]
-        elif n_rows > 1 and column.strides[0] == 0:
-            kind, values = "file", column[0]
-        else:
-            sources.append(("cell", column.reshape(-1)))
-            continue
-        canvas = np.empty((values.size, CELL_WORDS), np.uint64)
-        fallbacks += format_into(canvas, values, sep)
-        sources.append((kind, canvas))
-    n_lines = n_rows * width
-    step = max(1, _BLOCK_CELLS // len(columns))
-    text = (",".join(header) + "\n").encode()
-    written = len(text)
-    # The canvas lies over a bytearray, which deletes its NUL padding
-    # without a copy; each full block reuses it.
-    buffer, block = bytearray(), np.empty((0, len(columns), CELL_WORDS), np.uint64)
-    with open(path, "wb") as handle:
-        handle.write(text)
-        for start in range(0, n_lines, step):
-            stop = min(start + step, n_lines)
-            if stop - start != len(block):
-                buffer = bytearray(8 * CELL_WORDS * len(columns) * (stop - start))
-                block = np.frombuffer(buffer, np.uint64).reshape(
-                    stop - start, len(columns), CELL_WORDS)
-            lines = np.arange(start, stop)
+    blocks = iter(blocks)
+    # The first block is computed before the file is opened, so that an
+    # error in it leaves a file at path as it was.  Each block is dropped
+    # before the next is computed: pending holds at most one.
+    pending = list(itertools.islice(blocks, 1))
+    handle = open(path, "wb")
+    try:
+        with handle:
+            sheet = _Sheet(handle)
+            sheet.write((",".join(header) + "\n").encode())
+            while pending:
+                sheet.write_block(pending.pop())
+                pending.extend(itertools.islice(blocks, 1))
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+    _log.debug("write_csv: %d rows, %d bytes, %d values by the %%.17g fallback, "
+               "%.3f s", sheet.lines, sheet.bytes, sheet.fallbacks,
+               time.perf_counter() - began)
+
+
+class _Sheet:
+    """What _write_csv keeps from one block to the next: its file, the
+    canvas that chunks of rows are formatted into, the text of each
+    position row, and the counts of its DEBUG record."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        # The canvas lies over a bytearray, which deletes its NUL padding
+        # without a copy.  Every block whose chunks have the canvas's size
+        # reuses it; the few rows past a block's last chunk are zeroed, so
+        # they print nothing.
+        self.buffer, self.canvas = bytearray(), np.empty((0, 0, 0), np.uint64)
+        # column index -> (the column as the last block passed it, its
+        # text), so that a row passed as the same array in every block,
+        # such as a sweep's positions, is formatted once per file
+        self.rows = {}
+        self.lines = self.bytes = self.fallbacks = 0
+
+    def write(self, text: bytes) -> None:
+        self.handle.write(text)
+        self.bytes += len(text)
+
+    def write_block(self, block) -> None:
+        # imported on the first write, so that importing the CLI does not load it
+        from .floatfmt import CELL_WORDS, format_into
+
+        columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*block)]
+        n_rows, width = columns[0].shape
+        seps = [b","] * (len(columns) - 1) + [b"\n"]
+        # per column: ("slice" | "row", formatted canvas) or ("cell", values)
+        sources = []
+        for j, (given, column, sep) in enumerate(zip(block, columns, seps)):
+            if width > 1 and column.strides[1] == 0:
+                kind, values = "slice", column[:, 0]
+            elif n_rows > 1 and column.strides[0] == 0:
+                kind, values = "row", column[0]
+                seen, formatted = self.rows.get(j, (None, None))
+                if seen is given and len(formatted) == width:
+                    sources.append((kind, formatted))
+                    continue
+            else:
+                sources.append(("cell", column.reshape(-1)))
+                continue
+            formatted = np.empty((values.size, CELL_WORDS), np.uint64)
+            self.fallbacks += format_into(formatted, values, sep)
+            sources.append((kind, formatted))
+            if kind == "row":
+                self.rows[j] = given, formatted
+        # The block's lines go out in equal chunks of at most _BLOCK_CELLS
+        # cells, not in full ones and a short remainder: every chunk costs
+        # each column a format_into call of fixed cost.
+        lines = n_rows * width
+        pieces = max(1, -(-lines * len(columns) // _BLOCK_CELLS))
+        size = max(1, -(-lines // pieces))
+        if self.canvas.shape != (size, len(columns), CELL_WORDS):
+            self.buffer = bytearray(8 * CELL_WORDS * len(columns) * size)
+            self.canvas = np.frombuffer(self.buffer, np.uint64).reshape(
+                size, len(columns), CELL_WORDS)
+        for start in range(0, lines, size):
+            stop = min(start + size, lines)
+            chunk = self.canvas[:stop - start]
+            self.canvas[stop - start:] = 0
+            at = np.arange(start, stop)
             for j, (kind, source) in enumerate(sources):
                 if kind == "slice":
-                    block[:, j] = np.take(source, lines // width, axis=0)
-                elif kind == "file":
-                    block[:, j] = np.take(source, lines % width, axis=0)
+                    chunk[:, j] = np.take(source, at // width, axis=0)
+                elif kind == "row":
+                    chunk[:, j] = np.take(source, at % width, axis=0)
                 else:
-                    fallbacks += format_into(block[:, j], source[start:stop], seps[j])
-            text = buffer.translate(None, b"\0")
-            handle.write(text)
-            written += len(text)
-    _log.debug("write_csv: %d rows, %d bytes, %d values by the %%.17g fallback, "
-               "%.3f s", n_lines, written, fallbacks, time.perf_counter() - began)
+                    self.fallbacks += format_into(chunk[:, j], source[start:stop],
+                                                  seps[j])
+            self.write(self.buffer.translate(None, b"\0"))
+        self.lines += lines
+
+
+def _time_blocks(times, step: int, columns_at):
+    """Blocks of rows for _write_csv: columns_at of each slice of step
+    times.  Every column is evaluated pointwise, so a slice gives the
+    values that the whole times array gives."""
+    return (columns_at(times[start:start + step])
+            for start in range(0, len(times), step))
+
+
+def _sweep_blocks(t, x, fields_at):
+    """Blocks of rows of a surface over the (n_t, 1) time column t and the
+    (1, n_x) position row x: t, x and fields_at(x, t) on slices of t.
+    The grid's cells over _BLOCK_CELLS, rounded, give the number of
+    slices, at least one, of n_t // slices times each and a last one of
+    the rest: a grid under 1.5 _BLOCK_CELLS cells is one block."""
+    slices = max(1, round(t.size * x.size / _BLOCK_CELLS))
+    return _time_blocks(t, max(1, t.size // slices),
+                        lambda t: [t, x, *fields_at(x, t)])
 
 
 def _count(value: int, flag: str, minimum: int = 1) -> int:
@@ -269,12 +349,19 @@ def _cmd_ermakov(args) -> None:
     times = np.linspace(0.0, args.t_max, args.samples)
     construction = _construction_from_args(args, args.t_max)
     solution = construction.solution
+
+    def columns_at(t):
+        return [t, solution.rho(t), solution.rho_dot(t), construction.nu(t),
+                construction.nu_dot(t), construction.nu_ddot(t),
+                ermakov_residual(solution, construction.profile, t)]
+
+    # Blocks of _BLOCK_CELLS times made a numeric table of 2^21 samples
+    # slower than the whole table at once (5.7-7.4 s against 5.3-5.5 s on
+    # 2 cores, with ten times the page faults: each block's dense-output
+    # transients were mapped afresh); blocks of four times that were not.
     _write_csv(args.out, ["t", "rho", "rho_dot", "nu", "nu_dot",
                           "nu_ddot", "residual"],
-               [times, solution.rho(times), solution.rho_dot(times),
-                construction.nu(times), construction.nu_dot(times),
-                construction.nu_ddot(times),
-                ermakov_residual(solution, construction.profile, times)])
+               _time_blocks(times, 4 * _BLOCK_CELLS, columns_at))
 
 
 # -------------------------------------------------------------------- bohm
@@ -294,17 +381,22 @@ def _field_sweep(args):
 
 def _cmd_bohm(args) -> None:
     construction, t, x = _field_sweep(args)
-    _write_csv(args.out, ["t", "x", "V_B", "V", "A", "S"],
-               [t, x, bohm_potential_gaussian(x, t, construction),
-                classical_potential(construction.profile, x, t),
-                amplitude_gaussian(x, t, construction), construction.S(x, t)])
+    _write_csv(args.out, ["t", "x", "V_B", "V", "A", "S"], _sweep_blocks(
+        t, x, lambda x, t: [bohm_potential_gaussian(x, t, construction),
+                            classical_potential(construction.profile, x, t),
+                            amplitude_gaussian(x, t, construction),
+                            construction.S(x, t)]))
 
 
 def _cmd_wavefunction(args) -> None:
     construction, t, x = _field_sweep(args)
-    psi = wavefunction(x, t, construction)
+
+    def fields_at(x, t):
+        psi = wavefunction(x, t, construction)
+        return [psi.real, psi.imag, np.abs(psi) ** 2]
+
     _write_csv(args.out, ["t", "x", "re_psi", "im_psi", "abs2_psi"],
-               [t, x, psi.real, psi.imag, np.abs(psi) ** 2])
+               _sweep_blocks(t, x, fields_at))
 
 
 # ------------------------------------------------------------------ verify
@@ -395,7 +487,7 @@ def _cmd_tdse_check(args) -> str | None:
     norms = np.concatenate([psi0.norms(), propagated.norms()])
 
     _write_csv(args.out, ["t", "fidelity", "norm_error"],
-               [times, np.concatenate([[1.0], fidelities]), np.abs(norms - 1.0)])
+               [[times, np.concatenate([[1.0], fidelities]), np.abs(norms - 1.0)]])
 
     if args.min_fidelity is not None:
         worst = float(np.min(fidelities))
@@ -409,7 +501,8 @@ def _cmd_tdse_check(args) -> str | None:
 def _figure_surface(args, values_at) -> None:
     t = np.linspace(0.0, 6.0, 121)[:, None]
     x = np.linspace(-5.0, 5.0, 201)[None, :]
-    _write_csv(args.out, ["t", "x", "V_B"], [t, x, values_at(x, t)])
+    _write_csv(args.out, ["t", "x", "V_B"],
+               _sweep_blocks(t, x, lambda x, t: [values_at(x, t)]))
 
 
 def _cmd_fig1(args) -> None:
@@ -437,7 +530,7 @@ def _cmd_transition(args) -> None:
     values = [float(bohm_potential_subcritical(b, args.x_probe, args.t_probe))
               for b in bs]
     values.append(float(bohm_potential_critical(args.x_probe, args.t_probe)))
-    _write_csv(args.out, ["b", "V_B"], [bs + [2.0], values])
+    _write_csv(args.out, ["b", "V_B"], [[bs + [2.0], values]])
 
 
 # ------------------------------------------------------------------ parser

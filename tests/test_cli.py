@@ -586,6 +586,42 @@ class TestCliPlumbing:
         assert main([command, "--b", "3", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bohm", "wavefunction"])
+    def test_flag_error_leaves_an_existing_file_alone(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"kept\n")
+        assert main([command, "--b", "3", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("argv, cells", [
+        *[(argv, cells) for argv in (
+            ["bohm", "--b", "1", "--nt", "5", "--nx", "9"],
+            ["wavefunction", "--critical", "--nt", "5", "--nx", "9"],
+            ["ermakov", "--numeric", "--b", "1", "--samples", "50"],
+            ["ermakov", "--omega-table", "table.csv", "--t-max", "5",
+             "--samples", "50"],
+        ) for cells in (1, 7, 40)],
+        # fig1's 24321 rows one line a chunk take 5 s; at 7 they are cut
+        # into the same one-time blocks
+        (["fig1"], 7), (["fig1"], 40),
+    ], ids=[f"{name}-{cells}" for name in ("bohm", "wavefunction", "ermakov-numeric",
+                                           "ermakov-table") for cells in (1, 7, 40)]
+        + ["fig1-7", "fig1-40"])
+    def test_block_size_leaves_the_bytes_unchanged(self, tmp_path, monkeypatch,
+                                                   argv, cells):
+        # blocks of 1 to 160 times, rows of 9 or 201 cells and chunks of 1
+        # to 13 lines: block and chunk ends fall at every offset of a time
+        # slice and of the x row
+        t = np.linspace(0.0, 5.0, 21)
+        np.savetxt(tmp_path / "table.csv",
+                   np.column_stack([t, 1.0 / (1.0 + t)]), delimiter=",")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "default.csv"]) == 0
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
+        assert main(argv + ["--out", "small.csv"]) == 0
+        assert (tmp_path / "small.csv").read_bytes() == (
+            tmp_path / "default.csv").read_bytes()
+
     @pytest.mark.parametrize("flags, reason", [
         (["--out", "nodir/x.out"], "no such directory"),
         (["--out", "x.out", "--manifest", "nodir/m.json"], "no such directory"),
@@ -765,7 +801,7 @@ class TestWriteCsv:
         header = [f"c{j}" for j in range(len(columns))]
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "table.csv")
-            _write_csv(path, header, columns)
+            _write_csv(path, header, [columns])
             with open(path, "rb") as handle:
                 written = handle.read()
         assert written == naive_csv(header, columns)
@@ -780,8 +816,47 @@ class TestWriteCsv:
         columns = [t, x, np.exp(-x**2) * (t - 0.5), np.float64(-0.0), 1e-300 * x + t]
         header = ["t", "x", "f", "z", "g"]
         path = tmp_path / "table.csv"
-        _write_csv(str(path), header, columns)
+        _write_csv(str(path), header, [columns])
         assert path.read_bytes() == naive_csv(header, columns)
+
+    @given(csv_columns(), st.sets(st.integers(1, 3), max_size=3))
+    def test_blocks_of_rows_match_the_whole_table(self, columns, cuts):
+        # columns that vary along the leading axis are cut at the drawn
+        # rows; the others, broadcast along it, go whole into every block
+        shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
+        n = shape[0] if shape else 1
+        bounds = [0, *sorted(cut for cut in cuts if cut < n), n]
+        blocks = [[column[lo:hi] if np.ndim(column) == len(shape) > 0
+                   and np.shape(column)[0] == n else column for column in columns]
+                  for lo, hi in zip(bounds, bounds[1:])]
+        header = [f"c{j}" for j in range(len(columns))]
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "table.csv")
+            _write_csv(path, header, blocks)
+            with open(path, "rb") as handle:
+                written = handle.read()
+        assert written == naive_csv(header, columns)
+
+    def test_a_block_that_raises_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield [np.linspace(0.0, 1.0, 3)]
+            raise FloatingPointError("overflow encountered in multiply")
+
+        path = tmp_path / "table.csv"
+        with pytest.raises(FloatingPointError):
+            _write_csv(str(path), ["t"], blocks())
+        assert not path.exists()
+
+    def test_a_first_block_that_raises_leaves_the_file_as_it_was(self, tmp_path):
+        def blocks():
+            raise FloatingPointError("overflow encountered in multiply")
+            yield
+
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(FloatingPointError):
+            _write_csv(str(path), ["t"], blocks())
+        assert path.read_bytes() == b"kept\n"
 
 
 def float_corpus():

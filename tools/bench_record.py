@@ -9,10 +9,16 @@ The record holds:
 - the JSON result line of `perfbench/run.py --seconds 25 --trace 0` for
   each workload, and the per-layer metrics of one `--trace 1` run of
   `propagate`, each run as a subprocess at a fixed seed;
-- each CLI subcommand's wall time at its default flags (`--b 1` where a
-  branch must be given), in a fresh interpreter, 5 times in turn with the
-  median, with its exit code and the byte count and SHA-256 of its
-  output, and whether every run wrote the same bytes;
+- each CLI subcommand's wall time and peak RSS at its default flags
+  (`--b 1` where a branch must be given), and those of bohm and
+  wavefunction at the 2^21-cell cap (--nt 2048 --nx 1024), in a fresh
+  interpreter, 5 times in turn with the medians, with its exit code and
+  the byte count and SHA-256 of its output, and whether every run wrote
+  the same bytes.  The peak is the child's own ru_maxrss from os.wait4,
+  not RUSAGE_CHILDREN, which is the largest over every child so far.
+  Linux carries the spawning process's peak into the child's across the
+  exec, so this script keeps its own small: it hashes each output in
+  chunks and never holds one whole;
 - the benchmark's `env` line: nproc, the CPU model, the Python, numpy and
   scipy versions and the git commit.
 
@@ -20,7 +26,7 @@ The record holds:
 script); its perfbench/ and src/ are the ones run, and the record is
 written at the root of the checkout holding this script.  Two records are
 comparable only when taken side by side on the same host: its speed
-drifts by up to 2x (see perfbench/README.md).  It takes about 3
+drifts by up to 2x (see perfbench/README.md).  It takes about 4
 minutes.
 """
 
@@ -45,18 +51,22 @@ SECONDS = 25
 # Fresh-process runs of each subcommand: one 0.2 s run moves by up to 50%
 # with the host.
 REPEATS = 5
+HASH_CHUNK = 2**20
 
-# Each subcommand at its default flags; --out is added.
-SUBCOMMANDS = (
-    ("ermakov", "--b", "1"),
-    ("bohm", "--b", "1"),
-    ("wavefunction", "--b", "1"),
-    ("verify", "--b", "1"),
-    ("tdse-check", "--b", "1"),
-    ("fig1",),
-    ("fig2",),
-    ("transition",),
-)
+# Each subcommand at its default flags, and the two surface sweeps at
+# their cell cap, by name; --out is added.
+SUBCOMMANDS = {
+    "ermakov": ("ermakov", "--b", "1"),
+    "bohm": ("bohm", "--b", "1"),
+    "wavefunction": ("wavefunction", "--b", "1"),
+    "verify": ("verify", "--b", "1"),
+    "tdse-check": ("tdse-check", "--b", "1"),
+    "fig1": ("fig1",),
+    "fig2": ("fig2",),
+    "transition": ("transition",),
+    "bohm-cap": ("bohm", "--b", "1", "--nt", "2048", "--nx", "1024"),
+    "wavefunction-cap": ("wavefunction", "--b", "1", "--nt", "2048", "--nx", "1024"),
+}
 
 
 def perfbench(root, workload, trace):
@@ -73,32 +83,47 @@ def perfbench(root, workload, trace):
 
 
 def subcommand(root, argv, folder):
-    """One fresh-process run: wall time, exit code and the output's bytes."""
+    """One fresh-process run: wall time, peak RSS in MB, exit code, and the
+    output's byte count and SHA-256."""
     out = Path(folder, argv[0] + ".out")
     out.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
     started = perf_counter()
-    done = subprocess.run([sys.executable, "-m", "bohmosc", *argv, "--out", str(out)],
-                          cwd=folder, env=env, capture_output=True)
+    child = subprocess.Popen([sys.executable, "-m", "bohmosc", *argv, "--out", str(out)],
+                             cwd=folder, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
     wall = perf_counter() - started
-    return wall, done.returncode, out.read_bytes() if out.is_file() else b""
+    # reaped here, so that Popen does not wait for it again
+    child.returncode = os.waitstatus_to_exitcode(status)
+    digest, size = hashlib.sha256(), 0
+    if out.is_file():
+        with out.open("rb") as handle:
+            for chunk in iter(lambda: handle.read(HASH_CHUNK), b""):
+                digest.update(chunk)
+                size += len(chunk)
+        out.unlink()
+    return wall, usage.ru_maxrss / 1024, child.returncode, (size, digest.hexdigest())
 
 
 def cli_record(root, folder):
     """Every subcommand's runs, taken in turn so that host drift spreads evenly."""
-    runs = {argv: [] for argv in SUBCOMMANDS}
+    runs = {name: [] for name in SUBCOMMANDS}
     for _ in range(REPEATS):
-        for argv in SUBCOMMANDS:
-            runs[argv].append(subcommand(root, argv, folder))
+        for name, argv in SUBCOMMANDS.items():
+            runs[name].append(subcommand(root, argv, folder))
     record = {}
-    for argv, seen in runs.items():
-        walls = [round(wall, 4) for wall, _, _ in seen]
-        data = seen[0][2]
-        record[argv[0]] = {
-            "argv": list(argv), "wall_s": walls, "wall_s_median": statistics.median(walls),
-            "exit": sorted({code for _, code, _ in seen}),
-            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
-            "same_bytes": all(out == data for _, _, out in seen)}
+    for name, seen in runs.items():
+        walls = [round(wall, 4) for wall, _, _, _ in seen]
+        peaks = [round(peak, 1) for _, peak, _, _ in seen]
+        size, sha256 = seen[0][3]
+        record[name] = {
+            "argv": list(SUBCOMMANDS[name]), "wall_s": walls,
+            "wall_s_median": statistics.median(walls), "peak_rss_mb": peaks,
+            "peak_rss_mb_median": statistics.median(peaks),
+            "exit": sorted({code for _, _, code, _ in seen}),
+            "bytes": size, "sha256": sha256,
+            "same_bytes": all(out == (size, sha256) for _, _, _, out in seen)}
     return record
 
 
