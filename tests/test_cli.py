@@ -609,7 +609,7 @@ class TestCliPlumbing:
         + ["fig1-7", "fig1-40"])
     def test_block_size_leaves_the_bytes_unchanged(self, tmp_path, monkeypatch,
                                                    argv, cells):
-        # blocks of 1 to 160 times, rows of 9 or 201 cells and chunks of 1
+        # blocks of 1 to 50 times, rows of 9 or 201 cells and chunks of 1
         # to 13 lines: block and chunk ends fall at every offset of a time
         # slice and of the x row
         t = np.linspace(0.0, 5.0, 21)
