@@ -13,10 +13,13 @@ Subcommands wire the library together and emit reproducible data files:
 
 CSV output uses a header row, comma separators, and floats printed with 17
 significant digits so doubles round-trip exactly; rerunning a subcommand
-with the same flags reproduces byte-identical files.  Each cell is the
-text of "%.17g" % value, made for whole blocks of cells by the numpy
-kernel of bohmosc.floatfmt: exact by construction, it leaves to "%.17g"
-only NaN, the infinities and values within 1e-9 of a rounding tie.  Each
+with the same flags reproduces byte-identical files.  A table is written
+one block of rows at a time, each block formatted on its own as it was
+given, so the writer keeps nothing from one block to the next.  Each cell
+is the text of "%.17g" % value, made for whole chunks of cells by the
+numpy kernel of bohmosc.floatfmt: exact by construction, it leaves to
+"%.17g" only NaN, the infinities and values within 1e-9 of a rounding
+tie.  Flag errors, argparse's included, print one line and exit 2.  Each
 subcommand writes one --out file (verify prints its report when --out is
 not given).  --manifest names a JSON record of that file's SHA-256, hashed
 in chunks, and byte count and of the flags; main writes it after the
@@ -107,27 +110,13 @@ _NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": REL_TOL, "abs_tol
 
 
 def _write_csv(path: str, header, blocks) -> None:
-    """Write blocks of rows: each block a list of columns, broadcast to one
-    shape and written as rows in C order after the rows of the blocks
-    before it.
+    """Write the header row, then each block of rows by _write_block, after
+    the rows of the blocks before it.
 
     blocks may be a generator, so that a sweep computes the fields of a
     block when the writer reaches it and holds one block, never the whole
-    table.
-    Every value is printed as "%.17g" prints it, by floatfmt.format_into,
-    one numpy pass per column of a chunk of rows.  It scales each value by
-    a double-double 2^E·10^(16-X) with Dekker's exact product, so the
-    rounded 17-digit integer is known to better than 1e-14 of a unit; only
-    values whose rounding remainder is within 1e-9 of 1/2, NaN and the
-    infinities fall back to "%.17g" itself, so every cell is exact by
-    construction.  A value that a block's broadcast repeats is formatted
-    once.  Repeats show as zero strides: a column constant along the
-    trailing axis (the (n_t, 1) time column of a sweep) is formatted once
-    per leading index, and one constant along the leading axis (the
-    (1, n_x) position row) once per block, or once per file when every
-    block passes the same array; rows then gather their text.  A block's
-    rows go out in equal chunks of at most _BLOCK_CELLS cells, one write
-    each, so the text of the whole table is never held in memory at once.
+    table.  Each block is written as it is when it is yielded: nothing is
+    kept from one block to the next but the counts of the DEBUG record.
     The first block is computed before the file is opened; if anything
     raises after that, a later block's fields included, the file is
     removed, unless it is not a regular file (such as /dev/null), and the
@@ -143,93 +132,84 @@ def _write_csv(path: str, header, blocks) -> None:
     handle = open(path, "wb")
     try:
         with handle:
-            sheet = _Sheet(handle)
-            sheet.write((",".join(header) + "\n").encode())
+            # rows, bytes and "%.17g" fallbacks
+            counts = [0, handle.write((",".join(header) + "\n").encode()), 0]
             while pending:
-                sheet.write_block(pending.pop())
+                counts = [sum(pair) for pair in
+                          zip(counts, _write_block(handle, pending.pop()))]
                 pending.extend(itertools.islice(blocks, 1))
     except BaseException:
         if os.path.isfile(path):
             os.remove(path)
         raise
     _log.debug("write_csv: %d rows, %d bytes, %d values by the %%.17g fallback, "
-               "%.3f s", sheet.lines, sheet.bytes, sheet.fallbacks,
-               time.perf_counter() - began)
+               "%.3f s", *counts, time.perf_counter() - began)
 
 
-class _Sheet:
-    """What _write_csv keeps from one block to the next: its file, the
-    canvas that chunks of rows are formatted into, the text of each
-    position row, and the counts of its DEBUG record."""
+def _write_block(handle, block) -> tuple[int, int, int]:
+    """Write one block of rows, a list of columns broadcast to one shape and
+    written as rows in C order; return its rows, its bytes and the values
+    that "%.17g" printed.
 
-    def __init__(self, handle):
-        self.handle = handle
-        # The canvas lies over a bytearray, which deletes its NUL padding
-        # without a copy.  Every block whose chunks have the canvas's size
-        # reuses it; the few rows past a block's last chunk are zeroed, so
-        # they print nothing.
-        self.buffer, self.canvas = bytearray(), np.empty((0, 0, 0), np.uint64)
-        # column index -> (the column as the last block passed it, its
-        # text), so that a row passed as the same array in every block,
-        # such as a sweep's positions, is formatted once per file
-        self.rows = {}
-        self.lines = self.bytes = self.fallbacks = 0
+    Every value is printed as "%.17g" prints it, by floatfmt.format_into,
+    one numpy pass per column of a chunk of rows.  It scales each value by
+    a double-double 2^E·10^(16-X) with Dekker's exact product, so the
+    rounded 17-digit integer is known to better than 1e-14 of a unit; only
+    values whose rounding remainder is within 1e-9 of 1/2, NaN and the
+    infinities fall back to "%.17g" itself, so every cell is exact by
+    construction.  A value that the broadcast repeats is formatted once.
+    Repeats show as zero strides: a column constant along the trailing
+    axis (the (n_t, 1) time column of a sweep) is formatted once per
+    leading index, and one constant along the leading axis (the (1, n_x)
+    position row) once per block; rows then gather their text.  The rows
+    go out in equal chunks of at most _BLOCK_CELLS cells, one write each,
+    so the text of the whole table is never held in memory at once.
+    """
+    # imported on the first write, so that importing the CLI does not load it
+    from .floatfmt import CELL_WORDS, format_into
 
-    def write(self, text: bytes) -> None:
-        self.handle.write(text)
-        self.bytes += len(text)
-
-    def write_block(self, block) -> None:
-        # imported on the first write, so that importing the CLI does not load it
-        from .floatfmt import CELL_WORDS, format_into
-
-        columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*block)]
-        n_rows, width = columns[0].shape
-        seps = [b","] * (len(columns) - 1) + [b"\n"]
-        # per column: ("slice" | "row", formatted canvas) or ("cell", values)
-        sources = []
-        for j, (given, column, sep) in enumerate(zip(block, columns, seps)):
-            if width > 1 and column.strides[1] == 0:
-                kind, values = "slice", column[:, 0]
-            elif n_rows > 1 and column.strides[0] == 0:
-                kind, values = "row", column[0]
-                seen, formatted = self.rows.get(j, (None, None))
-                if seen is given and len(formatted) == width:
-                    sources.append((kind, formatted))
-                    continue
+    columns = [np.atleast_2d(column) for column in np.broadcast_arrays(*block)]
+    n_rows, width = columns[0].shape
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    fallbacks = written = 0
+    # per column: ("slice" | "row", formatted canvas) or ("cell", values)
+    sources = []
+    for column, sep in zip(columns, seps):
+        if width > 1 and column.strides[1] == 0:
+            kind, values = "slice", column[:, 0]
+        elif n_rows > 1 and column.strides[0] == 0:
+            kind, values = "row", column[0]
+        else:
+            sources.append(("cell", column.reshape(-1)))
+            continue
+        formatted = np.empty((values.size, CELL_WORDS), np.uint64)
+        fallbacks += format_into(formatted, values, sep)
+        sources.append((kind, formatted))
+    # The lines go out in equal chunks of at most _BLOCK_CELLS cells, not
+    # in full ones and a short remainder: every chunk costs each column a
+    # format_into call of fixed cost.
+    lines = n_rows * width
+    pieces = max(1, -(-lines * len(columns) // _BLOCK_CELLS))
+    size = max(1, -(-lines // pieces))
+    # The canvas lies over a bytearray, which deletes its NUL padding
+    # without a copy.  Every chunk reuses it; the few rows past the last
+    # chunk are zeroed, so they print nothing.
+    buffer = bytearray(8 * CELL_WORDS * len(columns) * size)
+    canvas = np.frombuffer(buffer, np.uint64).reshape(size, len(columns), CELL_WORDS)
+    for start in range(0, lines, size):
+        stop = min(start + size, lines)
+        chunk = canvas[:stop - start]
+        canvas[stop - start:] = 0
+        at = np.arange(start, stop)
+        for j, (kind, source) in enumerate(sources):
+            if kind == "slice":
+                chunk[:, j] = np.take(source, at // width, axis=0)
+            elif kind == "row":
+                chunk[:, j] = np.take(source, at % width, axis=0)
             else:
-                sources.append(("cell", column.reshape(-1)))
-                continue
-            formatted = np.empty((values.size, CELL_WORDS), np.uint64)
-            self.fallbacks += format_into(formatted, values, sep)
-            sources.append((kind, formatted))
-            if kind == "row":
-                self.rows[j] = given, formatted
-        # The block's lines go out in equal chunks of at most _BLOCK_CELLS
-        # cells, not in full ones and a short remainder: every chunk costs
-        # each column a format_into call of fixed cost.
-        lines = n_rows * width
-        pieces = max(1, -(-lines * len(columns) // _BLOCK_CELLS))
-        size = max(1, -(-lines // pieces))
-        if self.canvas.shape != (size, len(columns), CELL_WORDS):
-            self.buffer = bytearray(8 * CELL_WORDS * len(columns) * size)
-            self.canvas = np.frombuffer(self.buffer, np.uint64).reshape(
-                size, len(columns), CELL_WORDS)
-        for start in range(0, lines, size):
-            stop = min(start + size, lines)
-            chunk = self.canvas[:stop - start]
-            self.canvas[stop - start:] = 0
-            at = np.arange(start, stop)
-            for j, (kind, source) in enumerate(sources):
-                if kind == "slice":
-                    chunk[:, j] = np.take(source, at // width, axis=0)
-                elif kind == "row":
-                    chunk[:, j] = np.take(source, at % width, axis=0)
-                else:
-                    self.fallbacks += format_into(chunk[:, j], source[start:stop],
-                                                  seps[j])
-            self.write(self.buffer.translate(None, b"\0"))
-        self.lines += lines
+                fallbacks += format_into(chunk[:, j], source[start:stop], seps[j])
+        written += handle.write(buffer.translate(None, b"\0"))
+    return lines, written, fallbacks
 
 
 def _time_blocks(times, step: int, columns_at):
@@ -549,11 +529,19 @@ def _add_branch(parser):
                         help="use the critical branch b=2")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one line, the program and the
+    message, not the usage text; its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_DOMAIN, f"{self.prog}: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parse_args
     fills a new Namespace each call and leaves the parser as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bohmosc",
         description="Madelung-Bohm construction for time-dependent "
                     "harmonic oscillators, with verification oracles.")

@@ -528,8 +528,12 @@ class TestManifest:
         assert json.loads(manifest.read_text())["outputs"] == [
             {"path": str(out), "bytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}]
 
+    # at 7 cells a block, the 11 x 3 sweep is written in 3 blocks, whose
+    # counts the record must sum
+    @pytest.mark.parametrize("cells", [cli._BLOCK_CELLS, 7], ids=["default", "7"])
     def test_debug_record_leaves_output_and_manifest_unchanged(self, tmp_path, monkeypatch,
-                                                              caplog):
+                                                              caplog, cells):
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", cells)
         argv = ["bohm", "--b", "1", "--nx", "11", "--nt", "3",
                 "--out", "out.csv", "--manifest", "m.json"]
         for run in ("quiet", "loud"):
@@ -579,6 +583,31 @@ class TestCliPlumbing:
     def test_missing_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["bohm", "--b", "1", "--nt", "abc", "--out", "x.csv"],
+        ["tdse-check", "--b", "1", "--dt", "-1e-4", "--out", "x.csv"],
+        ["bohm", "--b", "1"],
+        ["verify", "--order", "3"],
+        [],
+    ], ids=["invalid-int", "negative-value-as-option", "missing-out", "invalid-choice",
+            "missing-subcommand"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert (out, line.startswith("bohmosc")) == ("", True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_prints_the_usage_to_stdout(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["bohm", "--help"])
+        assert raised.value.code == 0
+        out, err = capsys.readouterr()
+        assert (out.startswith("usage: bohmosc bohm"), "--nt" in out, err) == (True, True, "")
 
     @pytest.mark.parametrize("command", ["bohm", "wavefunction"])
     def test_failed_run_writes_no_file(self, tmp_path, command):
@@ -836,6 +865,26 @@ class TestWriteCsv:
             with open(path, "rb") as handle:
                 written = handle.read()
         assert written == naive_csv(header, columns)
+
+    def test_a_row_changed_between_blocks_is_written_as_it_is(self, tmp_path):
+        # the same (1, 2) row object in both blocks of two times, scaled in
+        # place after the first was written
+        x = np.array([[1.0, 2.0]])
+        held = []
+
+        def blocks():
+            for t in ([[0.0], [0.5]], [[1.0], [1.5]]):
+                block = [np.array(t), x]
+                held.append([column.copy() for column in block])
+                yield block
+                x[:] *= 10.0
+
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), ["t", "x"], blocks())
+        lines = [line for block in held
+                 for line in naive_csv(["t", "x"], block).splitlines()[1:]]
+        assert path.read_bytes() == b"\n".join([b"t,x", *lines, b""])
+        assert b"\n1,10\n1,20\n" in path.read_bytes()
 
     def test_a_block_that_raises_leaves_no_file(self, tmp_path):
         def blocks():

@@ -9,13 +9,15 @@ The record holds:
 - the JSON result line of `perfbench/run.py --seconds 25 --trace 0` for
   each workload, and the per-layer metrics of one `--trace 1` run of
   `propagate`, each run as a subprocess at a fixed seed;
-- each CLI subcommand's wall time and peak RSS at its default flags
-  (`--b 1` where a branch must be given), and those of bohm and
-  wavefunction at the 2^21-cell cap (--nt 2048 --nx 1024), in a fresh
-  interpreter, 5 times in turn with the medians, with its exit code and
-  the byte count and SHA-256 of its output, and whether every run wrote
-  the same bytes.  The peak is the child's own ru_maxrss from os.wait4,
-  not RUSAGE_CHILDREN, which is the largest over every child so far.
+- each CLI subcommand's wall time, peak RSS and minor page faults at its
+  default flags (`--b 1` where a branch must be given), and those of bohm
+  and wavefunction at the 2^21-cell cap (--nt 2048 --nx 1024) and of
+  ermakov --numeric at the 2^21-sample cap, in a fresh interpreter, 5
+  times in turn with the medians, with its exit code and the byte count
+  and SHA-256 of its output, and whether every run wrote the same bytes.
+  The peak and the faults are the child's own ru_maxrss and ru_minflt
+  from os.wait4, not RUSAGE_CHILDREN, which sums or takes the largest
+  over every child so far.
   Linux carries the spawning process's peak into the child's across the
   exec, so this script keeps its own small: it hashes each output in
   chunks and never holds one whole;
@@ -26,7 +28,7 @@ The record holds:
 script); its perfbench/ and src/ are the ones run, and the record is
 written at the root of the checkout holding this script.  Two records are
 comparable only when taken side by side on the same host: its speed
-drifts by up to 2x (see perfbench/README.md).  It takes about 4
+drifts by up to 2x (see perfbench/README.md).  It takes about 5
 minutes.
 """
 
@@ -53,8 +55,9 @@ SECONDS = 25
 REPEATS = 5
 HASH_CHUNK = 2**20
 
-# Each subcommand at its default flags, and the two surface sweeps at
-# their cell cap, by name; --out is added.
+# Each subcommand at its default flags, the two surface sweeps at their
+# cell cap and the numeric Ermakov table at its sample cap, by name; --out
+# is added.
 SUBCOMMANDS = {
     "ermakov": ("ermakov", "--b", "1"),
     "bohm": ("bohm", "--b", "1"),
@@ -66,6 +69,7 @@ SUBCOMMANDS = {
     "transition": ("transition",),
     "bohm-cap": ("bohm", "--b", "1", "--nt", "2048", "--nx", "1024"),
     "wavefunction-cap": ("wavefunction", "--b", "1", "--nt", "2048", "--nx", "1024"),
+    "ermakov-cap": ("ermakov", "--numeric", "--b", "1", "--samples", "2097152"),
 }
 
 
@@ -83,8 +87,8 @@ def perfbench(root, workload, trace):
 
 
 def subcommand(root, argv, folder):
-    """One fresh-process run: wall time, peak RSS in MB, exit code, and the
-    output's byte count and SHA-256."""
+    """One fresh-process run: wall time, peak RSS in MB, minor page faults,
+    exit code, and the output's byte count and SHA-256."""
     out = Path(folder, argv[0] + ".out")
     out.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
@@ -103,7 +107,8 @@ def subcommand(root, argv, folder):
                 digest.update(chunk)
                 size += len(chunk)
         out.unlink()
-    return wall, usage.ru_maxrss / 1024, child.returncode, (size, digest.hexdigest())
+    return (wall, usage.ru_maxrss / 1024, usage.ru_minflt, child.returncode,
+            (size, digest.hexdigest()))
 
 
 def cli_record(root, folder):
@@ -114,16 +119,18 @@ def cli_record(root, folder):
             runs[name].append(subcommand(root, argv, folder))
     record = {}
     for name, seen in runs.items():
-        walls = [round(wall, 4) for wall, _, _, _ in seen]
-        peaks = [round(peak, 1) for _, peak, _, _ in seen]
-        size, sha256 = seen[0][3]
+        walls = [round(wall, 4) for wall, _, _, _, _ in seen]
+        peaks = [round(peak, 1) for _, peak, _, _, _ in seen]
+        faults = [count for _, _, count, _, _ in seen]
+        size, sha256 = seen[0][4]
         record[name] = {
             "argv": list(SUBCOMMANDS[name]), "wall_s": walls,
             "wall_s_median": statistics.median(walls), "peak_rss_mb": peaks,
-            "peak_rss_mb_median": statistics.median(peaks),
-            "exit": sorted({code for _, _, code, _ in seen}),
+            "peak_rss_mb_median": statistics.median(peaks), "minor_faults": faults,
+            "minor_faults_median": statistics.median(faults),
+            "exit": sorted({code for _, _, _, code, _ in seen}),
             "bytes": size, "sha256": sha256,
-            "same_bytes": all(out == (size, sha256) for _, _, _, out in seen)}
+            "same_bytes": all(out == (size, sha256) for *_, out in seen)}
     return record
 
 
