@@ -28,7 +28,7 @@ The record holds:
 script); its perfbench/ and src/ are the ones run, and the record is
 written at the root of the checkout holding this script.  Two records are
 comparable only when taken side by side on the same host: its speed
-drifts by up to 2x (see perfbench/README.md).  It takes about 5
+drifts by up to 2x (see perfbench/README.md).  It takes about 3
 minutes.
 """
 
