@@ -23,10 +23,13 @@ tie.  Flag errors, argparse's included, print one line and exit 2.  Each
 subcommand writes one --out file (verify prints its report when --out is
 not given).  --manifest names a JSON record of that file's SHA-256, hashed
 in chunks, and byte count and of the flags; main writes it after the
-subcommand returns, at exit 0 or 3, and if that write fails, removes the
---out file and exits 2.  --manifest without --out or naming the --out
-file itself, and an --out or --manifest path that names a directory or
-lies in one that does not exist, are refused before any work.
+subcommand returns, at exit 0 or 3, and if that write fails, exits 2
+without the --out file.  Every file a run writes, a CSV table, verify's
+report or the manifest, follows one rule: a run that fails removes the
+file it was writing, and only if that is a regular file, so a path such as
+/dev/null or a link to it stays.  --manifest without --out or naming the
+--out file itself, and an --out or --manifest path that names a directory
+or lies in one that does not exist, are refused before any work.
 verify's level l has (nx - 1) * 2^l + 1 grid points and time step
 dt / 2^l.  Each subcommand's work and memory are bounded before any work,
 with one line and exit 2 past the bound; peaks and times are those of a
@@ -45,6 +48,7 @@ verification-threshold failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -109,6 +113,27 @@ _TRANSITION_DEFAULT_BS = [2.0 - 10.0**-k for k in range(2, 7)]
 _NUMERIC_DEFAULTS = {"rho0": 1.0, "rho_dot0": None, "rel_tol": REL_TOL, "abs_tol": ABS_TOL}
 
 
+def _discard(path: str) -> None:
+    """Remove path if it is a regular file: a device, a FIFO or a link to
+    one (such as /dev/null) is left where it is."""
+    if os.path.isfile(path):
+        os.remove(path)
+
+
+@contextlib.contextmanager
+def _output(path: str, mode: str):
+    """Open path for writing in mode, the one way a run writes a file: if
+    anything raises before the file is closed, its close included, the
+    file is discarded and the error re-raised."""
+    handle = open(path, mode)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        _discard(path)
+        raise
+
+
 def _write_csv(path: str, header, blocks) -> None:
     """Write the header row, then each block of rows by _write_block, after
     the rows of the blocks before it.
@@ -117,11 +142,10 @@ def _write_csv(path: str, header, blocks) -> None:
     block when the writer reaches it and holds one block, never the whole
     table.  Each block is written as it is when it is yielded: nothing is
     kept from one block to the next but the counts of the DEBUG record.
-    The first block is computed before the file is opened; if anything
-    raises after that, a later block's fields included, the file is
-    removed, unless it is not a regular file (such as /dev/null), and the
-    error re-raised.  One DEBUG record gives the rows, the bytes, the
-    values "%.17g" printed and the seconds.
+    The first block is computed before the file is opened, through
+    _output, so an error in a later block's fields removes the file.  One
+    DEBUG record gives the rows, the bytes, the values "%.17g" printed and
+    the seconds.
     """
     began = time.perf_counter()
     blocks = iter(blocks)
@@ -129,19 +153,13 @@ def _write_csv(path: str, header, blocks) -> None:
     # error in it leaves a file at path as it was.  Each block is dropped
     # before the next is computed: pending holds at most one.
     pending = list(itertools.islice(blocks, 1))
-    handle = open(path, "wb")
-    try:
-        with handle:
-            # rows, bytes and "%.17g" fallbacks
-            counts = [0, handle.write((",".join(header) + "\n").encode()), 0]
-            while pending:
-                counts = [sum(pair) for pair in
-                          zip(counts, _write_block(handle, pending.pop()))]
-                pending.extend(itertools.islice(blocks, 1))
-    except BaseException:
-        if os.path.isfile(path):
-            os.remove(path)
-        raise
+    with _output(path, "wb") as handle:
+        # rows, bytes and "%.17g" fallbacks
+        counts = [0, handle.write((",".join(header) + "\n").encode()), 0]
+        while pending:
+            counts = [sum(pair) for pair in
+                      zip(counts, _write_block(handle, pending.pop()))]
+            pending.extend(itertools.islice(blocks, 1))
     _log.debug("write_csv: %d rows, %d bytes, %d values by the %%.17g fallback, "
                "%.3f s", *counts, time.perf_counter() - began)
 
@@ -254,7 +272,7 @@ def _write_manifest(args) -> None:
         "parameters": parameters,
         "outputs": [{"path": args.out, "sha256": digest.hexdigest(), "bytes": size}],
     }
-    with open(args.manifest, "w") as handle:
+    with _output(args.manifest, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -423,7 +441,7 @@ def _cmd_verify(args) -> str | None:
     }
     blob = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
+        with _output(args.out, "w") as handle:
             handle.write(blob)
     else:
         sys.stdout.write(blob)
@@ -655,7 +673,7 @@ def _check_flags(args) -> None:
 def main(argv=None) -> int:
     """Run one subcommand.  It writes its --out file and returns None, or
     the message of a failed threshold; main then writes the manifest, and
-    removes the --out file and any partial manifest if that write fails."""
+    discards the --out file if that write fails."""
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
@@ -668,9 +686,7 @@ def main(argv=None) -> int:
             try:
                 _write_manifest(args)
             except OSError:
-                os.remove(args.out)
-                if os.path.exists(args.manifest):
-                    os.remove(args.manifest)
+                _discard(args.out)
                 raise
     except (ValueError, RuntimeError, OSError, FloatingPointError) as error:
         print(f"bohmosc {args.command}: {error}", file=sys.stderr)

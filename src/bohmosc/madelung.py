@@ -70,8 +70,9 @@ AMPLITUDE_FLOOR = 1e-12
 class SpatialGrid:
     """Uniform grid on [x_min, x_max] with n samples, spacing h = span/(n-1).
 
-    The default covers [-8, 8] with 512 points (a power of two, as the
-    spectral propagator requires).
+    On a domain symmetric about 0, x is an exact mirror image:
+    x[n-1-j] == -x[j] for every j.  The default covers [-8, 8] with 512
+    points (a power of two, as the spectral propagator requires).
     """
 
     x_min: float = -8.0
@@ -86,7 +87,15 @@ class SpatialGrid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        x = np.linspace(self.x_min, self.x_max, self.n)
+        n = self.n
+        x = np.linspace(self.x_min, self.x_max, n)
+        if self.x_min == -self.x_max:
+            # np.linspace does not mirror its halves bit for bit, and an
+            # even state must sample as even: the left half is the right
+            # half negated, and an odd n's middle point is 0.
+            x[:n // 2] = -x[::-1][:n // 2]
+            if n % 2:
+                x[n // 2] = 0.0
         x.setflags(write=False)
         return x
 
@@ -146,7 +155,7 @@ class Construction:
     profile: FrequencyProfile
     solution: ErmakovSolution
 
-    # perfbench/jobs.py reads .scale; it goes with ROADMAP item 6.
+    # perfbench/jobs.py reads .scale; it goes with ROADMAP items 8 and 9.
     @property
     def scale(self) -> Construction:
         return self
@@ -181,7 +190,7 @@ class Construction:
                                 psi=wavefunction(grid.x, times[:, None], self))
 
 
-# perfbench/spans.py wraps PhaseField.S; it goes with ROADMAP item 6.
+# perfbench/spans.py wraps PhaseField.S; it goes with ROADMAP items 8 and 9.
 PhaseField = Construction
 
 

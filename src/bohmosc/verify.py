@@ -82,10 +82,6 @@ class ResidualReport:
         return asdict(self)
 
 
-def _interior(n: int) -> slice:
-    return slice(_BOUNDARY_SKIP, n - _BOUNDARY_SKIP)
-
-
 def _dx1(f: np.ndarray, h: float, order: int) -> np.ndarray:
     """First x-derivative of (..., n_x) rows on the interior slice."""
     if order == 2:
@@ -119,11 +115,18 @@ def _as_family(f, shape: tuple, name: str) -> np.ndarray:
         raise ValueError(f"{name} must broadcast to shape {shape}, got {f.shape}") from None
 
 
-def _check_times(n_t: int, dt: float):
+def _families(f, x, dt: float, dtype=float) -> tuple:
+    """The prologue of every check: f as (..., n_t, n_x) families of dtype,
+    the spacing h of the positions x and the interior slice of a row.
+    Refuses fewer than 3 time samples and a dt that is not positive."""
+    f = np.asarray(f, dtype=dtype)
+    *_, n_t, n_x = f.shape
     if n_t < 3:
         raise ValueError(f"need at least 3 time samples, got {n_t}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"need dt > 0, got {dt}")
+    x = np.asarray(x, dtype=float)
+    return f, x[1] - x[0], slice(_BOUNDARY_SKIP, n_x - _BOUNDARY_SKIP)
 
 
 def _tail_mask(magnitude: np.ndarray) -> np.ndarray:
@@ -144,13 +147,8 @@ def schrodinger_residual(psi, v, x, dt: float, space_order: int = 2,
     computed from |psi|.
     The residual is linear in psi; no normalization is applied.
     """
-    psi = np.asarray(psi, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    *_, n_t, n_x = psi.shape
-    _check_times(n_t, dt)
+    psi, h, ix = _families(psi, x, dt, complex)
     v = _as_family(v, psi.shape, "v")
-    h = x[1] - x[0]
-    ix = _interior(n_x)
 
     psi_t = _dt1(psi, dt)[..., ix]
     psi_xx = _dx2(psi[..., 1:-1, :], h, space_order)
@@ -177,15 +175,10 @@ def continuity_residual(a, s, x, dt: float, space_order: int = 2,
     the one it shares with the other checks); by default it is computed
     from |A|.
     """
-    a = np.asarray(a, dtype=float)
+    a, h, ix = _families(a, x, dt)
     s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    *_, n_t, n_x = a.shape
-    _check_times(n_t, dt)
     if s.shape != a.shape:
         raise ValueError("A and S families must share a shape")
-    h = x[1] - x[0]
-    ix = _interior(n_x)
 
     a_t = _dt1(a, dt)[..., ix]
     a_x = _dx1(a[..., 1:-1, :], h, space_order)
@@ -208,14 +201,9 @@ def qhje_residual(s, v_b, v, x, dt: float, mask=None) -> float:
     supplied, restricts the max norm to a region of interest with the
     same sampling.
     """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    *_, n_t, n_x = s.shape
-    _check_times(n_t, dt)
+    s, h, ix = _families(s, x, dt)
     v_b = _as_family(v_b, s.shape, "v_b")
     v = _as_family(v, s.shape, "v")
-    h = x[1] - x[0]
-    ix = _interior(n_x)
 
     s_t = _dt1(s, dt)[..., ix]
     s_x = _dx1(s[..., 1:-1, :], h, 2)

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from bohmosc import (
     classical_potential,
     numeric_construction,
     rational_construction,
+    wavefunction,
 )
 from bohmosc import cli, floatfmt, tdse
 from bohmosc.cli import _write_csv, build_parser, main
@@ -225,13 +227,17 @@ class TestWavefunctionCommand:
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_psi_columns_equal_the_construction(self, tmp_path):
-        # "%.17g" round-trips doubles, so the columns read back exactly.
+        # "%.17g" round-trips doubles, so the columns read back exactly.  A
+        # sweep's positions are np.linspace's; on [-8, 8] at 512 points the
+        # mirror-image SpatialGrid().x differs from them in the last bits.
         out = tmp_path / "psi.csv"
         assert main(["wavefunction", "--b", "1", "--x-min", "-8", "--x-max", "8",
                      "--nx", "512", "--nt", "3", "--out", str(out)]) == 0
         data = read_csv(out)
         times = np.linspace(0.0, 6.0, 3)
-        psi = rational_construction(1.0).psi(SpatialGrid(), times).psi
+        x = np.linspace(-8.0, 8.0, 512)
+        np.testing.assert_array_equal(data[:, 1], np.tile(x, 3))
+        psi = wavefunction(x, times[:, None], rational_construction(1.0))
         np.testing.assert_array_equal(data[:, 2], psi.real.ravel())
         np.testing.assert_array_equal(data[:, 3], psi.imag.ravel())
 
@@ -304,6 +310,24 @@ class TestVerifyCommand:
             "bohmosc verify: --nt 4 on --refine 2 from --nx 65 gives more than "
             "582 probe points"]
 
+    def test_report_past_the_file_size_limit_leaves_no_file(self, tmp_path):
+        # the report of three levels from --nx 65 is about 1.4 KiB, past a
+        # 1 KiB RLIMIT_FSIZE, under which a write raises "File too large"
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "bohmosc", "verify", "--b", "1", "--nx", "65",
+             "--refine", "3", "--nt", "4", "--out", "report.json"],
+            cwd=tmp_path, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert done.returncode == 2, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("bohmosc verify: ") and "File too large" in line
+        assert not (tmp_path / "report.json").exists()
+
     def test_failed_threshold_still_prints_the_report(self, capsys):
         assert main(["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"]) == 3
         printed, err = capsys.readouterr()
@@ -364,6 +388,20 @@ class TestTdseCheckCommand:
         assert not past.exists()
         assert capsys.readouterr().err.splitlines() == [
             "bohmosc tdse-check: --samples 4 at --n 512 give more than 1536 cells"]
+
+    @pytest.mark.parametrize("b, cutoff, width", [("1.99999", "17.8", "10.2"),
+                                                  ("1.999999", "10.3", "5.7")])
+    def test_even_state_near_b_2_meets_the_momentum_guard(self, tmp_path, capsys,
+                                                          b, cutoff, width):
+        # psi0 is even; on a grid that is not an exact mirror image it
+        # differed from its mirror by 1e-12 of its peak and was refused as
+        # "not even"
+        out = tmp_path / "t.csv"
+        assert main(["tdse-check", "--b", b, "--t-max", "0.1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"bohmosc tdse-check: momentum cutoff pi/h = {cutoff} is below 6 x "
+            f"packet width {width}; refine the grid"]
 
     def test_debug_log_leaves_csv_unchanged(self, tmp_path, caplog):
         argv = ["tdse-check", "--b", "1", "--t-max", "0.1", "--dt", "1e-3",
@@ -518,6 +556,21 @@ class TestManifest:
         assert not manifest.exists()
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"bohmosc {argv[0]}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["fig1"], ["verify", "--b", "1", "--nx", "65", "--threshold", "1e-12"],
+    ], ids=["exit-0", "exit-3"])
+    def test_failed_manifest_write_leaves_a_device_where_it_is(self, tmp_path, capsys,
+                                                              argv):
+        # links to the devices, so that a removal takes a link, not a device
+        out, manifest = tmp_path / "null", tmp_path / "full"
+        out.symlink_to("/dev/null")
+        manifest.symlink_to("/dev/full")
+        assert main(argv + ["--out", str(out), "--manifest", str(manifest)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"bohmosc {argv[0]}: ") and "No space left on device" in line
+        assert out.is_symlink() and manifest.is_symlink()
 
     def test_output_larger_than_a_hash_chunk_keeps_its_digest(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_HASH_CHUNK", 4099)

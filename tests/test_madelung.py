@@ -45,6 +45,18 @@ class TestSpatialGrid:
         assert grid.h == pytest.approx(16.0 / 511.0)
         assert grid.x[0] == -8.0 and grid.x[-1] == 8.0
 
+    def test_symmetric_domain_is_an_exact_mirror(self):
+        # np.linspace alone misses its mirror image in the last bits at
+        # n = 512 and 4096, and on [-16, 16] at n = 99 in its middle point
+        for half_width in (15.0, 16.0, 28.0, 29.0, 45.0, 78.0):
+            for n in (512, 4096, 513, 99):
+                x = SpatialGrid(-half_width, half_width, n).x
+                assert np.array_equal(x[::-1], -x), (half_width, n)
+                assert (x[0], x[-1]) == (-half_width, half_width)
+                right = slice((n + 1) // 2, None)
+                assert np.array_equal(x[right],
+                                      np.linspace(-half_width, half_width, n)[right])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpatialGrid(-1.0, 1.0, 8)

@@ -21,14 +21,18 @@ The record holds:
   Linux carries the spawning process's peak into the child's across the
   exec, so this script keeps its own small: it hashes each output in
   chunks and never holds one whole;
+- the wall time and the outcome counts (passed, failed, ...) of the
+  Tier-1 suite and of tests/test_acceptance.py, each in a fresh pytest
+  process, 3 times in turn with the median;
 - the benchmark's `env` line: nproc, the CPU model, the Python, numpy and
   scipy versions and the git commit.
 
 --root names the checkout to measure (default: the one holding this
-script); its perfbench/ and src/ are the ones run, and the record is
-written at the root of the checkout holding this script.  Two records are
-comparable only when taken side by side on the same host: its speed
-drifts by up to 2x (see perfbench/README.md).  It takes about 3
+script); its perfbench/, src/ and tests/ are the ones run, and the record
+is written at the root of the checkout holding this script.  It imports
+no bohmosc or perfbench name: every number comes from a subprocess.  Two
+records are comparable only when taken side by side on the same host: its
+speed drifts by up to 2x (see perfbench/README.md).  It takes about 5
 minutes.
 """
 
@@ -38,6 +42,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -54,6 +59,12 @@ SECONDS = 25
 # with the host.
 REPEATS = 5
 HASH_CHUNK = 2**20
+# Fresh pytest runs of each test selection, taken in turn.
+TEST_REPEATS = 3
+
+# The Tier-1 suite, as ROADMAP.md runs it, and the acceptance module, by
+# name: the paths given to pytest.
+TESTS = {"tier1": (), "acceptance": ("tests/test_acceptance.py",)}
 
 # Each subcommand at its default flags, the two surface sweeps at their
 # cell cap and the numeric Ermakov table at its sample cap, by name; --out
@@ -134,6 +145,29 @@ def cli_record(root, folder):
     return record
 
 
+def test_record(root):
+    """Each test selection's wall times, their median, and the outcome
+    counts of pytest's summary line in every run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
+    runs = {name: [] for name in TESTS}
+    for _ in range(TEST_REPEATS):
+        for name, paths in TESTS.items():
+            argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    "--continue-on-collection-errors", *paths]
+            started = perf_counter()
+            done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+            wall = perf_counter() - started
+            summary = done.stdout.splitlines()[-1] if done.stdout else ""
+            counts = {kind: int(count) for count, kind in re.findall(
+                r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)", summary)}
+            runs[name].append((round(wall, 3), counts))
+    return {name: {"argv": ["pytest", *TESTS[name]],
+                   "wall_s": [wall for wall, _ in seen],
+                   "wall_s_median": statistics.median(wall for wall, _ in seen),
+                   "outcomes": [counts for _, counts in seen]}
+            for name, seen in runs.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="the record is BENCH_<tag>.json")
@@ -151,6 +185,9 @@ def main(argv=None) -> int:
     record["layers"] = {"propagate": traced["metrics"]}
     with tempfile.TemporaryDirectory() as folder:
         record["cli"] = cli_record(root, folder)
+    record["tests"] = test_record(root)
+    for name, tests in record["tests"].items():
+        print(f"{name}: {tests['wall_s_median']} s, {tests['outcomes'][-1]}", flush=True)
     path = HERE / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
