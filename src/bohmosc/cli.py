@@ -39,8 +39,8 @@ with one line and exit 2 past the bound; peaks and times are those of a
 samples and bohm and wavefunction 2^21 cells (under 70 MB and 8 s on a
 numeric profile, since each block of rows is computed only when the CSV
 writer reaches it); tdse-check at most 2^22 cells of --samples by --n
-(440 MB) and 2^31 / max(n, 512) steps, about a minute at n <= 4096 and
-4-5 minutes at n = 2^21.
+(440 MB) and 2^29 / max(n, 512) steps, about 15 s at n <= 4096 and
+about a minute at n = 2^21.
 Exit codes: 0 on success, 2 for flag or domain errors, 3 for
 verification-threshold failures.
 """
@@ -210,8 +210,10 @@ def _write_block(handle, block) -> tuple[int, int, int]:
     pieces = max(1, -(-lines * len(columns) // _BLOCK_CELLS))
     size = max(1, -(-lines // pieces))
     # The canvas lies over a bytearray, which deletes its NUL padding
-    # without a copy.  Every chunk reuses it; the few rows past the last
-    # chunk are zeroed, so they print nothing.
+    # without a copy: 32 bytes a cell for at most 25 of text, so the
+    # translate pass scans about 1.6 bytes for each byte it writes.  Every
+    # chunk reuses it; the few rows past the last chunk are zeroed, so they
+    # print nothing.
     buffer = bytearray(8 * CELL_WORDS * len(columns) * size)
     canvas = np.frombuffer(buffer, np.uint64).reshape(size, len(columns), CELL_WORDS)
     for start in range(0, lines, size):

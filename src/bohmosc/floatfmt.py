@@ -1,7 +1,7 @@
 """Exact "%.17g" text of float64 arrays, in numpy.
 
 `format_into` writes each value's "%.17g" text, followed by a separator,
-into a canvas of 48 bytes a cell, NUL-padded.  Deleting the NUL bytes of
+into a canvas of 32 bytes a cell, NUL-padded.  Deleting the NUL bytes of
 a canvas (bytes.translate(None, b"\0")) gives the text of a whole block
 of cells at once, the text a Python loop of "%.17g" % value would give.
 
@@ -21,14 +21,14 @@ the 1e-14) of 1/2.  Those values, exact ties among them, and NaN and the
 infinities are printed by "%.17g" itself, so every cell is rounded as
 Python's correctly rounding dtoa rounds it, by construction.
 
-D's 17 digits come from 4-digit lookup words.  A cell's canvas holds a
-sign, the "0.000" prefix of -4 <= X < 0, the digits with a '.' slot
-after each, then the exponent and the separator; the layout of the cell
-(its sign, its %g form and its count of digits through the last nonzero
-one) masks out the bytes that %g does not print: the trailing zeros, the
-unused '.' slots and prefix bytes.  The fixed form is used for
--4 <= X < 17 and the exponent form, with at least two exponent digits,
-otherwise.  ±0 print as "0" and "-0".
+D's 17 digits come from 4-digit lookup words.  A cell's canvas is four
+words: the sign, the "0.000" prefix of -4 <= X < 0, the lead digit and a
+'.' slot; 16 digits, packed; then a spare byte, the exponent and the
+separator.  The cell's layout (sign, %g form, count of digits through the
+last nonzero one) masks out what %g does not print.  At 1 <= X <= 15 the
+'.' falls among the packed digits, and those past it move one byte on.
+The fixed form is used for -4 <= X < 17 and the exponent form, with at
+least two exponent digits, otherwise.  ±0 print as "0" and "-0".
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import numpy as np
 
 __all__ = ["CELL_WORDS", "TIE_MARGIN", "format_into"]
 
-# uint64 words of one cell's canvas: prefix and lead digit, four 4-digit
-# groups, then the exponent and the separator.
-CELL_WORDS = 6
+# uint64 words of one cell's canvas, 32 bytes for at most 25 of text and
+# separator ("-1.2345678901234567e-308,").
+CELL_WORDS = 4
 # Values whose scaled fraction lies this close to 1/2 are printed by "%.17g".
 TIE_MARGIN = 1e-9
 
@@ -54,64 +54,57 @@ _DIGITS = 17
 
 
 def _words(rows) -> np.ndarray:
-    """Rows of 8 bytes as native uint64 words, one per row."""
-    return np.ascontiguousarray(rows, np.uint8).reshape(-1, 8).view(np.uint64)[:, 0]
+    """Rows of 8 bytes as little-endian uint64 words, one per row."""
+    return np.ascontiguousarray(rows, np.uint8).reshape(-1, 8).view("<u8")[:, 0]
 
 
 @functools.cache
 def _digit_tables():
-    """The lead digit d as canvas word 0, each 4-digit group as the word
-    "d.d.d.d." with NUL in the '.' slots, and, per group position w and
+    """The lead digit d as canvas word 0, each 4-digit group "dddd" as the
+    low and as the high half of a word, and, per group position w and
     group value, the 1-based place among the 17 digits of its last nonzero
     digit (1 for a zero group)."""
-    group = np.arange(10000, dtype=np.int16)
-    digits = np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10],
-                      axis=1).astype(np.int8)
-    spaced = np.zeros((10000, 8), np.uint8)
-    spaced[:, 0::2] = 48 + digits
+    digits = np.indices((10, 10, 10, 10), np.int8).reshape(4, -1).T
+    packed = np.ascontiguousarray(48 + digits, np.uint8).view("<u4")[:, 0].astype(np.uint64)
     lead = np.zeros((10, 8), np.uint8)
     lead[:, 6] = 48 + np.arange(10)
     last = np.max(np.where(digits > 0, np.arange(1, 5, dtype=np.int8), 0), axis=1)
     last_place = np.where(last > 0, last + 4 * np.arange(4, dtype=np.int8)[:, None] + 1, 1)
-    return _words(lead), _words(spaced), last_place
+    return _words(lead), np.stack([packed, packed << 32]), last_place
 
 
 @functools.cache
 def _layouts():
-    """Constant bytes of canvas words 0-4 and masks of words 1-4 (the lead
-    digit in word 0 is always printed), each indexed by layout: sign,
-    form, and count of digits through the last nonzero one."""
-    shape = (2, _FORMS, _DIGITS, 8 * (CELL_WORDS - 1))
-    masks, consts = np.zeros(shape, np.uint8), np.zeros(shape, np.uint8)
-    for negative in range(2):
-        for form in range(_FORMS):
-            x = form - 4
-            for count in range(1, _DIGITS + 1):
-                mask, const = masks[negative, form, count - 1], consts[negative, form, count - 1]
-                const[0] = 45 if negative else 0  # '-'
-                if form == _FORMS - 1:            # d.ddde+XX
-                    kept, point = count, 0 if count > 1 else None
-                elif x < 0:                       # 0.000ddd
-                    const[1:2 - x] = list(b"0." + b"0" * (-x - 1))
-                    kept, point = count, None
-                else:                             # ddd.ddd, integer digits kept
-                    kept = max(count, x + 1)
-                    point = x if count > x + 1 else None
-                # digit i sits at byte 6 + 2i and its '.' slot at 7 + 2i
-                mask[6:6 + 2 * kept:2] = 255
-                if point is not None:
-                    const[7 + 2 * point] = 46     # '.'
-    return (_words(masks).reshape(-1, CELL_WORDS - 1)[:, 1:].T.copy(),
-            _words(consts).reshape(-1, CELL_WORDS - 1).T.copy())
+    """By layout (sign, form, digit count): word 0's constant bytes, and for
+    words 1 and 2 the masks of the digits printed in place and of those
+    moved one byte on past a '.', and the '.' (the lead digit always shows)."""
+    negative = np.arange(2)[:, None, None, None]  # axes: sign, form, count, byte
+    x = np.arange(_FORMS)[:, None, None] - 4
+    count = np.arange(1, _DIGITS + 1)[:, None]
+    fixed = x < _FORMS - 5
+    # the sign, the "0." and zeros of X < 0, a '.' after the lead digit
+    byte = np.arange(8)
+    prefix = (x < 0) & (byte >= 1) & (byte <= 1 - x)
+    word0 = (np.where(byte == 0, 45 * negative, 0) + np.where(prefix, 48 - 2 * (byte == 2), 0)
+             + np.where((byte == 7) & ((x == 0) | ~fixed) & (count > 1), 46, 0))
+    # digit 1 + j at byte j, through the last nonzero one and every integer
+    # digit; a '.' after digit X takes byte X, and the digits past it move on
+    j = np.arange(16)
+    printed = j < np.where(fixed, np.maximum(count, x + 1), count) - 1
+    moved = printed & fixed & (x >= 1) & (j >= x)
+    parts = np.array([255 * (printed & ~moved), 255 * moved, 46 * (moved & (j == x))])
+    return (_words(np.broadcast_to(word0, (2, _FORMS, _DIGITS, 8))),
+            _words(np.broadcast_to(parts[:, None], (3, 2, _FORMS, _DIGITS, 16)))
+            .reshape(3, -1, 2).transpose(0, 2, 1).copy())
 
 
 @functools.cache
 def _tails(sep: bytes) -> np.ndarray:
-    """Canvas word 5 by X + 324: "e±XX" in the exponent form, then sep."""
+    """Canvas word 3 by X + 324: a spare byte, "e±XX" in the exponent form, sep."""
     rows = np.zeros((324 + 309, 8), np.uint8)
     for x in range(-324, 309):
         text = (b"" if -4 <= x <= 16 else b"e%+03d" % x) + sep
-        rows[x + 324, :len(text)] = list(text)
+        rows[x + 324, 1:1 + len(text)] = list(text)
     return _words(rows)
 
 
@@ -220,7 +213,7 @@ def format_into(canvas: np.ndarray, values: np.ndarray, sep: bytes) -> int:
     if not values.size:
         return 0
     d, x, slow = _round17(values)
-    leads, spaced, last_place = _digit_tables()
+    leads, quads, last_place = _digit_tables()
     lead = d // 10**16
     d -= lead * 10**16
     high8 = d // 10**8
@@ -234,12 +227,18 @@ def format_into(canvas: np.ndarray, values: np.ndarray, sep: bytes) -> int:
     # X + 4 outside 0..20, negative ones wrapped to huge, is the exponent form
     form = np.minimum((x + 4).view(np.uint64), _FORMS - 1).view(np.int64)
     layout = (np.signbit(values) * _FORMS + form) * _DIGITS + count - 1
-    masks, consts = _layouts()
-    canvas[:, 0] = leads[lead] | consts[0][layout]
-    for w, group in enumerate((g1, g2, g3, g4), 1):
-        canvas[:, w] = (spaced[group] & masks[w - 1][layout]) | consts[w][layout]
-    canvas[:, 5] = _tails(sep)[x + 324]
-
+    word0, (printed, moved, point) = _layouts()
+    words = canvas.view("<u8")  # little-endian: << 8 moves each byte one on
+    words[:, 0] = leads[lead] | word0[layout]
+    digits1 = quads[0][g1] | quads[1][g2]
+    digits2 = quads[0][g3] | quads[1][g4]
+    moving1 = digits1 & moved[0][layout]
+    moving2 = digits2 & moved[1][layout]
+    # the last byte moved in a word leads the next
+    words[:, 1] = (digits1 & printed[0][layout]) | point[0][layout] | (moving1 << 8)
+    words[:, 2] = ((digits2 & printed[1][layout]) | point[1][layout] | (moving2 << 8)
+                   | (moving1 >> 56))
+    words[:, 3] = (moving2 >> 56) | _tails(sep)[x + 324]
     slow = np.flatnonzero(slow)
     cells = canvas.view(np.uint8)
     for i in slow.tolist():

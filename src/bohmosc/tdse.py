@@ -82,11 +82,16 @@ _MOMENTUM_MARGIN = 6.0
 _NORM_DRIFT_LIMIT = 1e-10
 
 # The one bound on a run's work: steps times max(n, 512) grid points, so
-# 2**22 steps at n <= 512 and 2**19 at n = 4096, each 30-35 s on a 2-core
-# Xeon, in memory fixed by n.  The norm-drift guard can end a run sooner:
-# it refuses the static ground state on [-8, 8] at n = 512, dt = 1e-4,
-# after about 1.5 million steps (13 s).
-_MAX_STEP_POINTS = 2**31
+# 2**20 steps at n <= 512 and 2**17 at n = 4096, each about 8 s on a
+# 2-core Xeon, in memory fixed by n.  It also keeps the rounding drift of
+# every run it admits under _NORM_DRIFT_LIMIT.  That drift is a bias,
+# linear in the steps: on the static ground state on [-8, 8] at dt = 1e-4
+# it is 2.6e-17, 3.3e-17, 1.8e-18, 6.8e-17, 2.6e-17, 1.4e-17, 4.3e-17,
+# 3.1e-17 and 5.1e-17 a step in size at n = 64, 128, ..., 16384.  At the
+# cap that is at most 7.1e-11 (n = 512), 1.4 times under the limit, and
+# at most 1.4e-11 past n = 512.  2**31 admitted 2**22 steps at n <= 512,
+# and n = 512 passes the limit near 1.47 million.
+_MAX_STEP_POINTS = 2**29
 
 # Largest |psi|^2 h mass allowed at a returned slice in the outer eighth
 # of the domain (its outer sixteenth at each end).  The acceptance and
@@ -189,7 +194,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     by more than 1e-12 of its peak is refused with one line before any
     transform.  The number of steps is (t_end - start)/dt rounded to the
     nearest integer, which must reproduce the span to within 1e-9 and be
-    at most 2**31 / max(n, 512) (checked before any transform); sample
+    at most 2**29 / max(n, 512) (checked before any transform); sample
     times must fall on step boundaries and strictly advance in the
     direction of dt.  Returns a WavefunctionGrid holding the requested
     sample times, or the single final slice if none are given, each an

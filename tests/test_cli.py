@@ -966,7 +966,9 @@ def float_corpus():
     over every exponent, subnormals, infinities and NaNs included; every
     power of ten from 1e-320 to 1e308 with both neighbours; the %g switch
     points with theirs; +-0; dyadic and decimal fractions; exact ties at
-    the 17th digit; and integers up to 1e17."""
+    the 17th digit; integers up to 1e17; short decimals of every digit
+    count at each exponent from -7 to 18, which reach every layout of the
+    kernel; and the longest texts."""
     rng = np.random.default_rng(20261019)
     powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
     switches = np.array([1e-5, 1e-4, 1e16, 1e17, 9.99999999999999955e-5,
@@ -981,6 +983,10 @@ def float_corpus():
         (4e15 + 2 * np.arange(1000) + 1) / 4,  # ...25 and ...75: ties to even
         rng.integers(0, 10**17, 50_000).astype(np.float64),
         np.arange(2.0**15),
+        [float(f"{lead * 10**(count - 1) + last}e{x - count + 1}") for x in range(-7, 19)
+         for count in range(1, 18) for lead in (1, 2)
+         for last in (range(1, 10) if count > 1 else [0])],
+        [1.2345678901234567e-308, 1234567890123456.7],
     ]
     values = np.concatenate([np.asarray(part, np.float64) for part in parts])
     return np.concatenate([values, -values])
@@ -1023,6 +1029,33 @@ class TestFloatText:
         text, fallbacks = formatted(values)
         assert fallbacks == values.size
         assert_percent_g(text, values)
+
+    def test_every_layout_fits_its_cell(self):
+        # The corpus reaches every (sign, %g form, digit count) layout, read
+        # from the "%.16e" text.  For each layout, and each count of
+        # exponent digits, a row of CELL_WORDS words holds the "%.17g" text
+        # of one value and its separator, the longest texts among them.
+        values = float_corpus()
+        finite = values[np.isfinite(values)]
+        magnitudes, inverse = np.unique(np.abs(finite), return_inverse=True)
+        text = np.array(["%.16e" % a for a in magnitudes.tolist()], "S23")
+        text = text.view(np.uint8).reshape(-1, 23).astype(np.int16)
+        count = np.max(np.where(text[:, [0, *range(2, 18)]] > 48, np.arange(1, 18), 1), axis=1)
+        x = 10 * text[:, 20] + text[:, 21] - 11 * 48
+        x = np.where(text[:, 22] > 0, 10 * x + text[:, 22] - 48, x) * (44 - text[:, 19])
+        form = np.where((x >= -4) & (x <= 16), x + 4, 21)
+        layout = (np.signbit(finite) * 22 + form[inverse]) * 17 + count[inverse] - 1
+        kinds, first = np.unique(2 * layout + (text[inverse, 22] > 0), return_index=True)
+        assert np.unique(kinds // 2).size == 2 * 22 * 17
+        longest = [-1.2345678901234567e-308, -1234567890123456.7]
+        assert np.isin(longest, values).all()
+        sample = np.concatenate([finite[first], longest, [np.nan, -np.inf]])
+        canvas = np.empty((sample.size, floatfmt.CELL_WORDS), np.uint64)
+        floatfmt.format_into(canvas, sample, b",")
+        cells = [b"%.17g," % v for v in sample.tolist()]
+        assert [row.tobytes().translate(None, b"\0") for row in canvas] == cells
+        assert max(map(len, cells)) == 25 <= 8 * floatfmt.CELL_WORDS
+        assert {b"-1.2345678901234567e-308,", b"-1234567890123456.8,"} <= set(cells)
 
     def test_importing_the_cli_builds_no_table(self):
         # the CLI loads the kernel on its first write; loaded, it has built

@@ -25,7 +25,11 @@ The record holds:
   Tier-1 suite and of tests/test_acceptance.py, each in a fresh pytest
   process, 3 times in turn with the median;
 - the benchmark's `env` line: nproc, the CPU model, the Python, numpy and
-  scipy versions and the git commit.
+  scipy versions and the git commit;
+- `tree_clean`: whether src/, tests/ and tools/ of the checkout match its
+  git commit (null outside a git checkout).  A record taken from an
+  uncommitted tree names the commit it was changed from, not the code it
+  measured.
 
 --root names the checkout to measure (default: the one holding this
 script); its perfbench/, src/ and tests/ are the ones run, and the record
@@ -168,6 +172,14 @@ def test_record(root):
             for name, seen in runs.items()}
 
 
+def tree_clean(root):
+    """True if `git status` lists no change under src, tests or tools of
+    root, False if it does, None if root is not a git checkout."""
+    done = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests", "tools"],
+                          cwd=root, capture_output=True, text=True)
+    return None if done.returncode else not done.stdout.strip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tag", required=True, help="the record is BENCH_<tag>.json")
@@ -176,7 +188,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
 
-    record = {"tag": args.tag, "seed": SEED, "seconds": SECONDS, "workloads": {}}
+    record = {"tag": args.tag, "seed": SEED, "seconds": SECONDS,
+              "tree_clean": tree_clean(root), "workloads": {}}
     for workload in WORKLOADS:
         env, record["workloads"][workload] = perfbench(root, workload, 0)
         print(f"{workload}: {record['workloads'][workload]['metrics']}", flush=True)
