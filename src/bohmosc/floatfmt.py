@@ -208,7 +208,8 @@ def _round17(values: np.ndarray):
 def format_into(canvas: np.ndarray, values: np.ndarray, sep: bytes) -> int:
     """Write the "%.17g" text of each value, then sep, into the rows of
     canvas, an (n, CELL_WORDS) uint64 array whose rows are contiguous, as
-    NUL-padded bytes.  Returns how many values "%.17g" printed itself."""
+    32 NUL-padded bytes a row in the four-word layout of the module
+    docstring.  Returns how many values "%.17g" printed itself."""
     values = np.asarray(values, np.float64)
     if not values.size:
         return 0
