@@ -519,10 +519,12 @@ def _cmd_transition(args) -> None:
     if args.t_probe <= 0:
         raise ValueError("the two branches only separate for t > 0; "
                          "pick a positive --t-probe")
-    if args.b_values:
+    if args.b_values is None:
+        bs = _TRANSITION_DEFAULT_BS
+    elif args.b_values.strip():
         bs = [float(v) for v in args.b_values.split(",")]
     else:
-        bs = _TRANSITION_DEFAULT_BS
+        raise ValueError("--b-values is empty; give comma-separated subcritical slopes")
     for b in bs:
         if classify_rational(b) is not Regime.SUBCRITICAL:
             raise ValueError(f"transition scan needs subcritical b values, got {b}")

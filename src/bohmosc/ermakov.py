@@ -116,8 +116,13 @@ _MONITOR_PROBES = 4096
 # The Magnus route starts with steps of at most 1 rad of phase.  A longer
 # step can overflow cosh in its exponential, and since a step is exact at
 # constant Omega, the error control alone would accept steps of many turns
-# there, more than the mu branch rule can read.
+# there, and the mu branch rule reads a step's turn only below 2 pi.
 _MAGNUS_MAX_PHASE = 1.0
+# A step's turn is read from its end angles, which carry rounding, so a turn
+# down to this far below zero reads as no turn, not as nearly 2 pi.  A
+# near-free step that turns by less than the rounding, as from
+# rho' = -1e5 at Omega = 1e-9 over 1e10, can read a few ulp below zero.
+_TURN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -260,12 +265,13 @@ def solve_numeric(
     one block.  At any t,
     rho = sqrt(u1^2 + u2^2), rho' = (u1 u1' + u2 u2')/rho,
     rho'' = W^2/rho^3 - Omega^2 rho and mu = -angle(u1, u2)/2, with
-    mu(window start) = 0 and its branch read
-    from the angle unwrapped at the step ends, and at the midpoints of
-    steps that may turn by pi/2 or more.  rho.x holds the step ends, knots
-    included.  The states are evaluated once per times array: the
-    solution remembers the last array it was given and its states, so
-    rho, rho', rho'' and mu on one array cost one evaluation.
+    mu(window start) = 0 and its branch read from the angle halfway
+    through the step that holds t, the sum of the turns of the steps
+    before it and half its own, each turn read from its step's end angles
+    modulo 2 pi (each step must turn by less than 2 pi).  rho.x holds the
+    step ends, knots included.  The states are evaluated once per times
+    array: the solution remembers the last array it was given and its
+    states, so rho, rho', rho'' and mu on one array cost one evaluation.
 
     Raises ValueError before any evaluation of Omega if rho_dot0 or an
     end of the window is not finite.  Raises RuntimeError if k reaches
@@ -308,26 +314,16 @@ def solve_numeric(
                            f"{RHO_FLOOR:g} near t={ts[low[0]]:.6g} "
                            "(singular or invalid configuration)")
 
-    # The angle of (u1, u2) rises at the rate W/rho^2.  Unwrapped at the
-    # sample times and interpolated, it picks the branch at any t, as long
-    # as it turns by less than pi from one sample to the next.  Where rho is
-    # squeezed a step can turn by nearly that: up to 3.13 rad for
-    # u1 = 8 cos 16t, u2 = sin(16t)/128, where 15 of 128 steps are split,
-    # and 3.14 rad in 21 of 8192 steps where Omega = 1 + sin(t)/2 pumps rho
-    # over [0, 100].  So a step whose ends do not read a turn below pi/2 is
-    # also sampled at its midpoint; that holds while a step turns by less
-    # than 2 pi and each half by less than pi.  Under the 1 rad phase limit
-    # a step at constant Omega = 1 with rel_tol = abs_tol = 1e-2 turns by
-    # at most 0.3125 rad, and no step there is split.
+    # The angle of (u1, u2) only rises, at the rate W/rho^2, so a step's
+    # turn is the difference of its end angles modulo 2 pi while it turns by
+    # less than 2 pi, and the summed turns give the angle halfway through
+    # each step, within pi of the angle anywhere in it.  Where rho is
+    # squeezed a step turns by nearly pi: up to 3.13 rad for u1 = 8 cos 16t,
+    # u2 = sin(16t)/128, and 3.14 rad where Omega = 1 + sin(t)/2 pumps rho
+    # over [0, 100].
     angle_ends = np.arctan2(u2, u1)
-    split = np.flatnonzero(np.diff(angle_ends) % (2.0 * np.pi) >= 0.5 * np.pi)
-    nodes, angle_nodes = ts, angle_ends
-    if split.size:
-        mids = 0.5 * (ts[split] + ts[split + 1])
-        w1, _, w2, _ = dense(mids)
-        nodes = np.insert(ts, split + 1, mids)
-        angle_nodes = np.insert(angle_ends, split + 1, np.arctan2(w2, w1))
-    angle_nodes = np.unwrap(angle_nodes)
+    swept = (np.diff(angle_ends) + _TURN_MARGIN) % (2.0 * np.pi) - _TURN_MARGIN
+    middles = angle_ends[0] + np.cumsum(swept) - 0.5 * swept
 
     # The last times array and its states, kept read-only in one tuple so
     # that concurrent callers replace it whole.
@@ -358,7 +354,7 @@ def solve_numeric(
     def mu(t):
         u1, _, u2, _ = states(t)
         angle = np.arctan2(u2, u1)
-        turns = np.round((np.interp(t, nodes, angle_nodes) - angle) / (2.0 * np.pi))
+        turns = np.round((middles[_step_of(ts, t)] - angle) / (2.0 * np.pi))
         return -0.5 * (angle + 2.0 * np.pi * turns)
 
     rho.x = ts
@@ -460,6 +456,11 @@ def _grading(profile, bounds):
     return ends, float(np.max(total))
 
 
+def _step_of(ends, t):
+    """The step between ends that holds each t, the first or last one past them."""
+    return np.clip(np.searchsorted(ends, t, side="right") - 1, 0, ends.size - 2)
+
+
 def _magnus(profile, start, bounds, rel_tol, abs_tol):
     """Step ends, states (u1, u1', u2, u2') there, dense evaluator and
     (steps, Omega evaluations, error estimate, bound) of the Magnus route
@@ -516,7 +517,7 @@ def _magnus(profile, start, bounds, rel_tol, abs_tol):
                            f"than the cap of {_MAGNUS_MAX_STEPS} Magnus steps")
 
     def dense(t):
-        i = np.clip(np.searchsorted(ends, t, side="right") - 1, 0, ends.size - 2)
+        i = _step_of(ends, t)
         # A partial step's transients hold about 40 doubles per time.
         found = np.empty((2, 2, t.size))
         for lo in range(0, t.size, _MAGNUS_BLOCK):

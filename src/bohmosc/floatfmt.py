@@ -101,11 +101,10 @@ def _layouts():
 @functools.cache
 def _tails(sep: bytes) -> np.ndarray:
     """Canvas word 3 by X + 324: a spare byte, "e±XX" in the exponent form, sep."""
-    rows = np.zeros((324 + 309, 8), np.uint8)
-    for x in range(-324, 309):
-        text = (b"" if -4 <= x <= 16 else b"e%+03d" % x) + sep
-        rows[x + 324, 1:1 + len(text)] = list(text)
-    return _words(rows)
+    rows = b"".join(
+        b"\0" + ((b"" if -4 <= x <= 16 else b"e%+03d" % x) + sep).ljust(7, b"\0")
+        for x in range(-324, 309))
+    return _words(np.frombuffer(rows, np.uint8))
 
 
 def _exact(power10: int, power2: int) -> tuple[int, int]:

@@ -37,8 +37,10 @@ limit.  A returned slice is written to the full grid as its mirror
 image beside it, so the stack, fidelity and the boundary guard see the
 whole domain.  Each returned
 slice must keep its mass in the outer eighth of the domain (its outer
-sixteenth at each end) below a fixed limit, so that wrap-around at the
-periodic boundary cannot pass silently.
+sixteenth at each end) below a fixed limit, checked as the slice is
+taken, so that wrap-around at the periodic boundary cannot pass silently
+and a leaking run stops at its first leaked slice.  Without sample times
+the one slice is t_end, on the same schedule and checks as any other.
 
 No transform convention leaks into the API.  Each transform is one call
 of scipy's pocketfft binding (scipy.fft._pocketfft.pypocketfft.dct), in
@@ -196,23 +198,24 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     nearest integer, which must reproduce the span to within 1e-9 and be
     at most 2**29 / max(n, 512) (checked before any transform); sample
     times must fall on step boundaries and strictly advance in the
-    direction of dt.  Returns a WavefunctionGrid holding the requested
-    sample times, or the single final slice if none are given, each an
-    exact mirror image about x = 0.  Raises if a returned slice has more
-    than 1e-8 of its mass in the outer eighth of the domain (its outer
-    sixteenth at each end).  Raises, naming the steps taken, as soon as
-    the relative drift of the discrete norm passes 1e-10 at the end of a
-    block of 4096 steps or at the last step: the drift is read at each
-    of those points, so a run whose drift passes the limit and comes back
-    under it by the last step is refused too.
+    direction of dt; none given is [t_end].  Returns a WavefunctionGrid
+    holding the sample times, each slice an exact mirror image about
+    x = 0.  Raises, naming its time, as soon as a slice is taken with
+    more than 1e-8 of its mass in the outer eighth of the domain (its
+    outer sixteenth at each end).  Raises, naming the steps taken, as
+    soon as the relative drift of the discrete norm passes 1e-10 at the
+    end of a block of 4096 steps or at the last step: the drift is read
+    at each of those points, so a run whose drift passes the limit and
+    comes back under it by the last step is refused too.
 
     Only the right half of the grid is propagated.  The potential kicks
     are built once per sub-block of steps on it, from one tan per point
     (see _kick_rows), and each is one multiply.  Logs one DEBUG record on
     the ``bohmosc`` logger: steps, norm drift, phase-wrap and momentum
-    ratios, boundary mass, and the seconds spent evaluating Omega,
-    building kicks, and in the step loop (the transform pair, the
-    multiplies and each sampled slice's closing half-kick and mirror).
+    ratios, the largest boundary mass of a slice, and the seconds spent
+    evaluating Omega, building kicks, and in the step loop (the transform
+    pair, the multiplies and each sampled slice's closing half-kick,
+    mirror and boundary check).
     The transform pair is a DCT-II, unscaled, and a DCT-III, scaled by
     1/n, in place through scipy's pocketfft binding, loaded from its
     extension file without importing scipy.fft.
@@ -273,30 +276,29 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             f"{_MOMENTUM_MARGIN:g} x packet width {sigma_k:.3g}; refine the grid"
         )
 
-    if sample_times is None:
-        times, at = np.array([float(t_end)]), np.array([n_steps])
-    else:
-        times = np.atleast_1d(np.asarray(sample_times, dtype=float))
-        if not times.size:
-            raise ValueError("sample_times is empty")
-        # A non-finite time is refused before the arithmetic, where inf - inf
-        # would be an invalid operation.
-        off = np.flatnonzero(~np.isfinite(times))
-        if not off.size:
-            # A time twice the span away is past every step, and clipping it
-            # there keeps the division from overflowing on a huge time.
-            reach = 2.0 * abs(span)
-            at = np.rint(np.clip(times - t0, -reach, reach) / dt)
-            off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
-                                   & (np.abs(t0 + at * dt - times) <= 1e-9)))
-        if off.size:
-            raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
-        if np.any(np.diff(at) <= 0):
-            raise ValueError(f"sample times must strictly advance in the "
-                             f"direction of dt={dt:g}")
+    times = np.atleast_1d(np.asarray(
+        [t_end] if sample_times is None else sample_times, dtype=float))
+    if not times.size:
+        raise ValueError("sample_times is empty")
+    # A non-finite time is refused before the arithmetic, where inf - inf
+    # would be an invalid operation.
+    off = np.flatnonzero(~np.isfinite(times))
+    if not off.size:
+        # A time twice the span away is past every step, and clipping it
+        # there keeps the division from overflowing on a huge time.
+        reach = 2.0 * abs(span)
+        at = np.rint(np.clip(times - t0, -reach, reach) / dt)
+        off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
+                               & (np.abs(t0 + at * dt - times) <= 1e-9)))
+    if off.size:
+        raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
+    if np.any(np.diff(at) <= 0):
+        raise ValueError(f"sample times must strictly advance in the "
+                         f"direction of dt={dt:g}")
     # The step of each sampled slice, then one that never comes.
     due = [*at.astype(int).tolist(), 0]
     stack = np.empty((times.size, grid.n), dtype=complex)
+    outer = np.r_[:grid.n // 16, grid.n - grid.n // 16:grid.n]
 
     x2 = x[half:] * x[half:]
     x2_max = grid.x_max**2
@@ -307,7 +309,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     floats = np.empty((2, rows, half))
 
     taken = 0
-    worst_wrap = 0.0
+    worst_wrap = edge_mass = 0.0
     omega_s = build_s = loop_s = 0.0
     pending = 0.0  # the previous step's closing half-kick coefficient
     for first in range(0, n_steps, _COEFF_BLOCK):
@@ -351,6 +353,13 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
                                floats)
                     sample *= psi
                     stack[taken, :half] = sample[::-1]
+                    mass = h * float(np.sum(np.abs(stack[taken, outer]) ** 2))
+                    if mass > _BOUNDARY_MASS_LIMIT:
+                        raise RuntimeError(
+                            f"|psi|^2 mass {mass:.3g} in the outer eighth of the domain "
+                            f"exceeds {_BOUNDARY_MASS_LIMIT:g} at t={times[taken]:.6g}; "
+                            f"widen the domain")
+                    edge_mass = max(edge_mass, mass)
                     taken += 1
             loop_s += perf_counter() - built
 
@@ -359,24 +368,12 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             raise RuntimeError(f"propagation lost unitarity: norm drift {drift:.3e} "
                                f"after {first + coeffs.size} steps")
 
-    edge = grid.n // 16
-    tails = np.abs(stack[:, np.r_[:edge, grid.n - edge:grid.n]]) ** 2
-    edge_mass = h * tails.sum(axis=1)
-    leaked = np.flatnonzero(edge_mass > _BOUNDARY_MASS_LIMIT)
-    if leaked.size:
-        j = leaked[0]
-        raise RuntimeError(
-            f"|psi|^2 mass {edge_mass[j]:.3g} in the outer eighth of the domain "
-            f"exceeds {_BOUNDARY_MASS_LIMIT:g} at t={times[j]:.6g}; "
-            f"widen the domain"
-        )
-
     _log.debug(
         "propagate: %d steps, norm drift %.3e, phase-wrap ratio %.3g, "
         "momentum ratio %.3g, boundary mass %.3e, seconds in Omega %.3g, "
         "kick build %.3g, step loop %.3g",
         n_steps, drift, worst_wrap / _PHASE_WRAP_LIMIT,
-        _MOMENTUM_MARGIN * sigma_k / cutoff, float(edge_mass.max()),
+        _MOMENTUM_MARGIN * sigma_k / cutoff, edge_mass,
         omega_s, build_s, loop_s,
     )
     return WavefunctionGrid(grid, times, stack)

@@ -486,6 +486,14 @@ class TestTransitionCommand:
         assert main(["transition", "--b-values", "2.5",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_empty_b_values_rejected(self, tmp_path, capsys):
+        # an empty list is refused, not read as the default slopes
+        out = tmp_path / "x.csv"
+        assert main(["transition", "--b-values", "", "--out", str(out)]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "--b-values is empty" in line
+
 
 # One run of each subcommand at exit 0, and of verify and tdse-check past
 # their threshold (exit 3), with flags the manifest must record.

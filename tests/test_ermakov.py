@@ -309,11 +309,22 @@ class TestNumericSolver:
         assert np.max(np.abs(solution.rho(t) - rho) / rho) < 1e-9
         assert np.max(np.abs(solution.mu(t) + 0.5 * np.unwrap(np.arctan2(u2, u1)))) < 1e-9
 
-    def test_phase_branch_with_long_steps(self):
+    def test_phase_branch_with_long_steps(self, caplog):
         # u1 = 8 cos 16t, u2 = sin(16t)/128: the angle of (u1, u2) turns by
         # up to 3.13 rad within one step here, where rho is squeezed; a
-        # wrong branch puts mu off by pi
-        solution = solve_numeric(FrequencyProfile.constant(16.0), 8.0, 0.0, (0.0, 3.0))
+        # wrong branch puts mu off by pi.  The branch is read from the step
+        # ends alone, so Omega sees the monitor's probes and the evaluations
+        # the DEBUG record counts, and no other point
+        caplog.set_level(logging.DEBUG, logger="bohmosc.ermakov")
+        constant, points = FrequencyProfile.constant(16.0), []
+
+        def omega(t):
+            points.append(np.size(t))
+            return constant.omega(t)
+
+        solution = solve_numeric(SimpleNamespace(omega=omega, knots=()), 8.0, 0.0,
+                                 (0.0, 3.0))
+        assert sum(points) == ermakov._MONITOR_PROBES + 1 + caplog.records[-1].args[1]
         t = np.linspace(0.0, 3.0, 3001)
         expected = -0.5 * np.unwrap(np.arctan2(np.sin(16 * t) / 128, 8 * np.cos(16 * t)))
         assert np.max(np.abs(solution.mu(t) - expected)) < 1e-6
@@ -322,7 +333,8 @@ class TestNumericSolver:
     def test_phase_branch_at_loose_tolerances(self, omega):
         # From the equilibrium rho = omega^(-1/2), mu = -omega t/2.  Under
         # the limit of 1 rad of phase per step a step turns (u1, u2) by at
-        # most 0.3125 rad here, and no step takes a midpoint
+        # most 0.3125 rad here, although the error control alone would
+        # accept steps of many turns
         solution = solve_numeric(FrequencyProfile.constant(omega), omega**-0.5, 0.0,
                                  (0.0, 20.0), rel_tol=1e-2, abs_tol=1e-2)
         t = np.linspace(0.0, 20.0, 2001)
@@ -429,16 +441,37 @@ class TestMagnusRoute:
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((ratios > 48) & (ratios < 80)), ratios
 
+    @staticmethod
+    def constant_table_mu_error(omega, rho0, rho_dot0, t_max, knots):
+        """The largest error of mu over 3001 times, solved on a table of
+        constant omega with knots evenly spaced over [0, t_max]."""
+        samples = np.linspace(0.0, t_max, knots)
+        table = FrequencyProfile.from_table(samples, np.full(knots, omega))
+        solution = solve_numeric(table, rho0, rho_dot0, (0.0, t_max))
+        # u1 = rho0 cos(tau) + rho_dot0 sin(tau)/omega and u2 = sin(tau)/(rho0
+        # omega) at tau = omega t: their angle passes k pi where u2 is zero,
+        # and is arccot(u1/u2) in between.  3001 times miss the turns of a
+        # near-free solution, which take 1e-5 of t, so np.unwrap cannot read it
+        t = np.linspace(0.0, t_max, 3001)
+        tau = omega * t
+        with np.errstate(divide="ignore"):
+            ratio = rho0 * (rho0 * omega / np.tan(tau) + rho_dot0)
+        angle = np.pi * np.floor(tau / np.pi) + 0.5 * np.pi - np.arctan(ratio)
+        return np.max(np.abs(solution.mu(t) + 0.5 * angle))
+
     def test_mu_on_a_fast_constant_table(self):
         # Magnus steps are exact at constant Omega, so only the limit of
         # 1 rad of phase per step keeps them short enough for the mu branch:
         # the angle of u1 = 8 cos 16t, u2 = sin(16t)/128 turns by nearly pi
         # close to each zero of u1
-        table = FrequencyProfile.from_table([0.0, 3.0], [16.0, 16.0])
-        solution = solve_numeric(table, 8.0, 0.0, (0.0, 3.0))
-        t = np.linspace(0.0, 3.0, 3001)
-        expected = -0.5 * np.unwrap(np.arctan2(np.sin(16 * t) / 128, 8 * np.cos(16 * t)))
-        assert np.max(np.abs(solution.mu(t) - expected)) < 1e-6
+        assert self.constant_table_mu_error(16.0, 8.0, 0.0, 3.0, 2) < 1e-6
+
+    def test_mu_on_a_near_free_table(self):
+        # From rho' = -1e5 at Omega = 1e-9 the angle turns by less than the
+        # rounding of the end angles of most of the 8000 steps, which must
+        # not read as turns of nearly 2 pi (mu(1e10) would read -3122.7, not
+        # -2 pi)
+        assert self.constant_table_mu_error(1e-9, 1.0, -1e5, 1e10, 4001) < 1e-6
 
     @pytest.mark.parametrize("shape", [(0,), (2, 0)])
     def test_empty_times(self, shape):

@@ -267,16 +267,39 @@ class TestGuards:
         np.testing.assert_allclose(out.times, [0.1, 0.3, 0.5])
         assert out.psi.shape == (3, 512)
 
+    @staticmethod
+    def free_packets(speed):
+        """exp(-x^2/2) cos(speed x) on the default grid, and a config of dt
+        1e-3 at Omega = 0 whose every evaluation of Omega is counted."""
+        calls = []
+
+        def free(t):
+            calls.append(np.size(t))
+            return np.zeros_like(t)
+
+        grid = SpatialGrid()
+        psi0 = single_slice(grid, np.exp(-0.5 * grid.x**2) * np.cos(speed * grid.x))
+        config = PropagatorConfig(grid=grid, dt=1e-3, profile=FrequencyProfile(free))
+        return psi0, config, calls
+
     def test_boundary_mass_guard(self):
         # two free packets moving at speeds -3 and 3 reach x = -7.5 and 7.5
         # of [-8, 8] at t = 2.5
-        grid = SpatialGrid()
-        psi0 = single_slice(grid, np.exp(-0.5 * grid.x**2) * np.cos(3.0 * grid.x))
-        config = PropagatorConfig(grid=grid, dt=1e-3,
-                                  profile=FrequencyProfile.constant(0.0))
-        with pytest.raises(RuntimeError, match="outer eighth") as raised:
+        psi0, config, _ = self.free_packets(3.0)
+        with pytest.raises(RuntimeError, match=r"outer eighth .* at t=2\.5;") as raised:
             propagate(psi0, config, 2.5)
         assert len(str(raised.value).splitlines()) == 1
+
+    def test_boundary_mass_guard_stops_at_the_first_leaked_slice(self):
+        # one free packet spreads past the limit by the second of 100
+        # slices, and is refused there, in the first block of Omega, not
+        # after the 25 blocks of the run
+        psi0, config, calls = self.free_packets(0.0)
+        with pytest.raises(RuntimeError, match=r"mass 9\.18e-06 in the outer eighth "
+                                               r".* at t=2;") as raised:
+            propagate(psi0, config, 100.0, sample_times=np.arange(1.0, 101.0))
+        assert len(str(raised.value).splitlines()) == 1
+        assert calls == [_COEFF_BLOCK]
 
     def test_phase_wrap_names_first_offending_time(self):
         calls = []
@@ -460,6 +483,7 @@ class TestFusedLoop:
                       _KICK_ROWS + 1]),              # kick sub-block edge
         (0.0, 1e-3, [_COEFF_BLOCK - 1, _COEFF_BLOCK,  # across an Omega
                      _COEFF_BLOCK + 3]),              # block edge
+        (0.0, 1e-3, [50]),                           # t_end alone, the default
     ])
     def test_sampling_leaves_the_trajectory_unchanged(self, sub1, t_start, dt,
                                                       sample_steps):

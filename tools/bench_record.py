@@ -14,7 +14,11 @@ The record holds:
   and wavefunction at the 2^21-cell cap (--nt 2048 --nx 1024) and of
   ermakov --numeric at the 2^21-sample cap, in a fresh interpreter, 5
   times in turn with the medians, with its exit code and the byte count
-  and SHA-256 of its output, and whether every run wrote the same bytes.
+  and SHA-256 of its output, and whether every run wrote the same bytes;
+  then one more fresh run of each, not timed and not in the medians, with
+  a DEBUG handler on the `bohmosc` logger: its messages (`debug`) and
+  whether it wrote the timed runs' bytes (`same_bytes_with_debug`), since
+  diagnostics must never change a data byte.
   The peak and the faults are the child's own ru_maxrss and ru_minflt
   from os.wait4, not RUSAGE_CHILDREN, which sums or takes the largest
   over every child so far.
@@ -87,6 +91,14 @@ SUBCOMMANDS = {
     "ermakov-cap": ("ermakov", "--numeric", "--b", "1", "--samples", "2097152"),
 }
 
+# The interpreter of the run with diagnostics: the CLI, with a handler that
+# writes each record of the bohmosc logger at DEBUG to stderr, marked.
+DEBUG_RUN = ("import logging, sys; from bohmosc.cli import main; "
+             "handler = logging.StreamHandler(); "
+             "handler.setFormatter(logging.Formatter('DEBUG %(name)s: %(message)s')); "
+             "log = logging.getLogger('bohmosc'); log.setLevel(logging.DEBUG); "
+             "log.addHandler(handler); sys.exit(main(sys.argv[1:]))")
+
 
 def perfbench(root, workload, trace):
     """The env line and the JSON result line of one benchmark run."""
@@ -101,18 +113,21 @@ def perfbench(root, workload, trace):
     return json.loads(env[4:]), json.loads(lines[-1])
 
 
-def subcommand(root, argv, folder):
+def subcommand(root, argv, folder, debug=False):
     """One fresh-process run: wall time, peak RSS in MB, minor page faults,
-    exit code, and the output's byte count and SHA-256."""
-    out = Path(folder, argv[0] + ".out")
+    exit code, the output's byte count and SHA-256, and with debug, the
+    messages of a DEBUG handler on the bohmosc logger (else none)."""
+    out, log = Path(folder, argv[0] + ".out"), Path(folder, "stderr.log")
     out.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root, "src")))
-    started = perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "bohmosc", *argv, "--out", str(out)],
-                             cwd=folder, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = perf_counter() - started
+    head = ["-c", DEBUG_RUN] if debug else ["-m", "bohmosc"]
+    with log.open("w") as stderr:
+        started = perf_counter()
+        child = subprocess.Popen([sys.executable, *head, *argv, "--out", str(out)],
+                                 cwd=folder, env=env, stdout=subprocess.DEVNULL,
+                                 stderr=stderr if debug else subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = perf_counter() - started
     # reaped here, so that Popen does not wait for it again
     child.returncode = os.waitstatus_to_exitcode(status)
     digest, size = hashlib.sha256(), 0
@@ -122,30 +137,35 @@ def subcommand(root, argv, folder):
                 digest.update(chunk)
                 size += len(chunk)
         out.unlink()
+    messages = [line.removeprefix("DEBUG ") for line in log.read_text().splitlines()
+                if line.startswith("DEBUG ")]
     return (wall, usage.ru_maxrss / 1024, usage.ru_minflt, child.returncode,
-            (size, digest.hexdigest()))
+            (size, digest.hexdigest()), messages)
 
 
 def cli_record(root, folder):
-    """Every subcommand's runs, taken in turn so that host drift spreads evenly."""
+    """Every subcommand's timed runs, taken in turn so that host drift spreads
+    evenly, then its run with diagnostics."""
     runs = {name: [] for name in SUBCOMMANDS}
     for _ in range(REPEATS):
         for name, argv in SUBCOMMANDS.items():
             runs[name].append(subcommand(root, argv, folder))
     record = {}
     for name, seen in runs.items():
-        walls = [round(wall, 4) for wall, _, _, _, _ in seen]
-        peaks = [round(peak, 1) for _, peak, _, _, _ in seen]
-        faults = [count for _, _, count, _, _ in seen]
+        walls = [round(wall, 4) for wall, *_ in seen]
+        peaks = [round(peak, 1) for _, peak, *_ in seen]
+        faults = [count for _, _, count, *_ in seen]
         size, sha256 = seen[0][4]
+        *_, with_debug, messages = subcommand(root, SUBCOMMANDS[name], folder, debug=True)
         record[name] = {
             "argv": list(SUBCOMMANDS[name]), "wall_s": walls,
             "wall_s_median": statistics.median(walls), "peak_rss_mb": peaks,
             "peak_rss_mb_median": statistics.median(peaks), "minor_faults": faults,
             "minor_faults_median": statistics.median(faults),
-            "exit": sorted({code for _, _, _, code, _ in seen}),
+            "exit": sorted({code for _, _, _, code, *_ in seen}),
             "bytes": size, "sha256": sha256,
-            "same_bytes": all(out == (size, sha256) for *_, out in seen)}
+            "same_bytes": all(out == (size, sha256) for *_, out, _ in seen),
+            "debug": messages, "same_bytes_with_debug": with_debug == (size, sha256)}
     return record
 
 
