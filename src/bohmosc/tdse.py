@@ -197,12 +197,12 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     transform.  The number of steps is (t_end - start)/dt rounded to the
     nearest integer, which must reproduce the span to within 1e-9 and be
     at most 2**29 / max(n, 512) (checked before any transform); sample
-    times must fall on step boundaries and strictly advance in the
-    direction of dt; none given is [t_end].  Returns a WavefunctionGrid
-    holding the sample times, each slice an exact mirror image about
-    x = 0.  Raises, naming its time, as soon as a slice is taken with
-    more than 1e-8 of its mass in the outer eighth of the domain (its
-    outer sixteenth at each end).  Raises, naming the steps taken, as
+    times must fall on step boundaries, within 1e-9 or the rounding of
+    the times, and strictly advance in the direction of dt; none given is
+    [t_end].  Returns a WavefunctionGrid holding the sample times, each
+    slice an exact mirror image about x = 0.  Raises, naming its time, as
+    soon as a slice is taken with more than 1e-8 of its mass in the outer
+    eighth of the domain (its outer sixteenth at each end).  Raises, naming the steps taken, as
     soon as the relative drift of the discrete norm passes 1e-10 at the
     end of a block of 4096 steps or at the last step: the drift is read
     at each of those points, so a run whose drift passes the limit and
@@ -288,8 +288,11 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         # there keeps the division from overflowing on a huge time.
         reach = 2.0 * abs(span)
         at = np.rint(np.clip(times - t0, -reach, reach) / dt)
+        # Within 1e-9 of its step, or of the rounding of t0 + k dt where
+        # that is coarser (past |t| = 4.5e6), so that t_end is always on one.
+        near = 1e-9 + 8.0 * np.spacing(max(abs(t0), abs(float(t_end))))
         off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
-                               & (np.abs(t0 + at * dt - times) <= 1e-9)))
+                               & (np.abs(t0 + at * dt - times) <= near)))
     if off.size:
         raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
     if np.any(np.diff(at) <= 0):

@@ -259,6 +259,23 @@ class TestGuards:
             propagate(ground_state(grid), config, 0.5, sample_times=sample_times)
         assert len(str(raised.value).splitlines()) == 1
 
+    def test_t_end_is_on_a_step_where_rounding_passes_1e9(self):
+        # The ground state of Omega = 1e-6 for 570 steps to t = 10000000.1,
+        # where 570 (t/570) misses t by an ulp, 1.9e-9; t_end alone is
+        # sampled, as given or by default, and the state only turns its phase
+        omega = 1e-6
+        grid = SpatialGrid(-6000.0, 6000.0, 64)
+        psi0 = single_slice(grid, np.exp(-0.5 * omega * grid.x**2))
+        t_end = 10000000.1
+        config = PropagatorConfig(grid=grid, dt=t_end / 570,
+                                  profile=FrequencyProfile.constant(omega))
+        assert 570 * config.dt != t_end
+        alone = propagate(psi0, config, t_end)
+        given = propagate(psi0, config, t_end, sample_times=[t_end])
+        np.testing.assert_array_equal(alone.times, [t_end])
+        assert np.array_equal(alone.psi, given.psi)
+        assert fidelity(alone, psi0)[0] > 1 - 1e-9
+
     def test_sampling_returns_requested_times(self, static):
         grid = SpatialGrid()
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
