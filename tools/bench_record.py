@@ -40,7 +40,7 @@ script); its perfbench/, src/ and tests/ are the ones run, and the record
 is written at the root of the checkout holding this script.  It imports
 no bohmosc or perfbench name: every number comes from a subprocess.  Two
 records are comparable only when taken side by side on the same host: its
-speed drifts by up to 2x (see perfbench/README.md).  It takes about 5
+speed drifts by up to 2x (see perfbench/README.md).  It takes about 6
 minutes.
 """
 
