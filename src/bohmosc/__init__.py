@@ -8,77 +8,15 @@ difference residuals of the governing equations and a split-step spectral
 propagator.
 """
 
-from .frequency import (
-    FrequencyProfile,
-    Regime,
-    classify_rational,
-)
-from .ermakov import (
-    closed_form_critical,
-    closed_form_subcritical,
-    critical_solution,
-    ermakov_residual,
-    solve_numeric,
-    subcritical_parameters,
-    subcritical_solution,
-)
-from .madelung import (
-    SpatialGrid,
-    WavefunctionGrid,
-    amplitude_gaussian,
-    amplitude_gaussian_dt,
-    amplitude_gaussian_dx,
-    bohm_potential_critical,
-    bohm_potential_from_amplitude,
-    bohm_potential_gaussian,
-    bohm_potential_subcritical,
-    classical_potential,
-    numeric_construction,
-    rational_construction,
-    wavefunction,
-)
-from .verify import (
-    ResidualReport,
-    build_residual_report,
-    continuity_residual,
-    qhje_residual,
-    schrodinger_residual,
-)
-from .tdse import PropagatorConfig, fidelity, propagate
+# The package exports each module's __all__, where each name is listed once.
+from . import ermakov, frequency, madelung, tdse, verify
+from .frequency import *
+from .ermakov import *
+from .madelung import *
+from .verify import *
+from .tdse import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FrequencyProfile",
-    "Regime",
-    "classify_rational",
-    "closed_form_critical",
-    "closed_form_subcritical",
-    "critical_solution",
-    "ermakov_residual",
-    "solve_numeric",
-    "subcritical_parameters",
-    "subcritical_solution",
-    "SpatialGrid",
-    "WavefunctionGrid",
-    "amplitude_gaussian",
-    "amplitude_gaussian_dt",
-    "amplitude_gaussian_dx",
-    "bohm_potential_critical",
-    "bohm_potential_from_amplitude",
-    "bohm_potential_gaussian",
-    "bohm_potential_subcritical",
-    "classical_potential",
-    "numeric_construction",
-    "rational_construction",
-    "wavefunction",
-    "ResidualReport",
-    "build_residual_report",
-    "continuity_residual",
-    "qhje_residual",
-    "schrodinger_residual",
-    "PropagatorConfig",
-    "fidelity",
-    "propagate",
-]
+__all__ = ["__version__", *frequency.__all__, *ermakov.__all__, *madelung.__all__,
+           *verify.__all__, *tdse.__all__]

@@ -449,9 +449,7 @@ def _cmd_verify(args) -> str | None:
         sys.stdout.write(blob)
 
     if args.threshold is not None:
-        finest = levels[-1]
-        worst = max(finest["se_residual_max"], finest["continuity_residual_max"],
-                    finest["qhje_residual_max"])
+        worst = max(levels[-1][key] for key in orders)
         if worst > args.threshold:
             return (f"verification failed: max residual {worst:.3e} > "
                     f"threshold {args.threshold:.3e}")

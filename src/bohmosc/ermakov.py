@@ -66,7 +66,6 @@ import numpy as np
 from .frequency import FrequencyProfile, Regime, classify_rational
 
 __all__ = [
-    "ErmakovSolution",
     "subcritical_parameters",
     "closed_form_subcritical",
     "closed_form_critical",
@@ -74,9 +73,6 @@ __all__ = [
     "critical_solution",
     "solve_numeric",
     "ermakov_residual",
-    "RHO_FLOOR",
-    "REL_TOL",
-    "ABS_TOL",
 ]
 
 _log = logging.getLogger(__name__)

@@ -27,8 +27,6 @@ __all__ = [
     "Regime",
     "FrequencyProfile",
     "classify_rational",
-    "CRITICAL_SLOPE",
-    "CRITICAL_SLOPE_TOL",
 ]
 
 # The two branches use different closed forms; classification must never

@@ -44,7 +44,6 @@ from .ermakov import (
 __all__ = [
     "SpatialGrid",
     "WavefunctionGrid",
-    "Construction",
     "amplitude_gaussian",
     "amplitude_gaussian_dx",
     "amplitude_gaussian_dt",
@@ -56,7 +55,6 @@ __all__ = [
     "classical_potential",
     "rational_construction",
     "numeric_construction",
-    "AMPLITUDE_FLOOR",
 ]
 
 _PI_MQUARTER = np.pi**-0.25

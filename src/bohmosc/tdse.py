@@ -34,13 +34,13 @@ product and one tan of the half phases (exp(i phi) = (1 - t^2 + 2it) /
 one multiply.  The norm drift is read at the end of every block, so a
 run that loses unitarity is refused as soon as a block ends past the
 limit.  A returned slice is written to the full grid as its mirror
-image beside it, so the stack, fidelity and the boundary guard see the
-whole domain.  Each returned
-slice must keep its mass in the outer eighth of the domain (its outer
-sixteenth at each end) below a fixed limit, checked as the slice is
-taken, so that wrap-around at the periodic boundary cannot pass silently
-and a leaking run stops at its first leaked slice.  Without sample times
-the one slice is t_end, on the same schedule and checks as any other.
+image beside it, so the stack and fidelity see the whole domain.  Each
+returned slice must keep its mass in the outer eighth of the domain (its
+outer sixteenth at each end) below a fixed limit, read as twice the mass
+of the right half's outer sixteenth and checked as the slice is taken,
+so that wrap-around at the periodic boundary cannot pass silently and a
+leaking run stops at its first leaked slice.  Without sample times the
+one slice is t_end, on the same schedule and checks as any other.
 
 No transform convention leaks into the API.  Each transform is one call
 of scipy's pocketfft binding (scipy.fft._pocketfft.pypocketfft.dct), in
@@ -195,18 +195,21 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
     psi0 must be even in x: a slice whose mirror image differs from it
     by more than 1e-12 of its peak is refused with one line before any
     transform.  The number of steps is (t_end - start)/dt rounded to the
-    nearest integer, which must reproduce the span to within 1e-9 and be
-    at most 2**29 / max(n, 512) (checked before any transform); sample
-    times must fall on step boundaries, within 1e-9 or the rounding of
-    the times, and strictly advance in the direction of dt; none given is
-    [t_end].  Returns a WavefunctionGrid holding the sample times, each
-    slice an exact mirror image about x = 0.  Raises, naming its time, as
-    soon as a slice is taken with more than 1e-8 of its mass in the outer
-    eighth of the domain (its outer sixteenth at each end).  Raises, naming the steps taken, as
-    soon as the relative drift of the discrete norm passes 1e-10 at the
-    end of a block of 4096 steps or at the last step: the drift is read
-    at each of those points, so a run whose drift passes the limit and
-    comes back under it by the last step is refused too.
+    nearest integer, which must be at most 2**29 / max(n, 512) and
+    reproduce the span; sample times must fall on step boundaries and
+    strictly advance in the direction of dt; none given is [t_end].
+    t_end and the sample times are read with one allowance: 1e-9 (of the
+    span for t_end, where the span passes 1) plus 8 ulps of the run's
+    largest |t|, the rounding of start + k dt past |t| = 4.5e6.  Every
+    time is refused, with one line, before any transform.  Returns a
+    WavefunctionGrid holding the sample times, each slice an exact mirror
+    image about x = 0.  Raises, naming its time, as soon as a slice is
+    taken with more than 1e-8 of its mass in the outer eighth of the
+    domain (its outer sixteenth at each end).  Raises, naming the steps
+    taken, as soon as the relative drift of the discrete norm passes
+    1e-10 at the end of a block of 4096 steps or at the last step: the
+    drift is read at each of those points, so a run whose drift passes
+    the limit and comes back under it by the last step is refused too.
 
     Only the right half of the grid is propagated.  The potential kicks
     are built once per sub-block of steps on it, from one tan per point
@@ -241,11 +244,35 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
         raise ValueError(f"{steps:.6g} steps are more than the cap of {max_steps} "
                          f"at n = {grid.n}")
     n_steps = int(round(steps))
-    if n_steps < 1 or abs(n_steps * config.dt - span) > 1e-9 * max(abs(span), 1.0):
+    # t_end and each sample time are read within 1e-9 (of a span past 1),
+    # plus the rounding of t0 + k dt, which is coarser past |t| = 4.5e6.
+    rounding = 8.0 * np.spacing(max(abs(t0), abs(float(t_end))))
+    if (n_steps < 1
+            or abs(n_steps * config.dt - span) > 1e-9 * max(abs(span), 1.0) + rounding):
         raise ValueError(
             f"(t_end - t0)={span:g} is not an integer multiple of dt={config.dt:g}"
         )
     dt = span / n_steps
+
+    times = np.atleast_1d(np.asarray(
+        [t_end] if sample_times is None else sample_times, dtype=float))
+    if not times.size:
+        raise ValueError("sample_times is empty")
+    # A non-finite time is refused before the arithmetic, where inf - inf
+    # would be an invalid operation.
+    off = np.flatnonzero(~np.isfinite(times))
+    if not off.size:
+        # A time twice the span away is past every step, and clipping it
+        # there keeps the division from overflowing on a huge time.
+        reach = 2.0 * abs(span)
+        at = np.rint(np.clip(times - t0, -reach, reach) / dt)
+        off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
+                               & (np.abs(t0 + at * dt - times) <= 1e-9 + rounding)))
+    if off.size:
+        raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
+    if np.any(np.diff(at) <= 0):
+        raise ValueError(f"sample times must strictly advance in the "
+                         f"direction of dt={dt:g}")
 
     norm0 = psi0.norms()[0]
     if not abs(norm0 - 1.0) <= 1e-8:  # NaN fails too
@@ -276,32 +303,11 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
             f"{_MOMENTUM_MARGIN:g} x packet width {sigma_k:.3g}; refine the grid"
         )
 
-    times = np.atleast_1d(np.asarray(
-        [t_end] if sample_times is None else sample_times, dtype=float))
-    if not times.size:
-        raise ValueError("sample_times is empty")
-    # A non-finite time is refused before the arithmetic, where inf - inf
-    # would be an invalid operation.
-    off = np.flatnonzero(~np.isfinite(times))
-    if not off.size:
-        # A time twice the span away is past every step, and clipping it
-        # there keeps the division from overflowing on a huge time.
-        reach = 2.0 * abs(span)
-        at = np.rint(np.clip(times - t0, -reach, reach) / dt)
-        # Within 1e-9 of its step, or of the rounding of t0 + k dt where
-        # that is coarser (past |t| = 4.5e6), so that t_end is always on one.
-        near = 1e-9 + 8.0 * np.spacing(max(abs(t0), abs(float(t_end))))
-        off = np.flatnonzero(~((1 <= at) & (at <= n_steps)
-                               & (np.abs(t0 + at * dt - times) <= near)))
-    if off.size:
-        raise ValueError(f"sample time {times[off[0]]} is not on a step boundary")
-    if np.any(np.diff(at) <= 0):
-        raise ValueError(f"sample times must strictly advance in the "
-                         f"direction of dt={dt:g}")
     # The step of each sampled slice, then one that never comes.
     due = [*at.astype(int).tolist(), 0]
     stack = np.empty((times.size, grid.n), dtype=complex)
-    outer = np.r_[:grid.n // 16, grid.n - grid.n // 16:grid.n]
+    # The right half's share of the outer eighth: its outer sixteenth.
+    edge = half - grid.n // 16
 
     x2 = x[half:] * x[half:]
     x2_max = grid.x_max**2
@@ -356,7 +362,7 @@ def propagate(psi0: WavefunctionGrid, config: PropagatorConfig,
                                floats)
                     sample *= psi
                     stack[taken, :half] = sample[::-1]
-                    mass = h * float(np.sum(np.abs(stack[taken, outer]) ** 2))
+                    mass = 2.0 * h * float(np.sum(np.abs(sample[edge:]) ** 2))
                     if mass > _BOUNDARY_MASS_LIMIT:
                         raise RuntimeError(
                             f"|psi|^2 mass {mass:.3g} in the outer eighth of the domain "

@@ -27,7 +27,9 @@ the A it samples, and shares it between all three checks.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, asdict
+from time import perf_counter
 
 import numpy as np
 
@@ -47,6 +49,8 @@ __all__ = [
     "qhje_residual",
     "build_residual_report",
 ]
+
+_log = logging.getLogger(__name__)
 
 _TAIL_MASK_REL = 1e-10
 _BOUNDARY_SKIP = 2
@@ -222,8 +226,11 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
     is the worst over the probes.  Probes are sampled in blocks whose
     (p, 3, n_x) stacks hold at most _BLOCK_POINTS points (one probe where
     its three rows alone hold more): A and S on the three rows, V and V_B
-    on the middle row, the only one the checks read.
+    on the middle row, the only one the checks read.  Logs one DEBUG
+    record on the ``bohmosc`` logger: the probe times, the grid points,
+    the probe blocks and the seconds taken.
     """
+    started = perf_counter()
     probes = np.asarray(t, dtype=float)
     if probes.ndim > 1 or probes.size == 0:
         raise ValueError("need one probe time or a 1-d array of them, "
@@ -233,7 +240,8 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
 
     per_block = max(1, _BLOCK_POINTS // (3 * grid.n))
     worst = np.zeros(5)
-    for start in range(0, probes.size, per_block):
+    starts = range(0, probes.size, per_block)
+    for start in starts:
         block = probes[start:start + per_block, None, None]
         column = np.concatenate([block - dt, block, block + dt], axis=1)
         a = amplitude_gaussian(x, column, construction)
@@ -255,6 +263,9 @@ def build_residual_report(construction: Construction, grid: SpatialGrid,
         np.maximum(worst, (se_l2, se_max, cont_max, qhje_max, norm_error), out=worst)
 
     se_l2, se_max, cont_max, qhje_max, norm_error = map(float, worst)
+    _log.debug("residual report: %d probe times, %d grid points, %d probe blocks, "
+               "%.3f s", probes.size, grid.n, len(starts),
+               perf_counter() - started)
     return ResidualReport(
         se_residual_l2=se_l2,
         se_residual_max=se_max,

@@ -273,6 +273,19 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert capsys.readouterr() == (out.read_text(), "")
 
+    def test_debug_log_leaves_report_unchanged(self, tmp_path, caplog):
+        # one record per level's residual report
+        argv = ["verify", "--b", "1", "--refine", "2"]
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        assert main(argv + ["--out", str(quiet)]) == 0
+        assert not caplog.records
+        caplog.set_level(logging.DEBUG, logger="bohmosc")
+        assert main(argv + ["--out", str(loud)]) == 0
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("bohmosc.verify", logging.DEBUG)] * 2
+        assert [r.args[:3] for r in caplog.records] == [(1, 513, 1), (1, 1025, 1)]
+        assert loud.read_bytes() == quiet.read_bytes()
+
     def test_finest_level_past_the_cap_is_refused_before_any_work(
             self, tmp_path, capsys, monkeypatch):
         # from --nx 65, level l has 64 * 2**l + 1 points: level 2 is at a

@@ -10,6 +10,9 @@ leave no scipy or scipy.* module loaded.  Each case needs a fresh
 interpreter, because the test process has long since imported scipy.  So
 does the stderr of a failing run: under pytest, numpy warnings are
 recorded, not printed.
+
+The package's own names are checked here too: it exports each module's
+__all__ and nothing else.
 """
 
 import json
@@ -20,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+import bohmosc
 from bohmosc.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -97,3 +101,16 @@ def test_floating_point_error_prints_one_line(tmp_path):
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert not (tmp_path / "tdse.csv").exists()
+
+
+def test_the_package_exports_each_modules_names_once():
+    # __version__, then each module's __all__: every name once, bound to
+    # the module's own object, so a module lists only what the package exports
+    modules = [bohmosc.frequency, bohmosc.ermakov, bohmosc.madelung, bohmosc.verify,
+               bohmosc.tdse]
+    listed = [name for module in modules for name in module.__all__]
+    assert bohmosc.__all__ == ["__version__", *listed]
+    assert len(set(bohmosc.__all__)) == len(bohmosc.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(bohmosc, name) is getattr(module, name), name

@@ -248,13 +248,19 @@ class TestGuards:
         ([0.25, np.inf], "sample time inf is not on a step boundary"),
         ([-np.inf, 0.25], "sample time -inf is not on a step boundary"),
         ([1e306], r"sample time 1e\+306 is not on a step boundary"),
+        ([0.0123], "sample time 0.0123 is not on a step boundary"),
     ])
-    def test_sample_times_must_advance(self, static, sample_times, match):
-        # under the error state cli.main runs in, inf - inf, or a huge time
-        # divided by dt, would raise FloatingPointError instead of the
-        # one-line refusal
+    def test_sample_times_must_advance(self, static, monkeypatch, sample_times,
+                                       match):
+        # each is refused before any transform; under the error state
+        # cli.main runs in, inf - inf, or a huge time divided by dt, would
+        # raise FloatingPointError instead of the one-line refusal
+        def no_transform(*_args):
+            raise AssertionError("a transform ran before the sample times were read")
+
         grid = SpatialGrid()
         config = PropagatorConfig(grid=grid, dt=1e-3, profile=static.profile)
+        monkeypatch.setattr(tdse, "_pocketfft_dct", lambda: no_transform)
         with pytest.raises(ValueError, match=match) as raised, np.errstate(all="raise"):
             propagate(ground_state(grid), config, 0.5, sample_times=sample_times)
         assert len(str(raised.value).splitlines()) == 1
@@ -275,6 +281,20 @@ class TestGuards:
         np.testing.assert_array_equal(alone.times, [t_end])
         assert np.array_equal(alone.psi, given.psi)
         assert fidelity(alone, psi0)[0] > 1 - 1e-9
+
+    def test_span_from_a_large_start_is_read_within_its_rounding(self, static):
+        # From t0 = 1e8, t_end - t0 is rounded at ulp(1e8) = 1.5e-8, past
+        # 1e-9 of a span under 1: each span of 37 to 73 steps of 0.01 is
+        # taken, and a span half a step off is still refused
+        grid = SpatialGrid(-8.0, 8.0, 64)
+        t0 = 1e8
+        psi0 = WavefunctionGrid(grid, np.array([t0]), ground_state(grid).psi)
+        config = PropagatorConfig(grid=grid, dt=0.01, profile=static.profile)
+        for k in range(37, 74, 3):
+            out = propagate(psi0, config, t0 + k * 0.01)
+            assert fidelity(out, psi0)[0] > 1 - 1e-10
+        with pytest.raises(ValueError, match="not an integer multiple of dt=0.01$"):
+            propagate(psi0, config, t0 + 0.375)
 
     def test_sampling_returns_requested_times(self, static):
         grid = SpatialGrid()

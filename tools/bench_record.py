@@ -7,8 +7,11 @@
 The record holds:
 
 - the JSON result line of `perfbench/run.py --seconds 25 --trace 0` for
-  each workload, and the per-layer metrics of one `--trace 1` run of
-  `propagate`, each run as a subprocess at a fixed seed;
+  each workload, with the lines it prints but does not gate under
+  `printed` (`reference_ms`, the reference kernel's time, `wall_s`,
+  `job_s.p50`, `import_s` and the rest, each by name), and the per-layer
+  metrics of one `--trace 1` run of `propagate`, each run as a subprocess
+  at a fixed seed;
 - each CLI subcommand's wall time, peak RSS and minor page faults at its
   default flags (`--b 1` where a branch must be given), and those of bohm
   and wavefunction at the 2^21-cell cap (--nt 2048 --nx 1024) and of
@@ -101,7 +104,9 @@ DEBUG_RUN = ("import logging, sys; from bohmosc.cli import main; "
 
 
 def perfbench(root, workload, trace):
-    """The env line and the JSON result line of one benchmark run."""
+    """The env line and the JSON result line of one benchmark run, the
+    result with the printed lines past its gated metrics under `printed`:
+    each line's text after its name, by name."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -109,8 +114,13 @@ def perfbench(root, workload, trace):
         raise RuntimeError(f"{' '.join(argv[1:])} exited {done.returncode}:\n"
                            f"{done.stderr}")
     lines = done.stdout.splitlines()
-    env = next(line for line in lines if line.startswith("env "))
-    return json.loads(env[4:]), json.loads(lines[-1])
+    at = next(i for i, line in enumerate(lines) if line.startswith("env "))
+    result = json.loads(lines[-1])
+    # run.py prints the gated metrics, then the ungated lines, then env
+    named = [line.split(" ", 1) for line in lines[:at]]
+    last = max(i for i, (name, _) in enumerate(named) if name in result["metrics"])
+    result["printed"] = dict(named[last + 1:])
+    return json.loads(lines[at][4:]), result
 
 
 def subcommand(root, argv, folder, debug=False):
